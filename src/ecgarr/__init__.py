@@ -7,8 +7,8 @@ tooling.  Everything is importable from the submodules; this top level
 re-exports only the handful of names used most.
 """
 
-from .fixedpoint import FixedPoint, QFormat, from_fixed, to_fixed
-from .activation import ntanh, platanh, platanh_fixed, softmax, tanh_exact
+from .fixedpoint import QFormat
+from .activation import ntanh, platanh, softmax, tanh_exact
 from .dsp import PeakTrain, detect_r_peaks, dwt_decompose, dwt_reconstruct
 from .features import PCAModel, build_feature_vector, fit_pca, project, window_beat
 from .mlp import (
@@ -30,7 +30,6 @@ __all__ = [
     "AnomalyEvent",
     "ConfusionCounts",
     "EcgRecord",
-    "FixedPoint",
     "MetricsReport",
     "MlpModel",
     "PCAModel",
@@ -43,14 +42,12 @@ __all__ = [
     "dwt_decompose",
     "dwt_reconstruct",
     "fit_pca",
-    "from_fixed",
     "ingest_record",
     "init_model",
     "load_model",
     "match_beats",
     "ntanh",
     "platanh",
-    "platanh_fixed",
     "predict",
     "predict_batch",
     "project",
@@ -61,7 +58,6 @@ __all__ = [
     "softmax",
     "sweep_fraction_bits",
     "tanh_exact",
-    "to_fixed",
     "train",
     "window_beat",
 ]

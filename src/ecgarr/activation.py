@@ -5,64 +5,38 @@ all powers of two, so the fixed-point variant needs only arithmetic shifts and
 constant adds. Segment offsets are pinned by exact continuity between
 neighboring segments; that also places the saturation point exactly where the
 outermost linear piece reaches 1: x = 4096 * (1 - 0.9986376953125) = 5.58.
+
+One segment table drives the real value, its slope and the fixed-point value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fixedpoint import (
-    FixedPoint,
-    QFormat,
-    rne_shift,
-    rne_shift_array,
-    saturate,
-    saturate_array,
-    to_fixed,
-)
+from .fixedpoint import QFormat, quantize_raw_array, rne_shift_array, saturate_array
 
-# Positive-side segment borders, outermost first. Membership is
-# upper-inclusive: a border belongs to the segment it closes from above,
-# except the saturation border itself, which yields exactly 1.
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 SATURATION_BORDER = 5.58
-_BORDERS = (SATURATION_BORDER, 3.02, 2.02, 1.475, 1.125, 0.5)
-# Slopes 2**-s for the segments between consecutive borders, then identity.
-_SHIFTS = (12, 5, 3, 2, 1, 0)
-_OFFSETS = (0.9986376953125, 0.905, 0.715625, 0.53125, 0.25, 0.0)
-
-
-@dataclass(frozen=True)
-class PlaSegment:
-    """One linear piece: value = x * 2**-shift + offset on (lower, upper]."""
-
-    lower: float | None  # None = -inf
-    upper: float | None  # None = +inf
-    shift: int | None    # None = constant segment (saturation)
-    offset: float
-
-
-def _build_segments() -> tuple[PlaSegment, ...]:
-    segs = [PlaSegment(SATURATION_BORDER, None, None, 1.0)]
-    for i in range(5):
-        segs.append(PlaSegment(_BORDERS[i + 1], _BORDERS[i], _SHIFTS[i], _OFFSETS[i]))
-    segs.append(PlaSegment(-0.5, 0.5, 0, 0.0))
-    for i in range(4, -1, -1):
-        segs.append(PlaSegment(-_BORDERS[i], -_BORDERS[i + 1], _SHIFTS[i], -_OFFSETS[i]))
-    segs.append(PlaSegment(None, -SATURATION_BORDER, None, -1.0))
-    return tuple(segs)
-
-
-@dataclass(frozen=True)
-class PlaSegmentTable:
-    """The 13 segments tiling the real line, outermost positive first."""
-
-    segments: tuple[PlaSegment, ...]
-
-
-PLA_TABLE = PlaSegmentTable(_build_segments())
+# Segment borders, ascending. Segment i covers (PLA_BORDERS[i-1], PLA_BORDERS[i]],
+# open at either end, so a border belongs to the segment it closes from above
+# (and takes its slope). At +5.58 that segment's line reaches exactly 1.
+PLA_BORDERS = _frozen((-SATURATION_BORDER, -3.02, -2.02, -1.475, -1.125, -0.5,
+                       0.5, 1.125, 1.475, 2.02, 3.02, SATURATION_BORDER))
+# Segment i is x * 2**-PLA_SHIFTS[i] + PLA_OFFSETS[i]; None marks the two
+# constant (saturated) ends. The identity segment's offset is -0.0 so that
+# adding it keeps the sign of a zero input.
+PLA_SHIFTS = (None, 12, 5, 3, 2, 1, 0, 1, 2, 3, 5, 12, None)
+PLA_SLOPES = _frozen([0.0 if s is None else 2.0 ** -s for s in PLA_SHIFTS])
+PLA_OFFSETS = _frozen((-1.0, -0.9986376953125, -0.905, -0.715625, -0.53125, -0.25,
+                       -0.0, 0.25, 0.53125, 0.715625, 0.905, 0.9986376953125, 1.0))
 
 
 def _apply(x, func_scalar_free):
@@ -88,31 +62,11 @@ def softmax(z) -> np.ndarray:
 
 
 def _platanh_array(x: np.ndarray) -> np.ndarray:
-    b = _BORDERS
-    o = _OFFSETS
-    conditions = [
-        x >= b[0],
-        x > b[1], x > b[2], x > b[3], x > b[4], x > b[5],
-        x > -b[5],
-        x > -b[4], x > -b[3], x > -b[2], x > -b[1], x > -b[0],
-    ]
-    choices = [
-        np.ones_like(x),
-        # Clamp the outer linear pieces: float rounding just below the
-        # saturation border must not push the value past 1.
-        np.minimum(1.0, x / 4096 + o[0]),
-        x / 32 + o[1],
-        x / 8 + o[2],
-        x / 4 + o[3],
-        x / 2 + o[4],
-        x,
-        x / 2 - o[4],
-        x / 4 - o[3],
-        x / 8 - o[2],
-        x / 32 - o[1],
-        np.maximum(-1.0, x / 4096 - o[0]),
-    ]
-    return np.select(conditions, choices, default=-1.0)
+    seg = np.searchsorted(PLA_BORDERS, x)
+    # Clipping x to the saturation borders keeps 0 * inf out of the constant
+    # ends; clipping y keeps float rounding near +-5.58 from passing +-1.
+    x = np.clip(x, -SATURATION_BORDER, SATURATION_BORDER)
+    return np.clip(PLA_SLOPES[seg] * x + PLA_OFFSETS[seg], -1.0, 1.0)
 
 
 def platanh(x):
@@ -120,25 +74,9 @@ def platanh(x):
     return _apply(x, _platanh_array)
 
 
-def _platanh_derivative_array(x: np.ndarray) -> np.ndarray:
-    # At a border the slope of the segment to its left applies.
-    b = _BORDERS
-    conditions = [
-        x <= -b[0],
-        x <= -b[1], x <= -b[2], x <= -b[3], x <= -b[4], x <= -b[5],
-        x <= b[5],
-        x <= b[4], x <= b[3], x <= b[2], x <= b[1], x <= b[0],
-    ]
-    slopes = [0.0,
-              2.0 ** -12, 2.0 ** -5, 2.0 ** -3, 2.0 ** -2, 2.0 ** -1,
-              1.0,
-              2.0 ** -1, 2.0 ** -2, 2.0 ** -3, 2.0 ** -5, 2.0 ** -12]
-    return np.select(conditions, slopes, default=0.0)
-
-
 def platanh_derivative(x):
     """Slope of the piecewise-linear tanh at x (left-segment rule at borders)."""
-    return _apply(x, _platanh_derivative_array)
+    return _apply(x, lambda a: PLA_SLOPES[np.searchsorted(PLA_BORDERS, a)])
 
 
 def ntanh(x, approximate: bool = False):
@@ -148,112 +86,36 @@ def ntanh(x, approximate: bool = False):
     return _apply(x, lambda a: (np.tanh(a) + 1.0) / 2.0)
 
 
-def ntanh_derivative(x, approximate: bool = False):
-    """Derivative of ntanh: half the (exact or approximated) tanh slope."""
-    if approximate:
-        return _apply(x, lambda a: _platanh_derivative_array(a) / 2.0)
-    return _apply(x, lambda a: (1.0 - np.tanh(a) ** 2) / 2.0)
-
-
-@dataclass(frozen=True)
-class _FixedPlaTable:
-    """Quantized borders and offsets for one Q-format (positive side)."""
-
-    borders: tuple[int, ...]   # raw, descending
-    offsets: tuple[int, ...]   # raw, same order as _SHIFTS[:5]
-    one: int                   # raw representation of +1, saturated
-
-
 @lru_cache(maxsize=None)
-def _fixed_pla_table(fmt: QFormat) -> _FixedPlaTable:
-    borders = tuple(to_fixed(b, fmt).raw for b in _BORDERS)
-    offsets = tuple(to_fixed(o, fmt).raw for o in _OFFSETS[:5])
-    return _FixedPlaTable(borders, offsets, to_fixed(1.0, fmt).raw)
-
-
-def platanh_fixed_raw(raw: int, fmt: QFormat) -> int:
-    """Fixed-point piecewise-linear tanh on a raw value, returning raw."""
-    t = _fixed_pla_table(fmt)
-    b, o, one = t.borders, t.offsets, t.one
-    if raw >= b[0]:
-        return one
-    if raw > b[1]:
-        y = rne_shift(raw, 12) + o[0]
-    elif raw > b[2]:
-        y = rne_shift(raw, 5) + o[1]
-    elif raw > b[3]:
-        y = rne_shift(raw, 3) + o[2]
-    elif raw > b[4]:
-        y = rne_shift(raw, 2) + o[3]
-    elif raw > b[5]:
-        y = rne_shift(raw, 1) + o[4]
-    elif raw > -b[5]:
-        y = raw
-    elif raw > -b[4]:
-        y = rne_shift(raw, 1) - o[4]
-    elif raw > -b[3]:
-        y = rne_shift(raw, 2) - o[3]
-    elif raw > -b[2]:
-        y = rne_shift(raw, 3) - o[2]
-    elif raw > -b[1]:
-        y = rne_shift(raw, 5) - o[1]
-    elif raw > -b[0]:
-        y = rne_shift(raw, 12) - o[0]
-    else:
-        return -one
-    y = min(one, max(-one, y))
-    return saturate(y, fmt)
-
-
-def platanh_fixed(x: FixedPoint) -> FixedPoint:
-    """Fixed-point piecewise-linear tanh; saturates to [-1, 1] in Q-format."""
-    return FixedPoint(platanh_fixed_raw(x.raw, x.fmt), x.fmt)
-
-
-def ntanh_fixed_raw(raw: int, fmt: QFormat) -> int:
-    """Fixed-point normalized tanh: (platanh(x) + 1) / 2 on raw values."""
-    one = _fixed_pla_table(fmt).one
-    return saturate(rne_shift(platanh_fixed_raw(raw, fmt) + one, 1), fmt)
-
-
-def ntanh_fixed(x: FixedPoint) -> FixedPoint:
-    return FixedPoint(ntanh_fixed_raw(x.raw, x.fmt), x.fmt)
-
-
-# ---------------------------------------------------------------------------
-# vectorized raw paths (int64 arrays), elementwise-identical to the
-# scalar functions above
+def _fixed_table(fmt: QFormat):
+    """(raw borders, shifts, raw offsets, raw +1) of the table in one Q-format."""
+    # Quantize the positive half (index 6 on: the identity segment and up)
+    # and mirror it, so saturation at raw_min cannot break the odd symmetry.
+    pos = quantize_raw_array(PLA_BORDERS[6:], fmt)
+    # raw >= the quantized saturation border saturates: that border moves
+    # down one count, and any border that quantized onto it moves along.
+    borders = np.concatenate([-pos[::-1], np.minimum(pos, pos[-1] - 1)])
+    offsets = quantize_raw_array(PLA_OFFSETS[6:], fmt)
+    offsets = np.concatenate([-offsets[:0:-1], offsets])
+    # A constant end takes any shift: raw and its shift share a sign there,
+    # so the clip to +-1 returns the constant.
+    shifts = np.array([0 if s is None else s for s in PLA_SHIFTS], dtype=np.int64)
+    for arr in (borders, shifts, offsets):
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return borders, shifts, offsets, int(offsets[-1])
 
 
 def platanh_fixed_raw_array(raw, fmt: QFormat):
+    """Fixed-point piecewise-linear tanh on raw int64 values, returning raw."""
     r = np.asarray(raw, dtype=np.int64)
-    t = _fixed_pla_table(fmt)
-    b, o, one = t.borders, t.offsets, t.one
-    conds = [
-        r >= b[0],
-        r > b[1], r > b[2], r > b[3], r > b[4], r > b[5],
-        r > -b[5],
-        r > -b[4], r > -b[3], r > -b[2], r > -b[1], r > -b[0],
-    ]
-    choices = [
-        np.full_like(r, one),
-        rne_shift_array(r, 12) + o[0],
-        rne_shift_array(r, 5) + o[1],
-        rne_shift_array(r, 3) + o[2],
-        rne_shift_array(r, 2) + o[3],
-        rne_shift_array(r, 1) + o[4],
-        r,
-        rne_shift_array(r, 1) - o[4],
-        rne_shift_array(r, 2) - o[3],
-        rne_shift_array(r, 3) - o[2],
-        rne_shift_array(r, 5) - o[1],
-        rne_shift_array(r, 12) - o[0],
-    ]
-    y = np.select(conds, choices, default=-one)
+    borders, shifts, offsets, one = _fixed_table(fmt)
+    seg = np.searchsorted(borders, r)
+    y = rne_shift_array(r, shifts[seg]) + offsets[seg]
     return saturate_array(np.clip(y, -one, one), fmt)
 
 
 def ntanh_fixed_raw_array(raw, fmt: QFormat):
-    one = _fixed_pla_table(fmt).one
+    """Fixed-point normalized tanh: (platanh(x) + 1) / 2 on raw values."""
+    one = _fixed_table(fmt)[3]
     y = rne_shift_array(platanh_fixed_raw_array(raw, fmt) + one, 1)
     return saturate_array(y, fmt)

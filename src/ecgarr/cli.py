@@ -62,8 +62,7 @@ DEFAULTS = {
     "detect": {"record": None, "channel": 0, "out_dir": None},
     "features": {
         "records": [], "channel": 0, "peaks": None,
-        "peaks_from_annotations": False, "pca_components": 10,
-        "window": 181, "out_dir": None,
+        "peaks_from_annotations": False, "window": 181, "out_dir": None,
     },
     "train": {
         "features": None, "seed": None, "hidden": 6, "max_epochs": 1000,
@@ -79,22 +78,20 @@ DEFAULTS = {
     },
     "evaluate": {
         "records": [], "channel": 0, "classifier": "pla", "detector": "ann",
-        "seed": None, "max_epochs": 1000, "hidden": 6, "pca_components": 10,
-        "total_bits": 24, "fraction_bits": 12, "tolerance": 0.15,
-        "out_dir": None,
+        "seed": None, "max_epochs": 1000, "hidden": 6, "total_bits": 24,
+        "fraction_bits": 12, "tolerance": 0.15, "out_dir": None,
     },
     "sweep-fraction-bits": {
         "records": [], "channel": 0, "detector": "ann", "seed": None,
-        "max_epochs": 1000, "hidden": 6, "pca_components": 10,
-        "total_bits": 24, "fraction_bits_min": 6, "fraction_bits_max": 14,
-        "out_dir": None,
+        "max_epochs": 1000, "hidden": 6, "total_bits": 24,
+        "fraction_bits_min": 6, "fraction_bits_max": 14, "out_dir": None,
     },
     "activation-error": {"grid_step": 1e-4, "out_dir": None},
 }
 
 _BOOL_KEYS = {"peaks_from_annotations"}
 _INT_KEYS = {
-    "channel", "pca_components", "window", "seed", "hidden", "max_epochs",
+    "channel", "window", "seed", "hidden", "max_epochs",
     "total_bits", "fraction_bits", "fraction_bits_min", "fraction_bits_max",
 }
 _FLOAT_KEYS = {"tolerance", "grid_step"}
@@ -327,8 +324,7 @@ def cmd_features(opts) -> int:
     if not all_rows:
         raise ValueError("no usable labeled beats in the given records")
 
-    pca = fit_pca(np.stack([w for _, w, _, _, _ in all_rows]),
-                  k=opts["pca_components"])
+    pca = fit_pca(np.stack([w for _, w, _, _, _ in all_rows]))
     table = []
     for name, rows in per_record:
         for r, window, rr_prev, rr_next, label in rows:
@@ -428,7 +424,6 @@ def _pipeline_config(opts, classifier: str, detector: str) -> PipelineConfig:
         seed=opts["seed"] if opts["seed"] is not None else 0,
         max_epochs=opts["max_epochs"],
         hidden_units=opts["hidden"],
-        pca_components=opts["pca_components"],
     )
 
 
@@ -540,8 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peaks", metavar="FILE", help="peak list from detect")
     p.add_argument("--peaks-from-annotations", action="store_const", const=True,
                    help="take beat positions from the annotation file")
-    p.add_argument("--pca-components", type=int,
-                   help="morphology components (default 10)")
     p.add_argument("--window", type=int,
                    help="beat window length in samples, odd (default 181)")
     common_out(p)
@@ -583,8 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "classifier is self-learner)")
     p.add_argument("--max-epochs", type=int, help="epoch cap (default 1000)")
     p.add_argument("--hidden", type=int, help="hidden units (default 6)")
-    p.add_argument("--pca-components", type=int,
-                   help="morphology components (default 10)")
     p.add_argument("--total-bits", type=int, help="fixed word size (default 24)")
     p.add_argument("--fraction-bits", type=int,
                    help="fixed fraction bits (default 12)")
@@ -600,8 +591,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="training seed (required)")
     p.add_argument("--max-epochs", type=int, help="epoch cap (default 1000)")
     p.add_argument("--hidden", type=int, help="hidden units (default 6)")
-    p.add_argument("--pca-components", type=int,
-                   help="morphology components (default 10)")
     p.add_argument("--total-bits", type=int, help="fixed word size (default 24)")
     p.add_argument("--fraction-bits-min", type=int,
                    help="sweep start (default 6)")

@@ -64,7 +64,6 @@ class PipelineConfig:
     seed: int = 0
     max_epochs: int = 1000
     hidden_units: int = 6
-    pca_components: int = 10
     match_window_ms: float = 50.0
     output_dir: str | None = None
 
@@ -254,8 +253,7 @@ def _prepare_classifier_data(records, config):
         pooled_train.extend(tr)
     if not pooled_train:
         raise ValueError("no trainable beats across the given records")
-    pca = fit_pca(np.stack([r.window for r in pooled_train]),
-                  k=config.pca_components)
+    pca = fit_pca(np.stack([r.window for r in pooled_train]))
     x_train = _feature_matrix(pca, pooled_train)
     y_train = np.array([r.label for r in pooled_train], dtype=np.int64)
     return pca, x_train, y_train, test_rows_per

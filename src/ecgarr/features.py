@@ -234,10 +234,13 @@ def load_features(path) -> list[BeatFeatureRow]:
         for rec in reader:
             if len(rec) != 15:
                 raise ValueError(f"{path}: row with {len(rec)} fields, expected 15")
+            features = np.asarray([float(v) for v in rec[2:14]])
+            if not np.isfinite(features).all():
+                raise ValueError(f"{path}: line {reader.line_num}: non-finite feature value")
             out.append(BeatFeatureRow(
                 record_id=rec[0],
                 r_index=int(rec[1]),
-                features=np.asarray([float(v) for v in rec[2:14]]),
+                features=features,
                 label=rec[14],
             ))
     return out

@@ -6,7 +6,6 @@ round-to-nearest-even; all overflow saturates to the representable range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,124 +48,28 @@ class QFormat:
         return 1.0 / self.scale
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    """A Q-format number: represented value = raw / 2**F."""
-
-    raw: int
-    fmt: QFormat
-
-    def __post_init__(self) -> None:
-        if not self.fmt.raw_min <= self.raw <= self.fmt.raw_max:
-            raise ValueError(
-                f"raw value {self.raw} outside {self.fmt.total_bits}-bit range"
-            )
-
-    @property
-    def value(self) -> float:
-        return self.raw / self.fmt.scale
-
-
-def saturate(raw: int, fmt: QFormat) -> int:
-    if raw > fmt.raw_max:
-        return fmt.raw_max
-    if raw < fmt.raw_min:
-        return fmt.raw_min
-    return raw
-
-
-def rne_shift(raw: int, k: int) -> int:
-    """Arithmetic right shift by k bits with round-to-nearest, ties to even."""
-    if k <= 0:
-        return raw << (-k)
-    q = raw >> k
-    rem = raw & ((1 << k) - 1)
-    half = 1 << (k - 1)
-    if rem > half or (rem == half and (q & 1)):
-        q += 1
-    return q
-
-
-def to_fixed(x: float, fmt: QFormat = QFormat()) -> FixedPoint:
-    """Quantize a real number: round-to-nearest-even of x * 2**F, saturated."""
-    if math.isnan(x):
-        raise ValueError("cannot quantize NaN")
-    if math.isinf(x):
-        return FixedPoint(fmt.raw_max if x > 0 else fmt.raw_min, fmt)
-    # Python's round() is round-half-even on floats.
-    return FixedPoint(saturate(round(x * fmt.scale), fmt), fmt)
-
-
-def from_fixed(a: FixedPoint) -> float:
-    return a.value
-
-
-def _check_formats(a: FixedPoint, b: FixedPoint) -> QFormat:
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-    return a.fmt
-
-
-def fx_add(a: FixedPoint, b: FixedPoint) -> FixedPoint:
-    fmt = _check_formats(a, b)
-    return FixedPoint(saturate(a.raw + b.raw, fmt), fmt)
-
-
-def fx_mul(a: FixedPoint, b: FixedPoint) -> FixedPoint:
-    """(a.raw * b.raw) >> F with round-to-nearest-even, then saturate."""
-    fmt = _check_formats(a, b)
-    return FixedPoint(saturate(rne_shift(a.raw * b.raw, fmt.fraction_bits), fmt), fmt)
-
-
-def fx_shr(a: FixedPoint, k: int) -> FixedPoint:
-    """Arithmetic right shift by k with round-to-nearest-even, then saturate."""
-    if k < 0:
-        raise ValueError("shift amount must be nonnegative")
-    return FixedPoint(saturate(rne_shift(a.raw, k), a.fmt), a.fmt)
-
-
-def fx_dot(weights: list[FixedPoint], xs: list[FixedPoint],
-           bias: FixedPoint | None = None) -> FixedPoint:
-    """Dot product with a wide accumulator.
-
-    Raw products accumulate at full 2F fractional precision (no intermediate
-    rounding or saturation); the bias joins the accumulator pre-shifted by F.
-    A single round-to-nearest-even renormalization and saturation happens at
-    the end.
-    """
-    if len(weights) != len(xs):
-        raise ValueError("length mismatch in dot product")
-    fmt = weights[0].fmt if weights else (bias.fmt if bias else QFormat())
-    acc = 0
-    for w, x in zip(weights, xs):
-        _check_formats(w, x)
-        if w.fmt != fmt:
-            raise ValueError("mixed formats in dot product")
-        acc += w.raw * x.raw
-    if bias is not None:
-        if bias.fmt != fmt:
-            raise ValueError("bias format mismatch")
-        acc += bias.raw << fmt.fraction_bits
-    return FixedPoint(saturate(rne_shift(acc, fmt.fraction_bits), fmt), fmt)
-
-
 # ---------------------------------------------------------------------------
-# vectorized raw-integer variants (int64 arrays)
+# raw-integer operations (int64 arrays)
 #
-# These mirror the scalar functions exactly; tests assert elementwise
-# agreement.  int64 holds any W <= 24 dot-product accumulator with room
-# to spare (2*(W-1) + log2(terms) + 1 bits).
+# int64 holds any W <= 24 dot-product accumulator with room to spare
+# (2*(W-1) + log2(terms) + 1 bits).
 
 
-def rne_shift_array(raw, k: int):
+def rne_shift_array(raw, k):
+    """Arithmetic right shift with round-to-nearest, ties to even.
+
+    k is one shift for every element or an array of per-element shifts,
+    all nonnegative.
+    """
     raw = np.asarray(raw, dtype=np.int64)
-    if k <= 0:
-        return raw << (-k)
+    k = np.asarray(k, dtype=np.int64)
+    if (k < 0).any():
+        raise ValueError("shift amount must be nonnegative")
     q = raw >> k
-    rem = raw & ((1 << k) - 1)
-    half = 1 << (k - 1)
-    up = (rem > half) | ((rem == half) & ((q & 1) == 1))
-    return q + up.astype(np.int64)
+    unit = np.int64(1) << k
+    twice_rem = (raw & (unit - 1)) << 1
+    up = (twice_rem > unit) | ((twice_rem == unit) & ((q & 1) == 1))
+    return q + up
 
 
 def saturate_array(raw, fmt: QFormat):
@@ -174,7 +77,10 @@ def saturate_array(raw, fmt: QFormat):
 
 
 def quantize_raw_array(x, fmt: QFormat = QFormat()):
-    """Vectorized to_fixed: float array -> saturated raw int64 array."""
+    """Round-half-even of x * 2**F, saturated: float array -> raw int64 array.
+
+    NaN raises; +-inf saturate.
+    """
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("cannot quantize NaN")

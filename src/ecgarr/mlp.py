@@ -201,6 +201,8 @@ def forward_batch(model: MlpModel, x) -> np.ndarray:
         raise ValueError(
             f"batch shape {x.shape} does not match input size {model.layer_sizes[0]}"
         )
+    if np.isnan(x).any():
+        raise ValueError("cannot classify NaN features")
     if model.is_fixed:
         return _forward_fixed_batch(model, x)[2]
     return _forward_real_batch(model, x)[3]

@@ -5,30 +5,28 @@ import math
 import numpy as np
 import pytest
 
+import fixed_oracle as oracle
 from ecgarr.activation import (
-    PLA_TABLE,
+    PLA_BORDERS,
+    PLA_OFFSETS,
+    PLA_SHIFTS,
+    PLA_SLOPES,
     SATURATION_BORDER,
     ntanh,
-    ntanh_fixed,
-    ntanh_fixed_raw,
     ntanh_fixed_raw_array,
     platanh,
     platanh_derivative,
-    platanh_fixed,
-    platanh_fixed_raw,
     platanh_fixed_raw_array,
     softmax,
     tanh_exact,
 )
-from ecgarr.fixedpoint import FixedPoint, QFormat, from_fixed, to_fixed
+from ecgarr.fixedpoint import QFormat, quantize_raw_array
 
 Q24_12 = QFormat(24, 12)
 
 
-def _segment_value(seg, x):
-    if seg.shift is None:
-        return seg.offset
-    return x * 2.0 ** -seg.shift + seg.offset
+def _segment_value(i, x):
+    return x * PLA_SLOPES[i] + PLA_OFFSETS[i]
 
 
 def test_tanh_exact_reference_value():
@@ -62,28 +60,28 @@ def test_platanh_exact_one_at_saturation_border():
     assert platanh(SATURATION_BORDER) == 1.0
     assert platanh(-SATURATION_BORDER) == -1.0
     # The outermost linear expression itself meets 1 at the border.
-    seg = PLA_TABLE.segments[1]
-    assert _segment_value(seg, SATURATION_BORDER) == pytest.approx(1.0, abs=1e-15)
+    top_linear = len(PLA_BORDERS) - 1
+    assert _segment_value(top_linear, SATURATION_BORDER) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_segment_table_shape():
-    segs = PLA_TABLE.segments
-    assert len(segs) == 13
-    # Tiling: each segment's lower bound is the next segment's upper bound.
-    for hi, lo in zip(segs, segs[1:]):
-        assert hi.lower == lo.upper
-    assert segs[0].upper is None and segs[-1].lower is None
+    assert len(PLA_BORDERS) == 12
+    assert np.all(np.diff(PLA_BORDERS) > 0)
+    assert PLA_BORDERS[-1] == SATURATION_BORDER
+    assert len(PLA_SHIFTS) == len(PLA_SLOPES) == len(PLA_OFFSETS) == 13
+    # Power-of-two slopes everywhere but the two constant ends.
+    assert PLA_SHIFTS[0] is None and PLA_SHIFTS[-1] is None
+    assert PLA_SLOPES.tolist() == [0.0] + [2.0 ** -s for s in PLA_SHIFTS[1:-1]] + [0.0]
+    assert PLA_OFFSETS[0] == -1.0 and PLA_OFFSETS[-1] == 1.0
     # Odd symmetry of the table constants.
-    for seg, mirror in zip(segs, reversed(segs)):
-        assert seg.offset == -mirror.offset
-        assert seg.shift == mirror.shift
+    assert PLA_BORDERS.tolist() == (-PLA_BORDERS[::-1]).tolist()
+    assert PLA_OFFSETS.tolist() == (-PLA_OFFSETS[::-1]).tolist()
+    assert PLA_SHIFTS == PLA_SHIFTS[::-1]
 
 
 def test_continuity_at_all_borders():
-    segs = PLA_TABLE.segments
-    for left, right in zip(segs, segs[1:]):
-        x = left.lower
-        gap = abs(_segment_value(left, x) - _segment_value(right, x))
+    for i, x in enumerate(PLA_BORDERS):
+        gap = abs(_segment_value(i, x) - _segment_value(i + 1, x))
         assert gap <= 1e-9, f"discontinuity {gap} at border {x}"
 
 
@@ -144,45 +142,45 @@ def test_ntanh_values():
         )
 
 
+def _raw(values, fmt=Q24_12):
+    return quantize_raw_array(np.asarray(values, dtype=float), fmt)
+
+
 def test_platanh_fixed_known_points():
-    assert platanh_fixed(to_fixed(0.0, Q24_12)).raw == 0
-    assert platanh_fixed(to_fixed(8.0, Q24_12)).raw == 4096
-    assert platanh_fixed(to_fixed(-8.0, Q24_12)).raw == -4096
-    # Identity segment passes raw values through untouched.
-    assert platanh_fixed(FixedPoint(1000, Q24_12)).raw == 1000
+    got = platanh_fixed_raw_array(np.array([0, 8 * 4096, -8 * 4096, 1000]), Q24_12)
+    # The identity segment passes raw values through untouched.
+    assert got.tolist() == [0, 4096, -4096, 1000]
 
 
 def test_platanh_fixed_tracks_real_curve():
     rng = np.random.default_rng(31)
-    bound = 1.5 * 2.0 ** -12
-    for _ in range(10000):
-        x = to_fixed(float(rng.uniform(-8, 8)), Q24_12)
-        got = from_fixed(platanh_fixed(x))
-        assert abs(got - platanh(x.value)) <= bound
+    raws = _raw(rng.uniform(-8, 8, size=10000))
+    got = platanh_fixed_raw_array(raws, Q24_12) / 4096
+    assert np.all(np.abs(got - platanh(raws / 4096)) <= 1.5 * 2.0 ** -12)
 
 
 def test_platanh_fixed_border_membership():
+    def pla(raw):
+        return int(platanh_fixed_raw_array(np.array([raw]), Q24_12)[0])
+
     # The quantized saturation border itself maps to exactly +1.
-    a_raw = to_fixed(SATURATION_BORDER, Q24_12).raw
-    assert platanh_fixed(FixedPoint(a_raw, Q24_12)).raw == 4096
+    assert pla(int(_raw(SATURATION_BORDER))) == 4096
     # Further below the border the 1/4096-slope segment is visible again:
     # rne(22000 >> 12) = 5, plus quantized offset 4090.
-    assert platanh_fixed(FixedPoint(22000, Q24_12)).raw == 4095
+    assert pla(22000) == 4095
     # Interior border raw values take the segment they close from above.
-    f_raw = to_fixed(0.5, Q24_12).raw
-    assert platanh_fixed(FixedPoint(f_raw, Q24_12)).raw == f_raw  # identity side
-    e_raw = to_fixed(1.125, Q24_12).raw
+    f_raw = int(_raw(0.5))
+    assert pla(f_raw) == f_raw  # identity side
     # x/2 + 0.25 at raw 4608: 2304 + 1024 = 3328
-    assert platanh_fixed(FixedPoint(e_raw, Q24_12)).raw == 3328
+    assert pla(int(_raw(1.125))) == 3328
 
 
 def test_platanh_fixed_continuity_one_ulp_slack():
     for border in (5.58, 3.02, 2.02, 1.475, 1.125, 0.5):
         for sign in (1, -1):
-            b_raw = to_fixed(sign * border, Q24_12).raw
-            lo = platanh_fixed(FixedPoint(b_raw - 1, Q24_12)).raw
-            mid = platanh_fixed(FixedPoint(b_raw, Q24_12)).raw
-            hi = platanh_fixed(FixedPoint(b_raw + 1, Q24_12)).raw
+            b_raw = int(_raw(sign * border))
+            lo, mid, hi = platanh_fixed_raw_array(
+                np.array([b_raw - 1, b_raw, b_raw + 1]), Q24_12).tolist()
             assert abs(mid - lo) <= 2
             assert abs(hi - mid) <= 2
 
@@ -194,38 +192,43 @@ def test_platanh_fixed_near_monotone_at_borders():
     # Anything beyond a single-count dip would be a table bug.
     for border in (5.58, 3.02, 2.02, 1.475, 1.125, 0.5):
         for sign in (1, -1):
-            b_raw = to_fixed(sign * border, Q24_12).raw
-            raws = [platanh_fixed(FixedPoint(b_raw + d, Q24_12)).raw
-                    for d in range(-8, 9)]
+            b_raw = int(_raw(sign * border))
+            raws = platanh_fixed_raw_array(np.arange(b_raw - 8, b_raw + 9), Q24_12).tolist()
             assert all(y2 >= y1 - 1 for y1, y2 in zip(raws, raws[1:]))
             assert raws[-1] >= raws[0]
 
 
 def test_ntanh_fixed():
-    assert ntanh_fixed(to_fixed(0.0, Q24_12)).raw == 2048
-    assert ntanh_fixed(to_fixed(8.0, Q24_12)).raw == 4096
-    assert ntanh_fixed(to_fixed(-8.0, Q24_12)).raw == 0
+    got = ntanh_fixed_raw_array(_raw([0.0, 8.0, -8.0]), Q24_12)
+    assert got.tolist() == [2048, 4096, 0]
     rng = np.random.default_rng(37)
-    for _ in range(2000):
-        x = to_fixed(float(rng.uniform(-8, 8)), Q24_12)
-        got = from_fixed(ntanh_fixed(x))
-        want = ntanh(x.value, approximate=True)
-        assert abs(got - want) <= 2.0 ** -12
+    raws = _raw(rng.uniform(-8, 8, size=2000))
+    got = ntanh_fixed_raw_array(raws, Q24_12) / 4096
+    want = ntanh(raws / 4096, approximate=True)
+    assert np.all(np.abs(got - want) <= 2.0 ** -12)
 
 
 def test_platanh_fixed_other_formats():
     for fmt in (QFormat(16, 8), QFormat(24, 6), QFormat(24, 14), QFormat(32, 16)):
-        one = to_fixed(1.0, fmt).raw
+        one = int(_raw(1.0, fmt))
         rng = np.random.default_rng(fmt.fraction_bits)
-        for _ in range(500):
-            x = to_fixed(float(rng.uniform(-8, 8)), fmt)
-            y = platanh_fixed(x)
-            assert -one <= y.raw <= one
-            assert abs(y.value - platanh(x.value)) <= 1.5 * 2.0 ** -fmt.fraction_bits
+        raws = _raw(rng.uniform(-8, 8, size=500), fmt)
+        y = platanh_fixed_raw_array(raws, fmt)
+        assert np.all((-one <= y) & (y <= one))
+        err = np.abs(y / fmt.scale - platanh(raws / fmt.scale))
+        assert np.all(err <= 1.5 * 2.0 ** -fmt.fraction_bits)
 
 
 # ---------------------------------------------------------------------------
-# vectorized fixed paths
+# the vectorized fixed paths against the pure-integer oracle
+
+
+def _assert_matches_oracle(raws, fmt):
+    raws = np.asarray(raws, dtype=np.int64)
+    assert platanh_fixed_raw_array(raws, fmt).tolist() == [
+        oracle.platanh(int(r), fmt) for r in raws]
+    assert ntanh_fixed_raw_array(raws, fmt).tolist() == [
+        oracle.ntanh(int(r), fmt) for r in raws]
 
 
 def test_platanh_fixed_raw_array_matches_scalar():
@@ -234,13 +237,80 @@ def test_platanh_fixed_raw_array_matches_scalar():
         span = min(int(8 * fmt.scale), fmt.raw_max)
         raws = rng.integers(-span, span + 1, size=20_000)
         got = platanh_fixed_raw_array(raws, fmt)
-        want = [platanh_fixed_raw(int(r), fmt) for r in raws]
-        assert got.tolist() == want
+        assert got.tolist() == [oracle.platanh(int(r), fmt) for r in raws]
 
 
 def test_ntanh_fixed_raw_array_matches_scalar():
     rng = np.random.default_rng(32)
     raws = rng.integers(-30_000, 30_001, size=10_000)
     got = ntanh_fixed_raw_array(raws, Q24_12)
-    want = [ntanh_fixed_raw(int(r), Q24_12) for r in raws]
-    assert got.tolist() == want
+    assert got.tolist() == [oracle.ntanh(int(r), Q24_12) for r in raws]
+
+
+def test_fixed_exhaustive_q24_12_against_oracle():
+    raws = np.arange(-6 * 4096, 6 * 4096 + 1)
+    assert raws.size == 49_153
+    _assert_matches_oracle(raws, Q24_12)
+
+
+@pytest.mark.parametrize("fmt", [Q24_12, QFormat(16, 8), QFormat(24, 6),
+                                 QFormat(24, 14), QFormat(32, 16)],
+                         ids=lambda f: f"Q{f.total_bits}.{f.fraction_bits}")
+def test_fixed_saturation_tails_against_oracle(fmt):
+    one, eight = fmt.scale, 8 * fmt.scale
+    tails = [fmt.raw_min, fmt.raw_min + 1, fmt.raw_max - 1, fmt.raw_max,
+             eight, -eight, eight + 1, -eight - 1]
+    _assert_matches_oracle(tails, fmt)
+    assert platanh_fixed_raw_array(tails, fmt).tolist() == [
+        -one, -one, one, one, one, -one, one, -one]
+
+
+def test_fixed_other_formats_against_oracle():
+    q16_8 = QFormat(16, 8)
+    _assert_matches_oracle(np.arange(q16_8.raw_min, q16_8.raw_max + 1), q16_8)
+    q24_6 = QFormat(24, 6)
+    _assert_matches_oracle(np.arange(-8 * 64, 8 * 64 + 1), q24_6)
+    rng = np.random.default_rng(41)
+    for fmt in (QFormat(24, 14), QFormat(32, 16)):
+        span = 8 * fmt.scale
+        borders = _raw([b * s for b in (0.5, 1.125, 1.475, 2.02, 3.02, 5.58)
+                        for s in (1, -1)], fmt)
+        near = (borders[:, None] + np.arange(-64, 65)).ravel()
+        _assert_matches_oracle(np.concatenate([
+            near, rng.integers(-span, span + 1, size=20_000)]), fmt)
+
+
+def test_fixed_every_small_format_against_oracle():
+    # Formats too narrow to hold 5.58 saturate several borders onto one raw
+    # value; the saturation border must still win from its raw value up.
+    formats = [QFormat(w, f) for w in range(2, 13) for f in range(w)] + [QFormat(16, 14)]
+    for fmt in formats:
+        _assert_matches_oracle(np.arange(fmt.raw_min, fmt.raw_max + 1), fmt)
+
+
+# ---------------------------------------------------------------------------
+# the real path at its edges
+
+
+def _edge_points():
+    points = [0.0, -0.0, math.inf, -math.inf]
+    for b in PLA_BORDERS:
+        points += [b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf)]
+    return points
+
+
+def test_platanh_real_edges_against_oracle():
+    points = _edge_points()
+    got = platanh(np.array(points))
+    want = [oracle.platanh_real(x) for x in points]
+    for x, g, w in zip(points, got, want):
+        assert g == w and math.copysign(1, g) == math.copysign(1, w), x
+        assert platanh(x) == g and math.copysign(1, platanh(x)) == math.copysign(1, g)
+    assert math.copysign(1, platanh(-0.0)) == -1.0
+
+
+def test_platanh_derivative_edges_against_oracle():
+    points = _edge_points()
+    got = platanh_derivative(np.array(points))
+    assert got.tolist() == [oracle.platanh_slope(x) for x in points]
+    assert [platanh_derivative(x) for x in points] == got.tolist()

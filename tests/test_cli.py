@@ -296,6 +296,23 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["features", "evaluate", "sweep-fraction-bits"])
+def test_pca_components_flag_is_usage_error(command):
+    # the 12-6-2 net takes exactly 10 PCA scores; there is no such option
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--pca-components", "10"])
+    assert exc.value.code == 2
+
+
+def test_pca_components_config_key_is_usage_error(records, tmp_path, capsys):
+    cfg = tmp_path / "pca.ini"
+    cfg.write_text("[evaluate]\npca_components = 10\n")
+    rc = main(["--config", str(cfg), "evaluate", "--record", records["a"],
+               "--seed", "1", "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "'pca_components' is not a evaluate option" in capsys.readouterr().err
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])

@@ -258,3 +258,13 @@ def test_feature_file_rejects_wrong_width(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_features(path)
+
+
+def test_feature_file_rejects_non_finite_values(tmp_path):
+    rows = [BeatFeatureRow(record_id="rec", r_index=100 + i, features=np.zeros(12),
+                           label="0") for i in range(3)]
+    rows[1].features[4] = np.nan
+    path = tmp_path / "features.txt"
+    save_features(path, rows)
+    with pytest.raises(ValueError, match=r"features\.txt: line 3: non-finite"):
+        load_features(path)

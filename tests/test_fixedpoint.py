@@ -1,27 +1,27 @@
 """Q-format arithmetic checks against exact integer/real oracles."""
 
-import math
-
 import numpy as np
 import pytest
 
+import fixed_oracle as oracle
 from ecgarr.fixedpoint import (
-    saturate,
-    FixedPoint,
     QFormat,
-    from_fixed,
-    fx_add,
-    fx_dot,
-    fx_mul,
-    fx_shr,
     quantize_raw_array,
-    rne_shift,
     rne_shift_array,
     saturate_array,
-    to_fixed,
 )
+from ecgarr.mlp import MlpModel, forward_batch
 
 Q24_12 = QFormat(24, 12)
+
+
+def _random_model(rng, fmt, n_in=12, n_hidden=6, n_out=2):
+    """A fixed-mode model with random raw weights in +-2.0."""
+    def param(*shape):
+        return rng.integers(-2 * fmt.scale, 2 * fmt.scale + 1, size=shape) / fmt.scale
+
+    return MlpModel(w_hidden=param(n_hidden, n_in), b_hidden=param(n_hidden),
+                    w_out=param(n_out, n_hidden), b_out=param(n_out), q_format=fmt)
 
 
 def test_format_properties():
@@ -41,131 +41,103 @@ def test_format_validation():
 
 
 def test_to_fixed_known_values():
-    assert to_fixed(1.0, Q24_12).raw == 4096
-    assert to_fixed(-0.25, Q24_12).raw == -1024
-    sat = to_fixed(3000.0, Q24_12)
-    assert sat.raw == 2 ** 23 - 1
-    assert sat.value == pytest.approx(2047.999755859375)
-    assert to_fixed(-3000.0, Q24_12).raw == -(2 ** 23)
+    got = quantize_raw_array([1.0, -0.25, 3000.0, -3000.0], Q24_12)
+    assert got.tolist() == [4096, -1024, 2 ** 23 - 1, -(2 ** 23)]
+    assert got[2] / Q24_12.scale == pytest.approx(2047.999755859375)
 
 
 def test_to_fixed_ties_round_to_even():
     # 1.5/4096 sits exactly between raws 1 and 2; even wins.
-    assert to_fixed(1.5 / 4096, Q24_12).raw == 2
-    assert to_fixed(2.5 / 4096, Q24_12).raw == 2
-    assert to_fixed(-1.5 / 4096, Q24_12).raw == -2
-    assert to_fixed(0.5 / 4096, Q24_12).raw == 0
+    ties = np.array([1.5, 2.5, -1.5, 0.5]) / 4096
+    assert quantize_raw_array(ties, Q24_12).tolist() == [2, 2, -2, 0]
 
 
 def test_to_fixed_rejects_nan_saturates_inf():
     with pytest.raises(ValueError):
-        to_fixed(float("nan"), Q24_12)
-    assert to_fixed(float("inf"), Q24_12).raw == Q24_12.raw_max
-    assert to_fixed(float("-inf"), Q24_12).raw == Q24_12.raw_min
+        quantize_raw_array(float("nan"), Q24_12)
+    got = quantize_raw_array([float("inf"), float("-inf")], Q24_12)
+    assert got.tolist() == [Q24_12.raw_max, Q24_12.raw_min]
 
 
 def test_quantization_error_bound():
     rng = np.random.default_rng(42)
-    half_ulp = 2.0 ** -13
-    for x in rng.uniform(-2047.9, 2047.9, size=2000):
-        err = abs(from_fixed(to_fixed(float(x), Q24_12)) - x)
-        assert err <= half_ulp + 1e-15
+    x = rng.uniform(-2047.9, 2047.9, size=2000)
+    err = np.abs(quantize_raw_array(x, Q24_12) / 4096 - x)
+    assert np.all(err <= 2.0 ** -13 + 1e-15)
 
 
 def test_rne_shift_matches_integer_oracle():
     rng = np.random.default_rng(7)
-    for _ in range(2000):
-        raw = int(rng.integers(-(2 ** 30), 2 ** 30))
-        k = int(rng.integers(1, 16))
-        # Oracle: round-half-even of the exact rational raw / 2^k.
-        q, rem = divmod(raw, 1 << k)
-        half = 1 << (k - 1)
-        expect = q + (1 if (rem > half or (rem == half and q % 2 == 1)) else 0)
-        assert rne_shift(raw, k) == expect
+    raws = rng.integers(-(2 ** 30), 2 ** 30, size=2000)
+    shifts = rng.integers(0, 16, size=2000)  # one shift per element
+    got = rne_shift_array(raws, shifts)
+    assert got.tolist() == [oracle.rne(int(r), int(k)) for r, k in zip(raws, shifts)]
 
 
 def test_fx_mul_known_and_randomized():
-    half = to_fixed(0.5, Q24_12)
-    assert fx_mul(half, half).value == 0.25
+    """A Q-format multiply: raw product, one rounding shift, saturation."""
+    def mul(a, b):
+        return saturate_array(rne_shift_array(a * b, 12), Q24_12)
+
+    half = quantize_raw_array(0.5, Q24_12)
+    assert mul(half, half) == 1024
     rng = np.random.default_rng(3)
-    for _ in range(3000):
-        a = to_fixed(float(rng.uniform(-30, 30)), Q24_12)
-        b = to_fixed(float(rng.uniform(-30, 30)), Q24_12)
-        got = from_fixed(fx_mul(a, b))
-        assert abs(got - a.value * b.value) <= 2.0 ** -12
+    a = quantize_raw_array(rng.uniform(-30, 30, size=3000), Q24_12)
+    b = quantize_raw_array(rng.uniform(-30, 30, size=3000), Q24_12)
+    got = mul(a, b) / 4096
+    assert np.all(np.abs(got - (a / 4096) * (b / 4096)) <= 2.0 ** -12)
 
 
 def test_fx_shr():
-    assert fx_shr(to_fixed(1.0, Q24_12), 1).value == 0.5
-    assert fx_shr(to_fixed(1.0, Q24_12), 0).value == 1.0
+    assert rne_shift_array(4096, 1) == 2048
+    assert rne_shift_array(4096, 0) == 4096
     # raw 3 >> 1 has remainder exactly half: rounds to even quotient 2.
-    assert fx_shr(FixedPoint(3, Q24_12), 1).raw == 2
-    assert fx_shr(FixedPoint(-3, Q24_12), 1).raw == -2
+    assert rne_shift_array([3, -3], 1).tolist() == [2, -2]
     with pytest.raises(ValueError):
-        fx_shr(to_fixed(1.0, Q24_12), -1)
+        rne_shift_array(4096, -1)
+    with pytest.raises(ValueError):
+        rne_shift_array([4096, 4096], [1, -1])
 
 
 def test_fx_add_saturates():
-    top = FixedPoint(Q24_12.raw_max, Q24_12)
-    assert fx_add(top, top).raw == Q24_12.raw_max
-    bottom = FixedPoint(Q24_12.raw_min, Q24_12)
-    assert fx_add(bottom, bottom).raw == Q24_12.raw_min
-    assert fx_add(top, bottom).raw == -1
+    """Raw sums saturate to the format's range."""
+    top, bottom = Q24_12.raw_max, Q24_12.raw_min
+    sums = np.array([top + top, bottom + bottom, top + bottom])
+    assert saturate_array(sums, Q24_12).tolist() == [top, bottom, -1]
 
 
 def test_saturation_idempotent():
     fmt = QFormat(8, 4)
-    top = FixedPoint(fmt.raw_max, fmt)
+    top = np.int64(fmt.raw_max)
     for _ in range(4):
-        top = fx_add(top, to_fixed(1.0, fmt))
-        assert top.raw == fmt.raw_max
-        top = fx_mul(top, to_fixed(3.0, fmt))
-        assert top.raw == fmt.raw_max
+        top = saturate_array(top + 16, fmt)  # + 1.0
+        assert top == fmt.raw_max
+        top = saturate_array(rne_shift_array(top * 48, 4), fmt)  # * 3.0
+        assert top == fmt.raw_max
 
 
 def test_commutativity():
+    """The wide accumulator is exact, so input order cannot change a result."""
     rng = np.random.default_rng(11)
-    for _ in range(500):
-        a = to_fixed(float(rng.uniform(-40, 40)), Q24_12)
-        b = to_fixed(float(rng.uniform(-40, 40)), Q24_12)
-        assert fx_add(a, b) == fx_add(b, a)
-        assert fx_mul(a, b) == fx_mul(b, a)
+    model = _random_model(rng, Q24_12)
+    x = rng.uniform(-40, 40, size=(500, 12))
+    perm = rng.permutation(12)
+    swapped = MlpModel(w_hidden=model.w_hidden[:, perm], b_hidden=model.b_hidden,
+                       w_out=model.w_out, b_out=model.b_out, q_format=Q24_12)
+    assert np.array_equal(forward_batch(swapped, x[:, perm]), forward_batch(model, x))
 
 
 def test_add_associative_without_saturation():
+    """The bias joins the accumulator exactly: it equals an input of 1.0."""
     rng = np.random.default_rng(13)
-    for _ in range(500):
-        vals = [to_fixed(float(v), Q24_12) for v in rng.uniform(-10, 10, 3)]
-        a, b, c = vals
-        assert fx_add(fx_add(a, b), c) == fx_add(a, fx_add(b, c))
-
-
-def test_format_mismatch_rejected():
-    with pytest.raises(ValueError):
-        fx_add(to_fixed(1.0, QFormat(24, 12)), to_fixed(1.0, QFormat(16, 8)))
-
-
-def test_fx_dot_against_real_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        w = [to_fixed(float(v), Q24_12) for v in rng.uniform(-2, 2, 12)]
-        x = [to_fixed(float(v), Q24_12) for v in rng.uniform(-1, 1, 12)]
-        bias = to_fixed(float(rng.uniform(-1, 1)), Q24_12)
-        got = from_fixed(fx_dot(w, x, bias))
-        want = sum(a.value * b.value for a, b in zip(w, x)) + bias.value
-        # One final rounding of the exact wide accumulation.
-        assert abs(got - want) <= 2.0 ** -13 + 1e-12
-
-
-def test_fx_dot_single_rounding_is_exact_on_raws():
-    # The accumulator must not round per term: build a case where per-term
-    # rounding would differ from one final rounding.
-    fmt = QFormat(24, 12)
-    w = [FixedPoint(1, fmt)] * 3          # 3 * (1/4096)
-    x = [FixedPoint(2048, fmt)] * 3       # 0.5 each
-    # exact sum = 3 * (1*2048) / 4096^2 = 6144 / 2^24 -> raw 1.5 -> RNE -> 2
-    assert fx_dot(w, x).raw == 2
-    # per-term rounding would give 3 * rne(2048/4096 = 0.5) = 3 * 0 = 0
+    model = _random_model(rng, Q24_12)
+    x = rng.uniform(-10, 10, size=(500, 12))
+    folded = MlpModel(w_hidden=np.column_stack([model.w_hidden, model.b_hidden]),
+                      b_hidden=np.zeros(6), w_out=model.w_out, b_out=model.b_out,
+                      q_format=Q24_12)
+    ones = np.ones((500, 1))
+    assert np.array_equal(forward_batch(folded, np.hstack([x, ones])),
+                          forward_batch(model, x))
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +149,19 @@ def test_rne_shift_array_matches_scalar():
     raws = rng.integers(-(1 << 40), 1 << 40, size=5000)
     for k in (0, 1, 5, 12):
         got = rne_shift_array(raws, k)
-        want = [rne_shift(int(r), k) for r in raws]
-        assert got.tolist() == want
-    assert rne_shift_array(np.asarray([3]), -2).tolist() == [12]
+        assert got.tolist() == [oracle.rne(int(r), k) for r in raws]
 
 
 def test_rne_shift_array_tie_cases():
     # 6144 = 1.5 * 4096: tie rounds to even quotient 2
-    assert rne_shift_array(np.asarray([6144, 2048, -2048, -6144]), 12).tolist() == [
-        rne_shift(6144, 12),
-        rne_shift(2048, 12),
-        rne_shift(-2048, 12),
-        rne_shift(-6144, 12),
-    ]
+    got = rne_shift_array(np.asarray([6144, 2048, -2048, -6144]), 12)
+    assert got.tolist() == [2, 0, 0, -2]
 
 
 def test_saturate_array_matches_scalar():
     fmt = QFormat(8, 4)
     raws = np.asarray([-500, -129, -128, 0, 127, 128, 500])
-    assert saturate_array(raws, fmt).tolist() == [saturate(int(r), fmt) for r in raws]
+    assert saturate_array(raws, fmt).tolist() == [oracle.saturate(int(r), fmt) for r in raws]
 
 
 def test_quantize_raw_array_matches_to_fixed():
@@ -207,7 +173,7 @@ def test_quantize_raw_array_matches_to_fixed():
         np.asarray([np.inf, -np.inf, 0.0, 2047.99975, -2048.0]),
     ])
     got = quantize_raw_array(xs, fmt)
-    want = [to_fixed(float(x), fmt).raw for x in xs]
+    want = [oracle.to_fixed(float(x), fmt) for x in xs]
     assert got.tolist() == want
     with pytest.raises(ValueError):
         quantize_raw_array(np.asarray([0.0, np.nan]), fmt)

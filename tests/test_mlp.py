@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fixed_oracle as oracle
 from ecgarr.activation import ntanh, platanh, platanh_derivative
 from ecgarr.features import FeatureVector
 from ecgarr.fixedpoint import QFormat, quantize_raw_array
@@ -190,6 +191,26 @@ def test_forward_shape_errors():
         forward(m, np.zeros(11))
     with pytest.raises(ValueError, match="batch shape"):
         forward_batch(m, np.zeros((4, 13)))
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_forward_batch_rejects_nan_features(fixed):
+    m = init_model(seed=1)
+    if fixed:
+        m = quantize_model(m)
+    x = np.zeros((3, 12))
+    x[1, 5] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        predict_batch(m, x)
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_forward_batch_accepts_empty_batch(fixed):
+    m = init_model(seed=1)
+    if fixed:
+        m = quantize_model(m)
+    assert forward_batch(m, np.zeros((0, 12))).shape == (0, 2)
+    assert predict_batch(m, np.zeros((0, 12))).shape == (0,)
 
 
 def test_softmax_output_mode():
@@ -598,6 +619,42 @@ def test_fixed_forward_input_quantization_is_idempotent():
     x = rng.uniform(-2, 2, size=(20, 12))
     x_q = quantize_raw_array(x, fmt).astype(float) / fmt.scale
     assert np.array_equal(forward_batch(q, x), forward_batch(q, x_q))
+
+
+@pytest.mark.parametrize("fmt", [QFormat(24, 12), QFormat(16, 8)],
+                         ids=lambda f: f"Q{f.total_bits}.{f.fraction_bits}")
+def test_forward_batch_matches_integer_oracle(fmt):
+    rng = np.random.default_rng(fmt.fraction_bits)
+
+    def param(*shape):
+        # near-zero, typical and saturating magnitudes side by side
+        size = rng.choice([0.01, 1.0, 60.0], size=shape)
+        return quantize_raw_array(rng.uniform(-1, 1, size=shape) * size, fmt) / fmt.scale
+
+    m = MlpModel(w_hidden=param(6, 12), b_hidden=param(6), w_out=param(2, 6),
+                 b_out=param(2), q_format=fmt)
+    x = rng.uniform(-8, 8, size=(300, 12)) * rng.choice([0.05, 1.0, 10.0], size=(300, 1))
+    got = forward_batch(m, x) * fmt.scale
+
+    def raw(values):
+        return [oracle.to_fixed(float(v), fmt) for v in values]
+
+    w_hidden, w_out = [raw(r) for r in m.w_hidden], [raw(r) for r in m.w_out]
+    for row, out in zip(x, got):
+        want = oracle.forward(w_hidden, raw(m.b_hidden), w_out, raw(m.b_out), raw(row), fmt)
+        assert out.tolist() == want
+
+
+def test_forward_batch_rounds_once_per_neuron():
+    # Three products of 1/4096 and 0.5 sum to raw 1.5, which rounds to 2;
+    # rounding each term would give 3 * rne(0.5) = 0.  The hidden raw 2
+    # passes the identity segment and a unit output weight, and ntanh
+    # turns it into rne((2 + 4096) / 2) = 2049 (per-term rounding: 2048).
+    fmt = QFormat(24, 12)
+    m = MlpModel(w_hidden=np.full((1, 3), 1 / 4096), b_hidden=np.zeros(1),
+                 w_out=np.ones((1, 1)), b_out=np.zeros(1), q_format=fmt)
+    assert forward_batch(m, np.full((1, 3), 0.5))[0, 0] * 4096 == 2049
+    assert oracle.forward([[1, 1, 1]], [0], [[4096]], [0], [2048] * 3, fmt) == [2049]
 
 
 def test_accumulator_guard_rejects_oversized_formats():
