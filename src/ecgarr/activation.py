@@ -61,28 +61,43 @@ def softmax(z) -> np.ndarray:
     return e / np.sum(e)
 
 
-def _platanh_array(x: np.ndarray) -> np.ndarray:
-    seg = np.searchsorted(PLA_BORDERS, x)
+def _pla_segments(x: np.ndarray) -> np.ndarray:
+    """Segment index of each x, equal to np.searchsorted(PLA_BORDERS, x).
+
+    Counting borders at or above x is a few times cheaper than the binary
+    search on training-sized arrays. NaN is at or below no border, so it
+    lands in the last segment, as it does in searchsorted.
+    """
+    seg = np.full(np.shape(x), len(PLA_BORDERS), dtype=np.int8)
+    for border in PLA_BORDERS.tolist():
+        seg -= x <= border
+    return seg
+
+
+def _platanh_and_slope(x: np.ndarray):
+    """Piecewise-linear tanh of x and its slope, from one segment lookup."""
+    seg = _pla_segments(x)
+    slope = PLA_SLOPES.take(seg)
     # Clipping x to the saturation borders keeps 0 * inf out of the constant
     # ends; clipping y keeps float rounding near +-5.58 from passing +-1.
     x = np.clip(x, -SATURATION_BORDER, SATURATION_BORDER)
-    return np.clip(PLA_SLOPES[seg] * x + PLA_OFFSETS[seg], -1.0, 1.0)
+    return np.clip(slope * x + PLA_OFFSETS.take(seg), -1.0, 1.0), slope
 
 
 def platanh(x):
     """Piecewise-linear tanh approximation, output in [-1, 1]."""
-    return _apply(x, _platanh_array)
+    return _apply(x, lambda a: _platanh_and_slope(a)[0])
 
 
 def platanh_derivative(x):
     """Slope of the piecewise-linear tanh at x (left-segment rule at borders)."""
-    return _apply(x, lambda a: PLA_SLOPES[np.searchsorted(PLA_BORDERS, a)])
+    return _apply(x, lambda a: PLA_SLOPES.take(_pla_segments(a)))
 
 
 def ntanh(x, approximate: bool = False):
     """Normalized tanh (tanh(x)+1)/2, mapping outputs into [0, 1]."""
     if approximate:
-        return _apply(x, lambda a: (_platanh_array(a) + 1.0) / 2.0)
+        return _apply(x, lambda a: (platanh(a) + 1.0) / 2.0)
     return _apply(x, lambda a: (np.tanh(a) + 1.0) / 2.0)
 
 

@@ -372,10 +372,17 @@ def cmd_train(opts) -> int:
 
 def cmd_infer(opts) -> int:
     _require(opts, "infer", "features", "model", "out_dir")
+    fmt = None
+    if opts["total_bits"] is not None or opts["fraction_bits"] is not None:
+        total = 24 if opts["total_bits"] is None else opts["total_bits"]
+        fraction = 12 if opts["fraction_bits"] is None else opts["fraction_bits"]
+        try:
+            fmt = QFormat(total, fraction)
+        except ValueError as exc:
+            raise UsageError(f"--total-bits {total} --fraction-bits {fraction}: {exc}") from None
     rows = load_features(opts["features"])
     model = load_model(opts["model"])
-    if opts["total_bits"] is not None or opts["fraction_bits"] is not None:
-        fmt = QFormat(opts["total_bits"] or 24, opts["fraction_bits"] or 12)
+    if fmt is not None:
         model = quantize_model(model, fmt)
     x = np.stack([r.features for r in rows])
     pred = predict_batch(model, x)

@@ -140,7 +140,7 @@ class _BeatRow:
 class _RecordData:
     record_id: str
     sampling_frequency: float
-    rows: tuple              # _BeatRow, time ordered, classifier path
+    rows: tuple              # _BeatRow, time ordered; empty for the self-learner
     beat_indices: np.ndarray   # the train driving windows and monitoring
     beat_labels: np.ndarray    # matches beat_indices; -1 marks unlabeled
     ann_indices: np.ndarray    # every annotated beat, ground truth anchor
@@ -164,7 +164,7 @@ def _beat_train(record, signal, config, ann_idx, ann_lab):
     fs = record.header.sampling_frequency
     if config.detector == "ann":
         return ann_idx, ann_lab
-    peaks = detect_r_peaks(signal.astype(np.float64), fs)
+    peaks = detect_r_peaks(signal, fs)
     matched = match_beats(peaks.r_indices, ann_idx,
                           sampling_frequency=fs, window_ms=config.match_window_ms)
     label_by_ann = dict(zip(ann_idx.tolist(), ann_lab.tolist()))
@@ -174,31 +174,14 @@ def _beat_train(record, signal, config, ann_idx, ann_lab):
     return peaks.r_indices, labels
 
 
-def _load_record(header_path, config) -> _RecordData:
-    record = ingest_record(header_path)
-    if config.channel >= record.header.n_signals:
-        raise ValueError(
-            f"{header_path}: channel {config.channel} out of range "
-            f"({record.header.n_signals} signals)"
-        )
-    signal = record.samples[config.channel]
-    fs = record.header.sampling_frequency
-    ann_idx = np.array([a.sample_index for a in record.annotations if a.is_beat],
-                       dtype=np.int64)
-    ann_lab = np.array(
-        [0 if label_beat(a.symbol) is BeatLabel.NORMAL else 1
-         for a in record.annotations if a.is_beat],
-        dtype=np.int64,
-    )
-    indices, labels = _beat_train(record, signal, config, ann_idx, ann_lab)
-
+def _beat_rows(signal, fs, indices, labels) -> tuple:
+    """One row per labeled interior beat whose window fits the record."""
     rows = []
     for i in range(1, len(indices) - 1):
         if labels[i] < 0:
             continue
         try:
-            window = window_beat(signal.astype(np.float64), int(indices[i]),
-                                 WINDOW_HALF_WIDTH)
+            window = window_beat(signal, int(indices[i]), WINDOW_HALF_WIDTH)
         except EdgeBeatError:
             continue
         rows.append(_BeatRow(
@@ -208,10 +191,33 @@ def _load_record(header_path, config) -> _RecordData:
             rr_next_s=float(indices[i + 1] - indices[i]) / fs,
             label=int(labels[i]),
         ))
+    return tuple(rows)
+
+
+def _load_record(header_path, config) -> _RecordData:
+    record = ingest_record(header_path)
+    if config.channel >= record.header.n_signals:
+        raise ValueError(
+            f"{header_path}: channel {config.channel} out of range "
+            f"({record.header.n_signals} signals)"
+        )
+    signal = record.samples[config.channel].astype(np.float64)
+    fs = record.header.sampling_frequency
+    ann_idx = np.array([a.sample_index for a in record.annotations if a.is_beat],
+                       dtype=np.int64)
+    ann_lab = np.array(
+        [0 if label_beat(a.symbol) is BeatLabel.NORMAL else 1
+         for a in record.annotations if a.is_beat],
+        dtype=np.int64,
+    )
+    indices, labels = _beat_train(record, signal, config, ann_idx, ann_lab)
+    # the self-learner judges the beat train alone and reads no windows
+    rows = () if config.classifier == "self-learner" else _beat_rows(
+        signal, fs, indices, labels)
     return _RecordData(
         record_id=record.header.record_name,
         sampling_frequency=fs,
-        rows=tuple(rows),
+        rows=rows,
         beat_indices=indices,
         beat_labels=labels,
         ann_indices=ann_idx,
@@ -327,25 +333,38 @@ def _self_learner_verdicts(rec: _RecordData, config):
     for ev in events:
         if ev.kind == "missing_beat":
             gap_start = ev.sample_index - int(ev.observed)
-            nxt = monitored[monitored > ev.sample_index]
-            gap_end = int(nxt[0]) if nxt.size else int(rec.ann_indices[-1]) + 1
+            nxt = np.searchsorted(monitored, ev.sample_index, side="right")
+            gap_end = (int(monitored[nxt]) if nxt < monitored.size
+                       else int(rec.ann_indices[-1]) + 1)
             gaps.append((gap_start, gap_end))
 
+    judged = rec.ann_indices > monitor_from
+    ann_idx, ann_lab = rec.ann_indices[judged], rec.ann_labels[judged]
     window = config.match_window_ms * rec.sampling_frequency / 1000.0
+    nearest = _nearest_within(monitored, ann_idx, window)
     out = []
-    for idx, label in zip(rec.ann_indices, rec.ann_labels):
-        idx = int(idx)
-        if idx <= monitor_from:
-            continue
-        if monitored.size and np.min(np.abs(monitored - idx)) <= window:
-            nearest = int(monitored[np.argmin(np.abs(monitored - idx))])
-            flagged = 1 if nearest in deviant_peaks else 0
+    for idx, label, peak in zip(ann_idx.tolist(), ann_lab.tolist(), nearest.tolist()):
+        if peak >= 0:
+            flagged = 1 if peak in deviant_peaks else 0
         elif any(gs < idx < ge for gs, ge in gaps):
             flagged = 1
         else:
             flagged = 0
-        out.append((idx, int(label), flagged))
+        out.append((idx, label, flagged))
     return out
+
+
+def _nearest_within(peaks, points, window):
+    """Nearest of the sorted peaks to each point, or -1 if none is within
+    window; a tie goes to the earlier peak."""
+    if not peaks.size:
+        return np.full(points.size, -1, dtype=np.int64)
+    after = np.minimum(np.searchsorted(peaks, points), peaks.size - 1)
+    before = np.maximum(after - 1, 0)
+    dist_before = np.abs(points - peaks[before])
+    dist_after = np.abs(peaks[after] - points)
+    nearest = np.where(dist_before <= dist_after, peaks[before], peaks[after])
+    return np.where(np.minimum(dist_before, dist_after) <= window, nearest, -1)
 
 
 def _run_self_learner_eval(records, config):

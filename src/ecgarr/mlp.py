@@ -14,7 +14,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# platanh and platanh_derivative are not called here; they stay importable
+# from this module, where callers and perfbench's tracer look them up.
 from .activation import (
+    _platanh_and_slope,
     ntanh_fixed_raw_array,
     platanh,
     platanh_derivative,
@@ -35,6 +38,8 @@ __all__ = [
     "init_model",
     "load_model",
     "mse",
+    "platanh",
+    "platanh_derivative",
     "predict",
     "predict_batch",
     "quantize_model",
@@ -128,32 +133,22 @@ def init_model(
 # forward passes
 
 
-def _hidden_act(name, x):
-    return np.tanh(x) if name == "tanh" else platanh(x)
+def _activate(name, z):
+    """(value, slope) of one layer's activation at its inputs z.
 
-
-def _hidden_act_deriv(name, x):
-    if name == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    return platanh_derivative(x)
-
-
-def _output_act(name, z):
-    if name == "ntanh":
-        return (np.tanh(z) + 1.0) / 2.0
-    if name == "ntanh_pla":
-        return (platanh(z) + 1.0) / 2.0
-    return np.apply_along_axis(softmax, -1, z) if z.ndim > 1 else softmax(z)
-
-
-def _output_act_deriv(name, z):
-    if name == "ntanh":
-        t = np.tanh(z)
-        return (1.0 - t * t) / 2.0
-    if name == "ntanh_pla":
-        return platanh_derivative(z) / 2.0
-    raise ValueError("gradient training with softmax outputs is not supported")
+    The slope is what backprop needs (left-segment rule at PLA borders);
+    softmax has none, since training with it is not supported.
+    """
+    if name in ("tanh", "ntanh"):
+        y = np.tanh(z)
+        slope = 1.0 - y * y
+    elif name in ("platanh", "ntanh_pla"):
+        y, slope = _platanh_and_slope(z)
+    else:
+        return (np.apply_along_axis(softmax, -1, z) if z.ndim > 1 else softmax(z)), None
+    if name in ("ntanh", "ntanh_pla"):
+        return (y + 1.0) / 2.0, slope / 2.0
+    return y, slope
 
 
 def _as_features(x) -> np.ndarray:
@@ -162,10 +157,12 @@ def _as_features(x) -> np.ndarray:
 
 
 def _forward_real_batch(model, x):
-    h_pre = x @ model.w_hidden.T + model.b_hidden
-    h = _hidden_act(model.hidden_activation, h_pre)
-    o_pre = h @ model.w_out.T + model.b_out
-    return h_pre, h, o_pre, _output_act(model.output_activation, o_pre)
+    """(hidden outputs, their slopes, outputs, their slopes) for a batch."""
+    h, h_slope = _activate(model.hidden_activation,
+                           x @ model.w_hidden.T + model.b_hidden)
+    out, out_slope = _activate(model.output_activation,
+                               h @ model.w_out.T + model.b_out)
+    return h, h_slope, out, out_slope
 
 
 def _forward_fixed_batch(model, x):
@@ -194,18 +191,22 @@ def _forward_fixed_batch(model, x):
     return h_raw / scale, o_pre_raw / scale, out_raw / scale
 
 
-def forward_batch(model: MlpModel, x) -> np.ndarray:
-    """Outputs for a batch of feature rows, shape (n, n_out)."""
-    x = np.asarray(x, dtype=np.float64)
+def _check_batch(model, x):
     if x.ndim != 2 or x.shape[1] != model.layer_sizes[0]:
         raise ValueError(
             f"batch shape {x.shape} does not match input size {model.layer_sizes[0]}"
         )
     if np.isnan(x).any():
         raise ValueError("cannot classify NaN features")
+
+
+def forward_batch(model: MlpModel, x) -> np.ndarray:
+    """Outputs for a batch of feature rows, shape (n, n_out)."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_batch(model, x)
     if model.is_fixed:
         return _forward_fixed_batch(model, x)[2]
-    return _forward_real_batch(model, x)[3]
+    return _forward_real_batch(model, x)[2]
 
 
 def forward(model: MlpModel, feature) -> np.ndarray:
@@ -233,7 +234,10 @@ def predict_batch(model: MlpModel, x) -> np.ndarray:
 
 def mse(model: MlpModel, x, targets) -> float:
     """Mean squared error over every output of every row."""
-    out = forward_batch(model, x)
+    return _mse(forward_batch(model, x), targets)
+
+
+def _mse(out, targets) -> float:
     t = np.asarray(targets, dtype=np.float64)
     return float(np.mean((out - t) ** 2))
 
@@ -254,15 +258,20 @@ def gradients(model: MlpModel, x, targets):
     t = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or t.shape != (x.shape[0], model.layer_sizes[2]):
         raise ValueError(f"bad batch shapes: x {x.shape}, targets {t.shape}")
-    n = x.shape[0]
+    return _backprop(model, x, t, _forward_real_batch(model, x))
 
-    h_pre, h, o_pre, out = _forward_real_batch(model, x)
+
+def _backprop(model, x, targets, forward):
+    """Gradients from the forward pass of this model on x."""
+    h, h_slope, out, out_slope = forward
+    if out_slope is None:
+        raise ValueError("gradient training with softmax outputs is not supported")
     # d(mean((out-t)^2)) / d(out): mean over n rows * n_out entries
-    d_out = 2.0 * (out - t) / (n * t.shape[1])
-    delta_o = d_out * _output_act_deriv(model.output_activation, o_pre)
+    d_out = 2.0 * (out - targets) / targets.size
+    delta_o = d_out * out_slope
     gw_o = delta_o.T @ h
     gb_o = delta_o.sum(axis=0)
-    delta_h = (delta_o @ model.w_out) * _hidden_act_deriv(model.hidden_activation, h_pre)
+    delta_h = (delta_o @ model.w_out) * h_slope
     gw_h = delta_h.T @ x
     gb_h = delta_h.sum(axis=0)
     return gw_h, gb_h, gw_o, gb_o
@@ -389,6 +398,7 @@ def train(
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] != labels.size or x.shape[0] == 0:
         raise ValueError(f"bad dataset shapes: x {x.shape}, labels {labels.shape}")
+    _check_batch(model, x)
     present = set(np.unique(labels).tolist())
     if not present == {NORMAL, ARRHYTHMIA}:
         raise ValueError(f"training needs both classes present, got labels {sorted(present)}")
@@ -406,14 +416,18 @@ def train(
     )
     state = RpropState.for_model(current, **(rprop_hyper or {}))
 
+    # The forward pass that scores one epoch's weights is the one the
+    # next epoch's gradients start from.
     history = []
-    best = mse(current, x, targets)
+    forward = _forward_real_batch(current, x)
+    best = _mse(forward[2], targets)
     streak = 0
     reason = "max_epochs"
     for _ in range(max_epochs):
-        grads = gradients(current, x, targets)
+        grads = _backprop(current, x, targets, forward)
         current, state = rprop_step(current, state, grads)
-        err = mse(current, x, targets)
+        forward = _forward_real_batch(current, x)
+        err = _mse(forward[2], targets)
         history.append(err)
         if best - err < plateau_epsilon:
             streak += 1

@@ -12,6 +12,8 @@ from ecgarr.activation import (
     PLA_SHIFTS,
     PLA_SLOPES,
     SATURATION_BORDER,
+    _pla_segments,
+    _platanh_and_slope,
     ntanh,
     ntanh_fixed_raw_array,
     platanh,
@@ -314,3 +316,38 @@ def test_platanh_derivative_edges_against_oracle():
     got = platanh_derivative(np.array(points))
     assert got.tolist() == [oracle.platanh_slope(x) for x in points]
     assert [platanh_derivative(x) for x in points] == got.tolist()
+
+
+def _searchsorted_pla(x):
+    """Value and slope through np.searchsorted, the lookup the fused one replaced."""
+    seg = np.searchsorted(PLA_BORDERS, x)
+    clipped = np.clip(x, -SATURATION_BORDER, SATURATION_BORDER)
+    value = np.clip(PLA_SLOPES[seg] * clipped + PLA_OFFSETS[seg], -1.0, 1.0)
+    return seg, value, PLA_SLOPES[seg]
+
+
+def test_fused_lookup_matches_searchsorted():
+    rng = np.random.default_rng(5)
+    edges = np.array(_edge_points() + [math.nan, -math.nan])
+    wide = rng.normal(0.0, 3.0, size=(300, 6))
+    wide[::17, 2] = np.nan
+    arrays = [edges, edges.reshape(-1, 1), wide, rng.uniform(-8, 8, size=(40, 7, 3)),
+              np.array(0.5), np.array(math.nan), np.zeros((0, 6))]
+    for x in arrays:
+        seg, value, slope = _searchsorted_pla(x)
+        assert np.array_equal(_pla_segments(x), seg)
+        got_value, got_slope = _platanh_and_slope(x)
+        # tobytes compares NaN payloads and the sign of zero too
+        assert got_value.tobytes() == value.tobytes()
+        assert got_slope.tobytes() == slope.tobytes()
+        assert np.asarray(platanh(x)).tobytes() == value.tobytes()
+        assert np.asarray(platanh_derivative(x)).tobytes() == slope.tobytes()
+
+
+def test_fused_lookup_against_oracle():
+    rng = np.random.default_rng(6)
+    points = np.concatenate([_edge_points(), rng.uniform(-7, 7, size=2000)])
+    value, slope = _platanh_and_slope(points)
+    assert value.tolist() == [oracle.platanh_real(x) for x in points]
+    assert slope.tolist() == [oracle.platanh_slope(x) for x in points]
+    assert [math.copysign(1, v) for v in value[:2]] == [1.0, -1.0]

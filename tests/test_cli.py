@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 
 from ecgarr.cli import main
+from ecgarr.features import load_features
+from ecgarr.fixedpoint import QFormat
+from ecgarr.mlp import load_model, predict_batch, quantize_model
 from ecgarr.selflearn import load_anomaly_log
 from wfdb_fixtures import DROPPED_BEATS, classifier_record, dropout_record
 
@@ -116,22 +119,57 @@ def test_pipeline_chain(records, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_infer_quantized_path(records, tmp_path):
+def _trained_features_and_model(records, tmp_path):
     feat_dir = str(tmp_path / "f")
     main(["features", "--record", records["a"], "--peaks-from-annotations",
           "--out-dir", feat_dir])
-    features_path = os.path.join(feat_dir, "features.txt")
     train_dir = str(tmp_path / "t")
-    main(["train", "--features", features_path, "--seed", "3",
-          "--max-epochs", "150", "--out-dir", train_dir])
+    main(["train", "--features", os.path.join(feat_dir, "features.txt"),
+          "--seed", "3", "--max-epochs", "150", "--out-dir", train_dir])
+    return os.path.join(feat_dir, "features.txt"), os.path.join(train_dir, "model.txt")
+
+
+def test_infer_quantized_path(records, tmp_path):
+    features_path, model_path = _trained_features_and_model(records, tmp_path)
     out = str(tmp_path / "q")
-    assert main(["infer", "--features", features_path,
-                 "--model", os.path.join(train_dir, "model.txt"),
+    assert main(["infer", "--features", features_path, "--model", model_path,
                  "--fraction-bits", "12", "--out-dir", out]) == 0
     manifest = read_manifest(out)
     assert manifest["config"]["fraction_bits"] == 12
     fixed_lines = open(os.path.join(out, "verdicts.txt")).read().splitlines()[1:]
     assert all(ln.split(",")[2] == ln.split(",")[3] for ln in fixed_lines)
+
+
+def test_infer_zero_fraction_bits_runs_integer_format(records, tmp_path, capsys):
+    features_path, model_path = _trained_features_and_model(records, tmp_path)
+    out = str(tmp_path / "q0")
+    assert main(["infer", "--features", features_path, "--model", model_path,
+                 "--fraction-bits", "0", "--out-dir", out]) == 0
+    assert read_manifest(out)["config"]["fraction_bits"] == 0
+    rows = load_features(features_path)
+    want = predict_batch(quantize_model(load_model(model_path), QFormat(24, 0)),
+                         np.stack([r.features for r in rows]))
+    got = [int(ln.split(",")[3]) for ln in
+           open(os.path.join(out, "verdicts.txt")).read().splitlines()[1:]]
+    assert got == want.tolist()
+    q12 = predict_batch(quantize_model(load_model(model_path), QFormat(24, 12)),
+                        np.stack([r.features for r in rows]))
+    assert got != q12.tolist()  # Q24.0 really differs on this fixture
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [["--total-bits", "0"], ["--total-bits", "1"],
+                                   ["--total-bits", "8", "--fraction-bits", "8"],
+                                   ["--fraction-bits", "-1"]])
+def test_infer_rejects_bad_format(tmp_path, capsys, flags):
+    # the format is checked before any input file is read
+    missing = str(tmp_path / "missing.txt")
+    out = str(tmp_path / "bad")
+    assert main(["infer", "--features", missing, "--model", missing,
+                 *flags, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --total-bits ") and "--fraction-bits" in err
+    assert not os.path.exists(out)
 
 
 def test_train_is_deterministic(records, tmp_path):

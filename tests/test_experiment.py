@@ -12,6 +12,7 @@ import pytest
 
 from ecgarr.experiment import (
     PipelineConfig,
+    _nearest_within,
     render_experiment,
     render_sweep,
     run_experiment,
@@ -127,6 +128,23 @@ def test_self_learner_flags_dropped_beats(records):
     assert res.mse_history == ()
     assert "config.split full-record" in render_experiment(res)
     assert "config.tolerance 0.15" in render_experiment(res)
+
+
+@pytest.mark.parametrize("n_peaks", [0, 1, 2, 400])
+def test_nearest_peak_matches_argmin_scan(n_peaks):
+    rng = np.random.default_rng(n_peaks)
+    # even peaks, some repeated: two peaks have an integer midpoint, so
+    # points tie between neighbours
+    peaks = np.sort(rng.choice(np.arange(0, 4000, 2), size=n_peaks))
+    points = np.arange(-60, 4060, dtype=np.int64)
+    window = 18.0
+    got = _nearest_within(peaks, points, window)
+    for point, peak in zip(points, got):
+        dist = np.abs(peaks - point)
+        if peaks.size and dist.min() <= window:
+            assert peak == peaks[np.argmin(dist)]
+        else:
+            assert peak == -1
 
 
 # ---------------------------------------------------------------------------

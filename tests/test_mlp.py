@@ -501,6 +501,68 @@ def test_train_plateau_stop():
         assert report.epochs == 500
 
 
+def _reference_train(model, x, labels, *, max_epochs, seed,
+                     plateau_epsilon=1e-7, plateau_epochs=20):
+    """The training loop built from public functions alone: one mse, then
+    gradients, rprop_step and mse again on every epoch."""
+    x, labels = balance_classes(x, labels)
+    targets = np.eye(2)[labels]
+    current = init_model(seed=seed, layer_sizes=model.layer_sizes,
+                         hidden_activation=model.hidden_activation,
+                         output_activation=model.output_activation)
+    state = RpropState.for_model(current)
+    history = []
+    best = mse(current, x, targets)
+    streak = 0
+    reason = "max_epochs"
+    for _ in range(max_epochs):
+        current, state = rprop_step(current, state, gradients(current, x, targets))
+        err = mse(current, x, targets)
+        history.append(err)
+        if best - err < plateau_epsilon:
+            streak += 1
+            if streak >= plateau_epochs:
+                reason = "plateau"
+                break
+        else:
+            streak = 0
+        best = min(best, err)
+    return current, tuple(history), reason
+
+
+@pytest.mark.parametrize("hidden, output, max_epochs, reason", [
+    ("platanh", "ntanh_pla", 30, "max_epochs"),
+    ("platanh", "ntanh_pla", 300, "plateau"),
+    ("tanh", "ntanh", 30, "max_epochs"),
+    ("tanh", "ntanh", 300, "plateau"),
+])
+def test_train_matches_loop_of_public_steps(hidden, output, max_epochs, reason):
+    # overlapping blobs with a minority that balancing duplicates
+    x, labels = blob_dataset(n_per_class=40, spread=4.0, seed=4)
+    keep = np.concatenate([np.arange(40), np.arange(40, 48)])
+    x, labels = x[keep], labels[keep]
+    model = init_model(seed=0, hidden_activation=hidden, output_activation=output)
+    want_model, want_history, want_reason = _reference_train(
+        model, x, labels, max_epochs=max_epochs, seed=2)
+    got_model, report = train(model, x, labels, max_epochs=max_epochs, seed=2)
+    assert want_reason == reason
+    assert report.stop_reason == reason
+    assert report.balanced_counts == (40, 14)
+    assert report.epochs == len(want_history)
+    assert np.array(report.mse_history).tobytes() == np.array(want_history).tobytes()
+    for got, want in zip(got_model.parameter_arrays(), want_model.parameter_arrays()):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_train_rejects_bad_feature_batches():
+    x, labels = blob_dataset(n_per_class=5, seed=3)
+    x[2, 4] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        train(init_model(seed=0), x, labels, max_epochs=5)
+    with pytest.raises(ValueError, match="input size"):
+        train(init_model(seed=0), x[:, :11], labels, max_epochs=5)
+
+
 def test_balance_classes_duplicates_minority():
     x = np.arange(105 * 12, dtype=float).reshape(105, 12)
     labels = np.array([0] * 100 + [1] * 5)
