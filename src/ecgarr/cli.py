@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,28 +27,27 @@ from .activation import platanh, tanh_exact
 from .dsp import PeakTrain, detect_r_peaks
 from .experiment import (
     PipelineConfig,
+    annotated_beats,
+    label_peaks,
     render_experiment,
     render_sweep,
     run_experiment,
     sweep_fraction_bits,
 )
 from .features import (
+    WINDOW_HALF_WIDTH,
     BeatFeatureRow,
-    EdgeBeatError,
-    build_feature_vector,
+    beat_table,
+    feature_matrix,
     fit_pca,
     load_features,
-    load_pca_model,
-    project,
     save_features,
     save_pca_model,
-    window_beat,
 )
 from .fixedpoint import QFormat
-from .metrics import match_beats
 from .mlp import init_model, load_model, predict_batch, quantize_model, save_model, train
 from .selflearn import run_self_learner, save_anomaly_log
-from .wfdb_io import BeatLabel, ingest_record, label_beat
+from .wfdb_io import ingest_record
 
 __all__ = ["main"]
 
@@ -56,35 +56,39 @@ class UsageError(Exception):
     """Bad flags or malformed config; exits with the usage code."""
 
 
+# PipelineConfig's field defaults, which the experiment commands share
+_PIPELINE = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+
 # effective-option defaults per command; None means "must be provided"
 DEFAULTS = {
     "ingest": {"record": None, "channel": 0, "out_dir": None},
     "detect": {"record": None, "channel": 0, "out_dir": None},
     "features": {
-        "records": [], "channel": 0, "peaks": None,
-        "peaks_from_annotations": False, "window": 181, "out_dir": None,
+        "records": [], "channel": 0, "peaks": None, "out_dir": None,
+        "peaks_from_annotations": False, "window": 2 * WINDOW_HALF_WIDTH + 1,
     },
     "train": {
-        "features": None, "seed": None, "hidden": 6, "max_epochs": 1000,
-        "activation": "pla", "out_dir": None,
+        "features": None, "seed": None, "hidden": _PIPELINE["hidden_units"],
+        "max_epochs": _PIPELINE["max_epochs"], "activation": "pla", "out_dir": None,
     },
     "infer": {
         "features": None, "model": None, "total_bits": None,
         "fraction_bits": None, "out_dir": None,
     },
     "selflearn": {
-        "record": None, "channel": 0, "tolerance": 0.15, "peaks": None,
-        "peaks_from_annotations": False, "out_dir": None,
+        "record": None, "channel": 0, "peaks": None, "peaks_from_annotations": False,
+        "tolerance": _PIPELINE["tolerance_fraction"], "out_dir": None,
     },
     "evaluate": {
-        "records": [], "channel": 0, "classifier": "pla", "detector": "ann",
-        "seed": None, "max_epochs": 1000, "hidden": 6, "total_bits": 24,
-        "fraction_bits": 12, "tolerance": 0.15, "out_dir": None,
+        "records": [], "channel": 0, "classifier": "pla", "detector": "ann", "seed": None,
+        "max_epochs": _PIPELINE["max_epochs"], "hidden": _PIPELINE["hidden_units"],
+        "total_bits": _PIPELINE["total_bits"], "fraction_bits": _PIPELINE["fraction_bits"],
+        "tolerance": _PIPELINE["tolerance_fraction"], "out_dir": None,
     },
     "sweep-fraction-bits": {
-        "records": [], "channel": 0, "detector": "ann", "seed": None,
-        "max_epochs": 1000, "hidden": 6, "total_bits": 24,
-        "fraction_bits_min": 6, "fraction_bits_max": 14, "out_dir": None,
+        "records": [], "channel": 0, "detector": "ann", "seed": None, "out_dir": None,
+        "max_epochs": _PIPELINE["max_epochs"], "hidden": _PIPELINE["hidden_units"],
+        "total_bits": _PIPELINE["total_bits"], "fraction_bits_min": 6, "fraction_bits_max": 14,
     },
     "activation-error": {"grid_step": 1e-4, "out_dir": None},
 }
@@ -221,8 +225,7 @@ def _beat_positions(record, signal, opts) -> np.ndarray:
         idx = np.loadtxt(opts["peaks"], dtype=np.int64, ndmin=1)
         return PeakTrain(idx, record.header.sampling_frequency).r_indices
     if opts.get("peaks_from_annotations"):
-        return np.array([a.sample_index for a in record.annotations if a.is_beat],
-                        dtype=np.int64)
+        return annotated_beats(record)[0]
     peaks = detect_r_peaks(signal, record.header.sampling_frequency)
     return peaks.r_indices
 
@@ -234,31 +237,13 @@ def _load_signal(record, channel: int) -> np.ndarray:
     return record.samples[channel].astype(np.float64)
 
 
-def _labeled_interior_beats(record, signal, peaks, half_width: int):
-    """(r_index, window, rr_prev_s, rr_next_s, label) per usable beat."""
-    fs = record.header.sampling_frequency
-    ann_idx = np.array([a.sample_index for a in record.annotations if a.is_beat],
-                       dtype=np.int64)
-    ann_lab = [0 if label_beat(a.symbol) is BeatLabel.NORMAL else 1
-               for a in record.annotations if a.is_beat]
-    matched = match_beats(peaks, ann_idx, sampling_frequency=fs)
-    label_by_ann = dict(zip(ann_idx.tolist(), ann_lab))
-    label_by_peak = {p: label_by_ann[a] for p, a in matched.pairs}
-    rows = []
-    for i in range(1, len(peaks) - 1):
-        r = int(peaks[i])
-        label = label_by_peak.get(r)
-        if label is None:
-            continue
-        try:
-            window = window_beat(signal, r, half_width)
-        except EdgeBeatError:
-            continue
-        rows.append((r, window.samples,
-                     float(peaks[i] - peaks[i - 1]) / fs,
-                     float(peaks[i + 1] - peaks[i]) / fs,
-                     label))
-    return rows
+def _qformat(total_bits: int, fraction_bits: int,
+             fraction_flag: str = "--fraction-bits") -> QFormat:
+    try:
+        return QFormat(total_bits, fraction_bits)
+    except ValueError as exc:
+        raise UsageError(
+            f"--total-bits {total_bits} {fraction_flag} {fraction_bits}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +299,25 @@ def cmd_features(opts) -> int:
     for header in opts["records"]:
         record = ingest_record(header)
         signal = _load_signal(record, opts["channel"])
+        fs = record.header.sampling_frequency
         peaks = _beat_positions(record, signal, opts)
-        rows = _labeled_interior_beats(record, signal, peaks, half_width)
-        per_record.append((record.header.record_name, rows))
+        labels = label_peaks(peaks, *annotated_beats(record), fs,
+                             _PIPELINE["match_window_ms"])
+        per_record.append((record.header.record_name,
+                           beat_table(signal, fs, peaks, labels, half_width)))
         inputs.extend(_record_companions(header))
         if opts.get("peaks"):
             inputs.append(opts["peaks"])
-    all_rows = [row for _, rows in per_record for row in rows]
-    if not all_rows:
+    if not sum(len(beats) for _, beats in per_record):
         raise ValueError("no usable labeled beats in the given records")
 
-    pca = fit_pca(np.stack([w for _, w, _, _, _ in all_rows]))
-    table = []
-    for name, rows in per_record:
-        for r, window, rr_prev, rr_next, label in rows:
-            vec = build_feature_vector(pca, project(pca, window), rr_prev, rr_next)
-            table.append(BeatFeatureRow(record_id=name, r_index=r,
-                                        features=vec.values, label=str(label)))
+    pca = fit_pca(np.vstack([beats.windows for _, beats in per_record]))
+    table = [
+        BeatFeatureRow(record_id=name, r_index=r, features=features, label=str(label))
+        for name, beats in per_record
+        for r, features, label in zip(beats.r_index.tolist(), feature_matrix(pca, beats),
+                                      beats.labels.tolist())
+    ]
 
     out_dir = _ensure_out_dir(opts)
     pca_path = os.path.join(out_dir, "pca.txt")
@@ -374,12 +361,10 @@ def cmd_infer(opts) -> int:
     _require(opts, "infer", "features", "model", "out_dir")
     fmt = None
     if opts["total_bits"] is not None or opts["fraction_bits"] is not None:
-        total = 24 if opts["total_bits"] is None else opts["total_bits"]
-        fraction = 12 if opts["fraction_bits"] is None else opts["fraction_bits"]
-        try:
-            fmt = QFormat(total, fraction)
-        except ValueError as exc:
-            raise UsageError(f"--total-bits {total} --fraction-bits {fraction}: {exc}") from None
+        fmt = _qformat(
+            _PIPELINE["total_bits"] if opts["total_bits"] is None else opts["total_bits"],
+            _PIPELINE["fraction_bits"] if opts["fraction_bits"] is None
+            else opts["fraction_bits"])
     rows = load_features(opts["features"])
     model = load_model(opts["model"])
     if fmt is not None:
@@ -419,18 +404,20 @@ def cmd_selflearn(opts) -> int:
     return 0
 
 
+# option name -> PipelineConfig field
+_CONFIG_FIELDS = {
+    "channel": "channel", "total_bits": "total_bits", "fraction_bits": "fraction_bits",
+    "tolerance": "tolerance_fraction", "max_epochs": "max_epochs", "hidden": "hidden_units",
+}
+
+
 def _pipeline_config(opts, classifier: str, detector: str) -> PipelineConfig:
     return PipelineConfig(
         record_paths=tuple(opts["records"]),
-        channel=opts["channel"],
         detector=detector,
         classifier=classifier,
-        total_bits=opts["total_bits"],
-        fraction_bits=opts.get("fraction_bits", 12),
-        tolerance_fraction=opts.get("tolerance", 0.15),
         seed=opts["seed"] if opts["seed"] is not None else 0,
-        max_epochs=opts["max_epochs"],
-        hidden_units=opts["hidden"],
+        **{field: opts[key] for key, field in _CONFIG_FIELDS.items() if key in opts},
     )
 
 
@@ -438,6 +425,7 @@ def cmd_evaluate(opts) -> int:
     _require(opts, "evaluate", "records", "out_dir")
     if opts["classifier"] != "self-learner":
         _require(opts, "evaluate", "seed")
+    _qformat(opts["total_bits"], opts["fraction_bits"])
     result = run_experiment(_pipeline_config(opts, opts["classifier"],
                                              opts["detector"]))
     text = render_experiment(result)
@@ -455,6 +443,7 @@ def cmd_evaluate(opts) -> int:
 def cmd_sweep(opts) -> int:
     _require(opts, "sweep-fraction-bits", "records", "seed", "out_dir")
     lo, hi = opts["fraction_bits_min"], opts["fraction_bits_max"]
+    _qformat(opts["total_bits"], hi, "--fraction-bits-max")
     if not 0 < lo <= hi < opts["total_bits"]:
         raise UsageError("need 0 < fraction-bits-min <= fraction-bits-max < total-bits")
     config = _pipeline_config(opts, "pla", opts["detector"])

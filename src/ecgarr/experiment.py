@@ -15,14 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import detect_r_peaks
-from .features import (
-    EdgeBeatError,
-    WINDOW_HALF_WIDTH,
-    build_feature_vector,
-    fit_pca,
-    project,
-    window_beat,
-)
+from .features import BeatTable, beat_table, feature_matrix, fit_pca
+# the benchmark's tracer wraps these per-beat names in this module
+from .features import build_feature_vector, project, window_beat  # noqa: F401
 from .fixedpoint import QFormat
 from .metrics import (
     ConfusionCounts,
@@ -41,6 +36,8 @@ __all__ = [
     "PipelineConfig",
     "RecordResult",
     "SweepPoint",
+    "annotated_beats",
+    "label_peaks",
     "render_experiment",
     "render_sweep",
     "run_experiment",
@@ -128,21 +125,11 @@ class SweepPoint:
 
 
 @dataclass(frozen=True)
-class _BeatRow:
-    r_index: int
-    window: np.ndarray
-    rr_prev_s: float
-    rr_next_s: float
-    label: int
-
-
-@dataclass(frozen=True)
 class _RecordData:
     record_id: str
     sampling_frequency: float
-    rows: tuple              # _BeatRow, time ordered; empty for the self-learner
+    table: BeatTable | None    # labeled interior beats; None for the self-learner
     beat_indices: np.ndarray   # the train driving windows and monitoring
-    beat_labels: np.ndarray    # matches beat_indices; -1 marks unlabeled
     ann_indices: np.ndarray    # every annotated beat, ground truth anchor
     ann_labels: np.ndarray     # 0/1 per annotated beat
 
@@ -159,39 +146,22 @@ def _check_files_exist(config: PipelineConfig) -> None:
         raise FileNotFoundError("missing record files: " + ", ".join(missing))
 
 
-def _beat_train(record, signal, config, ann_idx, ann_lab):
-    """Beat positions plus a 0/1/-1 label per position."""
-    fs = record.header.sampling_frequency
-    if config.detector == "ann":
-        return ann_idx, ann_lab
-    peaks = detect_r_peaks(signal, fs)
-    matched = match_beats(peaks.r_indices, ann_idx,
-                          sampling_frequency=fs, window_ms=config.match_window_ms)
-    label_by_ann = dict(zip(ann_idx.tolist(), ann_lab.tolist()))
+def annotated_beats(record):
+    """Sample index and label (0 normal, 1 arrhythmia) of each annotated beat."""
+    beats = [a for a in record.annotations if a.is_beat]
+    return (
+        np.array([a.sample_index for a in beats], dtype=np.int64),
+        np.array([0 if label_beat(a.symbol) is BeatLabel.NORMAL else 1 for a in beats],
+                 dtype=np.int64),
+    )
+
+
+def label_peaks(peaks, ann_indices, ann_labels, fs: float, window_ms: float) -> np.ndarray:
+    """The label of the annotation each peak matched, -1 where none did."""
+    matched = match_beats(peaks, ann_indices, sampling_frequency=fs, window_ms=window_ms)
+    label_by_ann = dict(zip(ann_indices.tolist(), ann_labels.tolist()))
     label_by_peak = {p: label_by_ann[a] for p, a in matched.pairs}
-    labels = np.array([label_by_peak.get(int(p), -1) for p in peaks.r_indices],
-                      dtype=np.int64)
-    return peaks.r_indices, labels
-
-
-def _beat_rows(signal, fs, indices, labels) -> tuple:
-    """One row per labeled interior beat whose window fits the record."""
-    rows = []
-    for i in range(1, len(indices) - 1):
-        if labels[i] < 0:
-            continue
-        try:
-            window = window_beat(signal, int(indices[i]), WINDOW_HALF_WIDTH)
-        except EdgeBeatError:
-            continue
-        rows.append(_BeatRow(
-            r_index=int(indices[i]),
-            window=window.samples,
-            rr_prev_s=float(indices[i] - indices[i - 1]) / fs,
-            rr_next_s=float(indices[i + 1] - indices[i]) / fs,
-            label=int(labels[i]),
-        ))
-    return tuple(rows)
+    return np.array([label_by_peak.get(int(p), -1) for p in peaks], dtype=np.int64)
 
 
 def _load_record(header_path, config) -> _RecordData:
@@ -203,40 +173,23 @@ def _load_record(header_path, config) -> _RecordData:
         )
     signal = record.samples[config.channel].astype(np.float64)
     fs = record.header.sampling_frequency
-    ann_idx = np.array([a.sample_index for a in record.annotations if a.is_beat],
-                       dtype=np.int64)
-    ann_lab = np.array(
-        [0 if label_beat(a.symbol) is BeatLabel.NORMAL else 1
-         for a in record.annotations if a.is_beat],
-        dtype=np.int64,
-    )
-    indices, labels = _beat_train(record, signal, config, ann_idx, ann_lab)
+    ann_idx, ann_lab = annotated_beats(record)
+    if config.detector == "ann":
+        indices, labels = ann_idx, ann_lab
+    else:
+        indices = detect_r_peaks(signal, fs).r_indices
+        labels = label_peaks(indices, ann_idx, ann_lab, fs, config.match_window_ms)
     # the self-learner judges the beat train alone and reads no windows
-    rows = () if config.classifier == "self-learner" else _beat_rows(
-        signal, fs, indices, labels)
+    table = (None if config.classifier == "self-learner"
+             else beat_table(signal, fs, indices, labels))
     return _RecordData(
         record_id=record.header.record_name,
         sampling_frequency=fs,
-        rows=rows,
+        table=table,
         beat_indices=indices,
-        beat_labels=labels,
         ann_indices=ann_idx,
         ann_labels=ann_lab,
     )
-
-
-def _split_rows(rows):
-    half = len(rows) // 2
-    return rows[:half], rows[half:]
-
-
-def _feature_matrix(pca_model, rows) -> np.ndarray:
-    out = np.empty((len(rows), 12))
-    for i, row in enumerate(rows):
-        projection = project(pca_model, row.window)
-        out[i] = build_feature_vector(pca_model, projection,
-                                      row.rr_prev_s, row.rr_next_s).values
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +202,23 @@ def _classifier_activations(classifier):
     return "platanh", "ntanh_pla"
 
 
-def _prepare_classifier_data(records, config):
-    train_rows_per, test_rows_per = {}, {}
-    pooled_train = []
+def _prepare_classifier_data(records):
+    """PCA and training set from each record's first half; test halves by id."""
+    train, test = [], {}
     for rec in records:
-        tr, te = _split_rows(rec.rows)
-        train_rows_per[rec.record_id] = tr
-        test_rows_per[rec.record_id] = te
-        pooled_train.extend(tr)
-    if not pooled_train:
+        half = len(rec.table) // 2
+        train.append(rec.table[:half])
+        test[rec.record_id] = rec.table[half:]
+    if not sum(map(len, train)):
         raise ValueError("no trainable beats across the given records")
-    pca = fit_pca(np.stack([r.window for r in pooled_train]))
-    x_train = _feature_matrix(pca, pooled_train)
-    y_train = np.array([r.label for r in pooled_train], dtype=np.int64)
-    return pca, x_train, y_train, test_rows_per
+    pca = fit_pca(np.vstack([t.windows for t in train]))
+    x_train = np.vstack([feature_matrix(pca, t) for t in train])
+    y_train = np.concatenate([t.labels for t in train])
+    return pca, x_train, y_train, test
 
 
 def _run_classifier(records, config):
-    pca, x_train, y_train, test_rows_per = _prepare_classifier_data(records, config)
+    pca, x_train, y_train, test = _prepare_classifier_data(records)
     hidden, output = _classifier_activations(config.classifier)
     arch = init_model(
         seed=config.seed,
@@ -285,19 +237,17 @@ def _run_classifier(records, config):
     verdicts = []
     pooled = ConfusionCounts()
     for rec in records:
-        rows = test_rows_per[rec.record_id]
-        if not rows:
+        table = test[rec.record_id]
+        if not len(table):
             raise ValueError(f"record {rec.record_id}: empty test half")
-        x_test = _feature_matrix(pca, rows)
-        y_true = np.array([r.label for r in rows], dtype=np.int64)
-        y_pred = predict_batch(eval_model, x_test)
-        counts = confusion_from_labels(y_true, y_pred)
+        y_pred = predict_batch(eval_model, feature_matrix(pca, table))
+        counts = confusion_from_labels(table.labels, y_pred)
         pooled = pooled + counts
         per_record.append(RecordResult(
             rec.record_id, compute_metrics(counts, config.echo())))
         verdicts.extend(
-            (rec.record_id, r.r_index, int(t), int(p))
-            for r, t, p in zip(rows, y_true, y_pred)
+            (rec.record_id, r, t, p) for r, t, p in
+            zip(table.r_index.tolist(), table.labels.tolist(), y_pred.tolist())
         )
     return ExperimentResult(
         per_record=tuple(per_record),
@@ -410,15 +360,13 @@ def sweep_fraction_bits(config: PipelineConfig,
         raise ValueError("the sweep runs on the piecewise-linear classifier")
     _check_files_exist(config)
     records = [_load_record(p, config) for p in config.record_paths]
-    pca, x_train, y_train, test_rows_per = _prepare_classifier_data(records, config)
+    pca, x_train, y_train, test = _prepare_classifier_data(records)
     arch = init_model(seed=config.seed,
                       layer_sizes=(12, config.hidden_units, 2),
                       hidden_activation="platanh", output_activation="ntanh_pla")
     model, _ = train(arch, x_train, y_train,
                      max_epochs=config.max_epochs, seed=config.seed)
-    x_test = np.vstack([
-        _feature_matrix(pca, rows) for rows in test_rows_per.values() if rows
-    ])
+    x_test = np.vstack([feature_matrix(pca, table) for table in test.values()])
     reference = predict_batch(model, x_test)
     points = []
     for f in fraction_bits_values:

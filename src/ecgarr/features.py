@@ -18,13 +18,16 @@ import numpy as np
 
 __all__ = [
     "BeatFeatureRow",
+    "BeatTable",
     "BeatWindow",
     "EdgeBeatError",
     "FeatureVector",
     "PCAModel",
     "RankDeficiencyWarning",
     "WINDOW_HALF_WIDTH",
+    "beat_table",
     "build_feature_vector",
+    "feature_matrix",
     "fit_pca",
     "load_features",
     "load_pca_model",
@@ -66,6 +69,44 @@ def window_beat(signal, r_index: int, half_width: int = WINDOW_HALF_WIDTH) -> Be
         )
     w = x[r_index - half_width : r_index + half_width + 1]
     return BeatWindow(samples=w - w.mean(), r_index=int(r_index))
+
+
+@dataclass(frozen=True)
+class BeatTable:
+    """One row per usable beat of a record, in time order."""
+
+    r_index: np.ndarray  # (n,) R peak sample indices
+    windows: np.ndarray  # (n, 2h+1) mean-removed windows
+    rr: np.ndarray       # (n, 2) previous and next R-R interval, seconds
+    labels: np.ndarray   # (n,) 0 normal, 1 arrhythmia
+
+    def __len__(self) -> int:
+        return int(self.r_index.size)
+
+    def __getitem__(self, rows) -> "BeatTable":
+        return BeatTable(self.r_index[rows], self.windows[rows], self.rr[rows],
+                         self.labels[rows])
+
+
+def beat_table(signal, fs: float, peaks, labels,
+               half_width: int = WINDOW_HALF_WIDTH) -> BeatTable:
+    """Every interior peak whose label is >= 0 (-1: no annotation matched)
+    and whose window fits the record; each window equals window_beat's."""
+    x = np.asarray(signal, dtype=np.float64)
+    r = np.asarray(peaks, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != r.shape:
+        raise ValueError(f"{r.size} peaks but {labels.size} labels")
+    inner = np.arange(1, r.size - 1)
+    keep = inner[(labels[inner] >= 0) & (r[inner] >= half_width)
+                 & (r[inner] + half_width < x.size)]
+    windows = x[r[keep, None] + np.arange(-half_width, half_width + 1)]
+    return BeatTable(
+        r_index=r[keep],
+        windows=windows - windows.mean(axis=1, keepdims=True),
+        rr=np.stack([r[keep] - r[keep - 1], r[keep + 1] - r[keep]], axis=1) / fs,
+        labels=labels[keep],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +187,13 @@ def fit_pca(windows, k: int = 10) -> PCAModel:
 
 
 def project(model: PCAModel, window) -> np.ndarray:
-    """Component scores of one window: components @ (window - mean)."""
+    """Component scores, components @ (window - mean), of one window or of
+    each row of a stack (one matrix-vector product per row, so a row's
+    scores equal its window's own, bit for bit)."""
     x = window.samples if isinstance(window, BeatWindow) else np.asarray(window, dtype=np.float64)
-    if x.shape != model.mean.shape:
+    if x.ndim not in (1, 2) or x.shape[-1:] != model.mean.shape:
         raise ValueError(f"window shape {x.shape} does not match model ({model.mean.shape})")
-    return model.components @ (x - model.mean)
+    return (model.components @ (x - model.mean)[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +231,26 @@ def build_feature_vector(model: PCAModel, projection, rr_prev: float, rr_next: f
     intervals (seconds, must be positive) are divided by 2.
     """
     p = np.asarray(projection, dtype=np.float64)
-    if p.shape != (10,):
-        raise ValueError(f"projection must have 10 values, got shape {p.shape}")
-    if not rr_prev > 0 or not rr_next > 0:
+    return FeatureVector(_scaled(model, p, np.array([rr_prev, rr_next], dtype=np.float64)))
+
+
+def feature_matrix(model: PCAModel, table: BeatTable) -> np.ndarray:
+    """(n, 12) classifier inputs of a beat table; row i equals
+    build_feature_vector on beat i's projection and R-R intervals."""
+    return _scaled(model, project(model, table.windows), table.rr)
+
+
+def _scaled(model: PCAModel, projections: np.ndarray, rr: np.ndarray) -> np.ndarray:
+    """Scaled projections next to halved R-R intervals, along the last axis."""
+    if projections.shape[-1:] != (10,) or projections.ndim != rr.ndim:
+        raise ValueError(f"projection must have 10 values, got shape {projections.shape}")
+    bad = ~(rr > 0).all(axis=-1)
+    if bad.any():
+        rr_prev, rr_next = rr[bad][0] if rr.ndim == 2 else rr
         raise ValueError(f"R-R intervals must be positive, got {rr_prev} and {rr_next}")
     ev0 = float(model.explained_variance[0])
     scale = 1.0 / (4.0 * np.sqrt(ev0)) if ev0 > 0 else 0.0
-    return FeatureVector(np.concatenate([p * scale, [rr_prev / 2.0, rr_next / 2.0]]))
+    return np.concatenate([projections * scale, rr / 2.0], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -158,15 +158,20 @@ def test_infer_zero_fraction_bits_runs_integer_format(records, tmp_path, capsys)
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flags", [["--total-bits", "0"], ["--total-bits", "1"],
-                                   ["--total-bits", "8", "--fraction-bits", "8"],
-                                   ["--fraction-bits", "-1"]])
+BAD_FORMATS = [["--total-bits", "0"], ["--total-bits", "1"],
+               ["--total-bits", "8", "--fraction-bits", "8"], ["--fraction-bits", "-1"]]
+
+
+@pytest.mark.parametrize("flags", [["infer", *f] for f in BAD_FORMATS]
+                         + [["evaluate", "--classifier", c, *f]
+                            for c in ("fixed", "pla") for f in BAD_FORMATS])
 def test_infer_rejects_bad_format(tmp_path, capsys, flags):
     # the format is checked before any input file is read
     missing = str(tmp_path / "missing.txt")
     out = str(tmp_path / "bad")
-    assert main(["infer", "--features", missing, "--model", missing,
-                 *flags, "--out-dir", out]) == 2
+    inputs = {"infer": ["--features", missing, "--model", missing],
+              "evaluate": ["--record", missing, "--seed", "0"]}[flags[0]]
+    assert main([*flags, *inputs, "--out-dir", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --total-bits ") and "--fraction-bits" in err
     assert not os.path.exists(out)

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from ecgarr.dsp import detect_r_peaks
+from ecgarr.experiment import annotated_beats, label_peaks
 from ecgarr.features import (
     BeatFeatureRow,
     BeatWindow,
     EdgeBeatError,
     FeatureVector,
     RankDeficiencyWarning,
+    beat_table,
     build_feature_vector,
+    feature_matrix,
     fit_pca,
     load_features,
     load_pca_model,
@@ -18,6 +22,8 @@ from ecgarr.features import (
     save_pca_model,
     window_beat,
 )
+from ecgarr.wfdb_io import ingest_record
+from wfdb_fixtures import classifier_record, dropout_record
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +213,134 @@ def test_feature_vector_rejects_bad_rr():
 def test_feature_vector_shape_enforced():
     with pytest.raises(ValueError):
         FeatureVector(np.zeros(11))
+
+
+# ---------------------------------------------------------------------------
+# beat tables: the whole-record path against the per-beat one
+
+
+def _per_beat(signal, fs, peaks, labels, half_width=90):
+    """The per-beat loop: window_beat on each labeled interior peak."""
+    kept, windows, rr = [], [], []
+    for i in range(1, len(peaks) - 1):
+        if labels[i] < 0:
+            continue
+        try:
+            windows.append(window_beat(signal, int(peaks[i]), half_width).samples)
+        except EdgeBeatError:
+            continue
+        kept.append(i)
+        rr.append((float(peaks[i] - peaks[i - 1]) / fs, float(peaks[i + 1] - peaks[i]) / fs))
+    return kept, windows, rr
+
+
+def _assert_table_matches_loop(signal, fs, peaks, labels, pca=None, half_width=90):
+    table = beat_table(signal, fs, peaks, labels, half_width)
+    kept, windows, rr = _per_beat(signal, fs, peaks, labels, half_width)
+    assert table.r_index.tolist() == [int(peaks[i]) for i in kept]
+    assert table.labels.tolist() == [int(labels[i]) for i in kept]
+    assert table.windows.shape == (len(kept), 2 * half_width + 1)
+    assert table.windows.tobytes() == np.asarray(windows, dtype=np.float64).tobytes()
+    assert table.rr.shape == (len(kept), 2)
+    assert table.rr.tobytes() == np.asarray(rr, dtype=np.float64).tobytes()
+    if pca is None:
+        pca = fit_pca(table.windows)
+    got = feature_matrix(pca, table)
+    want = [build_feature_vector(pca, project(pca, w), *pair).values
+            for w, pair in zip(windows, rr)]
+    assert got.shape == (len(kept), 12)
+    assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+    return table
+
+
+@pytest.mark.parametrize("make", [classifier_record, dropout_record])
+def test_beat_table_matches_per_beat_loop_on_fixtures(tmp_path, make):
+    record = ingest_record(make(tmp_path, "rec"))
+    signal = record.samples[0].astype(np.float64)
+    fs = record.header.sampling_frequency
+    ann_idx, ann_lab = annotated_beats(record)
+    _assert_table_matches_loop(signal, fs, ann_idx, ann_lab)
+    peaks = detect_r_peaks(signal, fs).r_indices
+    _assert_table_matches_loop(signal, fs, peaks, label_peaks(peaks, ann_idx, ann_lab, fs, 50.0))
+
+
+def test_beat_table_matches_per_beat_loop_on_random_signal():
+    rng = np.random.default_rng(21)
+    signal = rng.normal(0.0, 300.0, 20_000)
+    peaks = np.sort(rng.choice(signal.size, size=150, replace=False))
+    labels = rng.integers(-1, 2, size=peaks.size)
+    table = _assert_table_matches_loop(signal, 250.0, peaks, labels)
+    assert 10 < len(table) < peaks.size
+    _assert_table_matches_loop(signal, 250.0, peaks, labels, half_width=25)
+
+
+def test_beat_table_edges():
+    rng = np.random.default_rng(22)
+    signal = rng.standard_normal(1000)
+    pca = fit_pca(rng.standard_normal((40, 181)))
+    # 90 and 909 touch the first and the last sample; 89 and 910 need one more
+    peaks = np.array([10, 89, 90, 500, 909, 910, 990])
+    table = _assert_table_matches_loop(signal, 360.0, peaks, np.zeros(7), pca)
+    assert table.r_index.tolist() == [90, 500, 909]
+    # the first and last peaks go even though their windows fit
+    table = _assert_table_matches_loop(signal, 360.0, [200, 400, 600], [0, 1, 0], pca)
+    assert table.r_index.tolist() == [400]
+    table = _assert_table_matches_loop(signal, 360.0, [200, 300, 400, 500, 600],
+                                       [1, -1, 1, -1, 0], pca)
+    assert table.r_index.tolist() == [400]
+    assert table.labels.tolist() == [1]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_beat_table_few_peaks(n):
+    rng = np.random.default_rng(23)
+    signal = rng.standard_normal(1000)
+    pca = fit_pca(rng.standard_normal((40, 181)))
+    peaks = [200, 400, 600][:n]
+    table = _assert_table_matches_loop(signal, 360.0, peaks, [0] * n, pca)
+    assert len(table) == max(n - 2, 0)
+    assert len(table[:0]) == 0 and table[:0].windows.shape == (0, 181)
+
+
+def test_beat_table_duplicate_peaks_fail_like_per_beat_path():
+    rng = np.random.default_rng(24)
+    signal = rng.standard_normal(1000)
+    pca = fit_pca(rng.standard_normal((40, 181)))
+    table = beat_table(signal, 360.0, [200, 400, 400, 600], [0, 0, 0, 0])
+    assert table.r_index.tolist() == [400, 400]
+    with pytest.raises(ValueError) as per_beat:
+        build_feature_vector(pca, project(pca, table.windows[0]), *table.rr[0])
+    with pytest.raises(ValueError) as whole:
+        feature_matrix(pca, table)
+    assert str(whole.value) == str(per_beat.value)
+    assert "R-R intervals must be positive" in str(whole.value)
+
+
+def test_beat_table_slices_by_row():
+    rng = np.random.default_rng(25)
+    signal = rng.standard_normal(3000)
+    table = beat_table(signal, 360.0, np.arange(100, 3000, 200), np.arange(15) % 2)
+    head, tail = table[:6], table[6:]
+    for field in ("r_index", "windows", "rr", "labels"):
+        assert np.array_equal(np.concatenate([getattr(head, field), getattr(tail, field)]),
+                              getattr(table, field))
+    assert (len(head), len(tail)) == (6, len(table) - 6)
+
+
+def test_project_stack_equals_rows():
+    rng = np.random.default_rng(26)
+    pca = fit_pca(rng.standard_normal((60, 181)) * 50.0)
+    stack = rng.standard_normal((300, 181)) * 80.0
+    got = project(pca, stack)
+    assert got.shape == (300, 10)
+    assert got.tobytes() == np.stack([project(pca, w) for w in stack]).tobytes()
+    assert project(pca, stack[:0]).shape == (0, 10)
+    with pytest.raises(ValueError):
+        project(pca, stack.reshape(3, 100, 181))
+    with pytest.raises(ValueError):
+        project(pca, stack[:, :180])
+    with pytest.raises(ValueError):
+        project(pca, stack[0, :180])
 
 
 # ---------------------------------------------------------------------------
