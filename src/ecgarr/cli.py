@@ -35,6 +35,7 @@ from .experiment import (
     sweep_fraction_bits,
 )
 from .features import (
+    PCA_COMPONENTS,
     WINDOW_HALF_WIDTH,
     BeatFeatureRow,
     beat_table,
@@ -290,8 +291,10 @@ def cmd_detect(opts) -> int:
 
 def cmd_features(opts) -> int:
     _require(opts, "features", "records", "out_dir")
-    if opts["window"] < 3 or opts["window"] % 2 == 0:
-        raise UsageError("--window must be an odd sample count >= 3")
+    # PCA needs at least one sample per component in a window
+    if opts["window"] < PCA_COMPONENTS or opts["window"] % 2 == 0:
+        raise UsageError(f"--window must be an odd sample count >= {PCA_COMPONENTS}, "
+                         "the PCA component count")
     half_width = (opts["window"] - 1) // 2
 
     per_record = []
@@ -532,7 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peaks-from-annotations", action="store_const", const=True,
                    help="take beat positions from the annotation file")
     p.add_argument("--window", type=int,
-                   help="beat window length in samples, odd (default 181)")
+                   help=f"beat window length in samples, odd and >= {PCA_COMPONENTS} "
+                        "(default 181)")
     common_out(p)
 
     p = sub.add_parser("train", help="fit the beat classifier on a feature table")

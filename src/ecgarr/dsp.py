@@ -93,34 +93,34 @@ class DwtCoefficients:
         return self.details[level - 1]
 
 
-def _analysis_step(x, h, g):
+def _analysis_step(x, h, g, approx, detail):
     # symmetric extension by one filter length on each side, then
-    # correlate and keep even phases
+    # correlate and keep even phases; a branch not asked for is None
     m = h.size
     ext = np.pad(x, m, mode="symmetric")
-    a = np.convolve(ext, h[::-1], mode="valid")[::2]
-    d = np.convolve(ext, g[::-1], mode="valid")[::2]
+    a = np.convolve(ext, h[::-1], mode="valid")[::2] if approx else None
+    d = np.convolve(ext, g[::-1], mode="valid")[::2] if detail else None
     return a, d
 
 
 def _synthesis_step(a, d, h, g, n):
-    m = h.size
-    k = a.size
-    out = np.zeros(2 * k + m - 2)
+    # polyphase: output sample 2q + r (r = 0, 1) is sample m + 2q + r of
+    # the branch filter run over the zero-stuffed coefficients, which
+    # reads only the taps of parity r; so each branch is two half-length
+    # filters over its coefficients.  The dropped products are the zero
+    # ones, so every sum is the same, term for term and in order.  A
+    # muted branch is None, and so is the output when both are.
+    if a is None and d is None:
+        return None
+    out = np.zeros(n)
     for coeffs, filt in ((a, h), (d, g)):
-        up = np.zeros(2 * k - 1)
-        up[::2] = coeffs
-        out += np.convolve(up, filt, mode="full")
-    return out[m : m + n]
+        if coeffs is not None:
+            out[0::2] += np.convolve(coeffs, filt[0::2], mode="valid")[1 : (n + 3) // 2]
+            out[1::2] += np.convolve(coeffs, filt[1::2], mode="valid")[1 : n // 2 + 1]
+    return out
 
 
-def dwt_decompose(signal, wavelet: str = "db4", levels: int = 4) -> DwtCoefficients:
-    """Multi-level analysis filter bank.
-
-    The approximation branch is split repeatedly; detail series are
-    returned finest level first.  Requires len(signal) >= 2**levels.
-    """
-    x = np.asarray(signal, dtype=np.float64)
+def _check_signal(x, levels):
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d signal, got shape {x.shape}")
     if levels < 1:
@@ -130,15 +130,50 @@ def dwt_decompose(signal, wavelet: str = "db4", levels: int = 4) -> DwtCoefficie
             f"signal of {x.size} samples too short for {levels} levels "
             f"(needs at least {2**levels})"
         )
-    h, g = _filters(wavelet)
 
-    details = []
-    lengths = []
+
+def _kept_levels(keep_details, levels):
+    if keep_details is None:
+        return set(range(1, levels + 1))
+    kept = set(keep_details)
+    bad = kept - set(range(1, levels + 1))
+    if bad:
+        raise ValueError(f"no such detail levels: {sorted(bad)}")
+    return kept
+
+
+def _analyze(x, h, g, levels, kept, keep_approx):
+    """Analysis bank down to `levels`, computing an approximation only
+    where a deeper level or keep_approx reads it and only the details
+    in kept; each branch it skips is None."""
+    details, lengths = [], []
     a = x
-    for _ in range(levels):
+    for level in range(1, levels + 1):
         lengths.append(a.size)
-        a, d = _analysis_step(a, h, g)
+        a, d = _analysis_step(a, h, g, approx=level < levels or keep_approx,
+                              detail=level in kept)
         details.append(d)
+    return a, details, lengths
+
+
+def _synthesize(a, details, lengths, h, g):
+    """Inverse bank over branches of which any may be None (muted);
+    None when every branch is."""
+    for d, n in zip(reversed(details), reversed(lengths)):
+        a = _synthesis_step(a, d, h, g, n)
+    return a
+
+
+def dwt_decompose(signal, wavelet: str = "db4", levels: int = 4) -> DwtCoefficients:
+    """Multi-level analysis filter bank.
+
+    The approximation branch is split repeatedly; detail series are
+    returned finest level first.  Requires len(signal) >= 2**levels.
+    """
+    x = np.asarray(signal, dtype=np.float64)
+    _check_signal(x, levels)
+    h, g = _filters(wavelet)
+    a, details, lengths = _analyze(x, h, g, levels, range(1, levels + 1), True)
     return DwtCoefficients(
         wavelet=wavelet,
         levels=levels,
@@ -153,24 +188,16 @@ def dwt_reconstruct(coeffs: DwtCoefficients, keep_details=None, keep_approx: boo
 
     keep_details selects detail levels (1-based) to retain; None keeps
     all of them.  With everything kept this inverts dwt_decompose to
-    floating-point accuracy.
+    floating-point accuracy.  Muted branches are skipped, not filtered
+    as zeros; with everything muted the result is zeros.
     """
     h, g = _filters(coeffs.wavelet)
-    if keep_details is None:
-        kept = set(range(1, coeffs.levels + 1))
-    else:
-        kept = set(keep_details)
-        bad = kept - set(range(1, coeffs.levels + 1))
-        if bad:
-            raise ValueError(f"no such detail levels: {sorted(bad)}")
-
-    a = coeffs.approximation if keep_approx else np.zeros_like(coeffs.approximation)
-    for level in range(coeffs.levels, 0, -1):
-        d = coeffs.details[level - 1]
-        if level not in kept:
-            d = np.zeros_like(d)
-        a = _synthesis_step(a, d, h, g, coeffs.level_lengths[level - 1])
-    return a
+    kept = _kept_levels(keep_details, coeffs.levels)
+    details = [d if level in kept else None
+               for level, d in enumerate(coeffs.details, start=1)]
+    out = _synthesize(coeffs.approximation if keep_approx else None,
+                      details, coeffs.level_lengths, h, g)
+    return np.zeros(coeffs.level_lengths[0]) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +223,32 @@ class PeakTrain:
         return int(self.r_indices.size)
 
 
+def _band_energy(x, wavelet, levels, detail_levels, phase_average):
+    """Squared reconstruction from detail_levels alone, averaged over
+    every one-sample shift below 2**levels (only shift 0 without
+    phase_average).  Each shift rotates the record left, transforms it
+    and adds the square back in place; the rotation wraps fewer than
+    2**levels samples across the ends, harmless next to the ~2 s
+    threshold window."""
+    _check_signal(x, levels)
+    h, g = _filters(wavelet)
+    kept = _kept_levels(detail_levels, levels)
+    shifts = range(2**levels) if phase_average else range(1)
+    n = x.size
+    energy = np.zeros_like(x)
+    for s in shifts:
+        _, details, lengths = _analyze(np.roll(x, -s), h, g, max(kept, default=0),
+                                       kept, keep_approx=False)
+        band = _synthesize(None, details, lengths, h, g)
+        if band is None:  # no detail level kept
+            continue
+        band *= band
+        energy[s:] += band[: n - s]
+        energy[:s] += band[n - s :]
+    energy /= len(shifts)
+    return energy
+
+
 def detect_r_peaks(
     signal,
     fs: float,
@@ -217,12 +270,16 @@ def detect_r_peaks(
     complex yields can swing by an order of magnitude with its sample
     alignment, so by default the squared reconstruction is averaged
     over every decimation phase (all 2**levels one-sample shifts),
-    which makes the trigger feature alignment-independent.  That
-    energy, smoothed over a QRS-scale window, is compared against a
+    which makes the trigger feature alignment-independent.  Each shift
+    computes only the branches the band reads (the approximations down
+    to the deepest kept level, and the kept details) and rebuilds it
+    with polyphase synthesis, so no zero-stuffed or muted branch is
+    ever filtered.  That energy, smoothed over a QRS-scale window, is compared against a
     fraction of its own rolling maximum over a ~2 s window.  Each
     suprathreshold run contributes one trigger at the feature maximum,
     then moved to the raw-signal maximum within +-50 ms.  A 200 ms
-    refractory gap suppresses later duplicates.
+    refractory gap suppresses later duplicates.  A NaN or infinite
+    sample raises ValueError naming its index.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -230,16 +287,12 @@ def detect_r_peaks(
     if not fs > 0:
         raise ValueError(f"sampling frequency must be positive, got {fs}")
 
-    shifts = range(2**levels) if phase_average else range(1)
-    energy = np.zeros_like(x)
-    for shift in shifts:
-        # rolling wraps <=15 samples across the ends; harmless next to
-        # the ~2 s threshold window
-        rolled = np.roll(x, -shift)
-        coeffs = dwt_decompose(rolled, wavelet=wavelet, levels=levels)
-        band = dwt_reconstruct(coeffs, keep_details=detail_levels, keep_approx=False)
-        energy += np.roll(band * band, shift)
-    energy /= len(shifts)
+    finite = np.isfinite(x)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(f"signal sample {first} is not finite ({x[first]})")
+
+    energy = _band_energy(x, wavelet, levels, detail_levels, phase_average)
     smooth = max(1, int(round(integrate_ms / 1000.0 * fs)) | 1)
     feature = uniform_filter1d(energy, size=smooth, mode="nearest")
 

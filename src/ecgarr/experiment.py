@@ -203,12 +203,13 @@ def _classifier_activations(classifier):
 
 
 def _prepare_classifier_data(records):
-    """PCA and training set from each record's first half; test halves by id."""
-    train, test = [], {}
+    """PCA and training set from each record's first half; the second
+    halves are the test halves, in record order (names may repeat)."""
+    train, test = [], []
     for rec in records:
         half = len(rec.table) // 2
         train.append(rec.table[:half])
-        test[rec.record_id] = rec.table[half:]
+        test.append(rec.table[half:])
     if not sum(map(len, train)):
         raise ValueError("no trainable beats across the given records")
     pca = fit_pca(np.vstack([t.windows for t in train]))
@@ -236,8 +237,7 @@ def _run_classifier(records, config):
     per_record = []
     verdicts = []
     pooled = ConfusionCounts()
-    for rec in records:
-        table = test[rec.record_id]
+    for rec, table in zip(records, test):
         if not len(table):
             raise ValueError(f"record {rec.record_id}: empty test half")
         y_pred = predict_batch(eval_model, feature_matrix(pca, table))
@@ -366,7 +366,7 @@ def sweep_fraction_bits(config: PipelineConfig,
                       hidden_activation="platanh", output_activation="ntanh_pla")
     model, _ = train(arch, x_train, y_train,
                      max_epochs=config.max_epochs, seed=config.seed)
-    x_test = np.vstack([feature_matrix(pca, table) for table in test.values()])
+    x_test = np.vstack([feature_matrix(pca, table) for table in test])
     reference = predict_batch(model, x_test)
     points = []
     for f in fraction_bits_values:

@@ -23,6 +23,7 @@ __all__ = [
     "EdgeBeatError",
     "FeatureVector",
     "PCAModel",
+    "PCA_COMPONENTS",
     "RankDeficiencyWarning",
     "WINDOW_HALF_WIDTH",
     "beat_table",
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 WINDOW_HALF_WIDTH = 90  # 90 + peak + 90 = 181 samples
+PCA_COMPONENTS = 10  # PCA scores per beat, ahead of its 2 R-R intervals
 
 
 class EdgeBeatError(ValueError):
@@ -134,7 +136,7 @@ def _as_matrix(windows) -> np.ndarray:
     return np.stack(rows).astype(np.float64)
 
 
-def fit_pca(windows, k: int = 10) -> PCAModel:
+def fit_pca(windows, k: int = PCA_COMPONENTS) -> PCAModel:
     """Top-k eigendecomposition of the sample covariance of the windows.
 
     Components come out ordered by descending eigenvalue with a
@@ -242,8 +244,9 @@ def feature_matrix(model: PCAModel, table: BeatTable) -> np.ndarray:
 
 def _scaled(model: PCAModel, projections: np.ndarray, rr: np.ndarray) -> np.ndarray:
     """Scaled projections next to halved R-R intervals, along the last axis."""
-    if projections.shape[-1:] != (10,) or projections.ndim != rr.ndim:
-        raise ValueError(f"projection must have 10 values, got shape {projections.shape}")
+    if projections.shape[-1:] != (PCA_COMPONENTS,) or projections.ndim != rr.ndim:
+        raise ValueError(f"projection must have {PCA_COMPONENTS} values, "
+                         f"got shape {projections.shape}")
     bad = ~(rr > 0).all(axis=-1)
     if bad.any():
         rr_prev, rr_next = rr[bad][0] if rr.ndim == 2 else rr

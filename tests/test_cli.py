@@ -164,16 +164,22 @@ BAD_FORMATS = [["--total-bits", "0"], ["--total-bits", "1"],
 
 @pytest.mark.parametrize("flags", [["infer", *f] for f in BAD_FORMATS]
                          + [["evaluate", "--classifier", c, *f]
-                            for c in ("fixed", "pla") for f in BAD_FORMATS])
+                            for c in ("fixed", "pla") for f in BAD_FORMATS]
+                         # shorter than the 10 PCA components
+                         + [["features", "--window", str(w)] for w in (3, 5, 7, 9)])
 def test_infer_rejects_bad_format(tmp_path, capsys, flags):
-    # the format is checked before any input file is read
+    # a bad format or window is checked before any input file is read
     missing = str(tmp_path / "missing.txt")
     out = str(tmp_path / "bad")
     inputs = {"infer": ["--features", missing, "--model", missing],
-              "evaluate": ["--record", missing, "--seed", "0"]}[flags[0]]
+              "evaluate": ["--record", missing, "--seed", "0"],
+              "features": ["--record", missing, "--peaks-from-annotations"]}[flags[0]]
     assert main([*flags, *inputs, "--out-dir", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --total-bits ") and "--fraction-bits" in err
+    if flags[0] == "features":
+        assert err.startswith("error: --window ") and "PCA" in err
+    else:
+        assert err.startswith("error: --total-bits ") and "--fraction-bits" in err
     assert not os.path.exists(out)
 
 

@@ -1,8 +1,15 @@
 """Filter-bank and peak-detector tests with independent oracles."""
 
+import importlib.util
+import itertools
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dwt_oracle
+from ecgarr import dsp
 from ecgarr.dsp import (
     _WAVELETS,
     PeakTrain,
@@ -13,6 +20,8 @@ from ecgarr.dsp import (
     dwt_reconstruct,
     extract_rr,
 )
+from ecgarr.wfdb_io import ingest_record
+from wfdb_fixtures import classifier_record, dropout_record
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +135,108 @@ def test_decompose_input_validation():
 
 
 # ---------------------------------------------------------------------------
+# zero-stuffed reference (tests/dwt_oracle.py)
+
+
+@pytest.mark.parametrize("wavelet", sorted(_WAVELETS))
+def test_reconstruct_matches_zero_stuffed_oracle(wavelet):
+    # every subset of kept details x kept approximation, byte for byte
+    taps = _WAVELETS[wavelet]
+    rng = np.random.default_rng(17)
+    for levels in (1, 2, 3, 4):
+        for n in (2**levels, 2**levels + 1, 100, 101):
+            x = rng.standard_normal(n) * 100.0
+            coeffs = dwt_decompose(x, wavelet=wavelet, levels=levels)
+            approx, details, lengths = dwt_oracle.decompose(x, taps, levels)
+            assert coeffs.approximation.tobytes() == approx.tobytes()
+            assert [d.tobytes() for d in coeffs.details] == [d.tobytes() for d in details]
+            for size in range(levels + 1):
+                for kept in itertools.combinations(range(1, levels + 1), size):
+                    for keep_approx in (False, True):
+                        got = dwt_reconstruct(coeffs, keep_details=kept,
+                                              keep_approx=keep_approx)
+                        want = dwt_oracle.reconstruct(approx, details, lengths, taps,
+                                                      kept, keep_approx)
+                        assert got.shape == want.shape == (n,)
+                        assert got.tobytes() == want.tobytes(), (levels, n, kept, keep_approx)
+
+
+def test_reconstruct_everything_muted_gives_zeros():
+    for n in (16, 17, 300):
+        coeffs = dwt_decompose(np.arange(n, dtype=np.float64), levels=4)
+        out = dwt_reconstruct(coeffs, keep_details=(), keep_approx=False)
+        assert out.tobytes() == np.zeros(n).tobytes()
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_detail_levels_outside_range_raise(levels):
+    coeffs = dwt_decompose(np.zeros(64), levels=levels)
+    for bad in ((0,), (levels + 1,), (1, levels + 1)):
+        with pytest.raises(ValueError, match="no such detail levels"):
+            dwt_reconstruct(coeffs, keep_details=bad)
+        with pytest.raises(ValueError, match="no such detail levels"):
+            detect_r_peaks(np.zeros(64), fs=360.0, levels=levels, detail_levels=bad)
+
+
+def _oracle_energy(x, wavelet, levels, detail_levels, phase_average):
+    return dwt_oracle.band_energy(x, _WAVELETS[wavelet], levels, detail_levels,
+                                  phase_average)
+
+
+def _assert_detector_matches_oracle(x, fs, monkeypatch):
+    """Band energy byte for byte, and the peak list of the detector run on
+    the oracle's energy, with and without phase averaging; returns the
+    phase-averaged peak count."""
+    x = np.asarray(x, dtype=np.float64)
+    counts = []
+    for phase_average in (True, False):
+        got = dsp._band_energy(x, "db4", 4, (3, 4), phase_average)
+        want = _oracle_energy(x, "db4", 4, (3, 4), phase_average)
+        assert got.tobytes() == want.tobytes(), phase_average
+        peaks = detect_r_peaks(x, fs, phase_average=phase_average).r_indices
+        with monkeypatch.context() as patched:
+            patched.setattr(dsp, "_band_energy", _oracle_energy)
+            reference = detect_r_peaks(x, fs, phase_average=phase_average).r_indices
+        assert peaks.tolist() == reference.tolist(), phase_average
+        counts.append(peaks.size)
+    return counts[0]
+
+
+@pytest.mark.parametrize("make", [classifier_record, dropout_record])
+def test_detector_matches_oracle_on_fixture_records(make, tmp_path, monkeypatch):
+    record = ingest_record(make(tmp_path, "rec"))
+    assert _assert_detector_matches_oracle(
+        record.samples[0], record.header.sampling_frequency, monkeypatch) >= 38
+
+
+def test_detector_matches_oracle_on_triangle_train(monkeypatch):
+    x, truth = _triangle_train(4000, 345, 200)
+    assert _assert_detector_matches_oracle(x, 500.0, monkeypatch) == len(truth)
+
+
+def test_detector_matches_oracle_where_the_wrap_dominates(monkeypatch):
+    # at 16-40 samples the one-sample shifts wrap across most of the record
+    rng = np.random.default_rng(3)
+    for n in range(16, 41):
+        x = rng.standard_normal(n) * 50.0
+        x[n // 2] += 1000.0
+        _assert_detector_matches_oracle(x, 360.0, monkeypatch)
+
+
+def test_detector_matches_oracle_on_benchmark_record(monkeypatch):
+    # five minutes of the benchmark's synthetic record, loaded by path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "records.py"
+    spec = importlib.util.spec_from_file_location("perfbench_records", path)
+    records = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, records)  # its dataclasses look it up
+    spec.loader.exec_module(records)
+    samples, _, _ = records.synthesize(1, 0)
+    peaks = _assert_detector_matches_oracle(samples[0, : 5 * 60 * records.FS],
+                                            records.FS, monkeypatch)
+    assert peaks > 300  # about 365 beats in five minutes
+
+
+# ---------------------------------------------------------------------------
 # peak detection
 
 
@@ -187,6 +298,16 @@ def test_detector_input_validation():
         detect_r_peaks(np.zeros(0), fs=360.0)
     with pytest.raises(ValueError):
         detect_r_peaks(np.zeros(100), fs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_detector_rejects_non_finite_samples(bad):
+    x, truth = _triangle_train(4000, 345, 200)
+    assert len(detect_r_peaks(x, fs=500.0)) == len(truth)
+    x[1234] = bad
+    x[3000] = bad
+    with pytest.raises(ValueError, match=r"signal sample 1234 is not finite"):
+        detect_r_peaks(x, fs=500.0)
 
 
 def test_peak_train_invariants():

@@ -109,6 +109,26 @@ def test_fixed_mode_reports_format(records):
     assert "config.fraction_bits 12" in text
 
 
+def test_same_named_records_are_each_scored(tmp_path):
+    # two records called "rec" in different directories: each test half
+    # is scored once, in record order
+    (tmp_path / "one").mkdir()
+    (tmp_path / "two").mkdir()
+    first = classifier_record(tmp_path / "one", "rec", n_beats=40, seed=0)
+    second = classifier_record(tmp_path / "two", "rec", n_beats=62, seed=1)
+
+    def config(*paths):
+        return PipelineConfig(record_paths=paths, classifier="pla",
+                              detector="ann", max_epochs=20, seed=3)
+
+    alone = [run_experiment(config(p)).pooled.counts.total for p in (first, second)]
+    both = run_experiment(config(first, second))
+    assert [rr.report.counts.total for rr in both.per_record] == alone
+    assert both.pooled.counts.total == sum(alone)
+    assert len(both.verdicts) == sum(alone)
+    assert {p.total for p in sweep_fraction_bits(config(first, second), (12,))} == {sum(alone)}
+
+
 # ---------------------------------------------------------------------------
 # rhythm-monitor path
 
