@@ -8,27 +8,36 @@ monitor, and evaluate / sweep-fraction-bits orchestrate whole
 experiments.  Every command writes a manifest.json describing the
 effective options plus content hashes of what it read and wrote, so a
 run can be reproduced exactly.  A config file (INI, one section per
-command) supplies defaults; command-line flags win.
+command) supplies defaults; command-line flags win.  Each option is one
+row of ``_OPTIONS`` (flag, config key, type, default, valid range and
+help), and every value is checked against its row before any file is
+read.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from .activation import platanh, tanh_exact
 from .dsp import PeakTrain, detect_r_peaks
 from .experiment import (
+    CLASSIFIER_MODES,
+    DETECTOR_MODES,
+    SWEEP_FRACTION_BITS,
     PipelineConfig,
     annotated_beats,
+    classifier_activations,
     label_peaks,
+    record_signal,
     render_experiment,
     render_sweep,
     run_experiment,
@@ -58,69 +67,105 @@ class UsageError(Exception):
 
 
 # PipelineConfig's field defaults, which the experiment commands share
-_PIPELINE = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+_PIPELINE = {f.name: f.default for f in fields(PipelineConfig)}
 
-# effective-option defaults per command; None means "must be provided"
-DEFAULTS = {
-    "ingest": {"record": None, "channel": 0, "out_dir": None},
-    "detect": {"record": None, "channel": 0, "out_dir": None},
-    "features": {
-        "records": [], "channel": 0, "peaks": None, "out_dir": None,
-        "peaks_from_annotations": False, "window": 2 * WINDOW_HALF_WIDTH + 1,
-    },
-    "train": {
-        "features": None, "seed": None, "hidden": _PIPELINE["hidden_units"],
-        "max_epochs": _PIPELINE["max_epochs"], "activation": "pla", "out_dir": None,
-    },
-    "infer": {
-        "features": None, "model": None, "total_bits": None,
-        "fraction_bits": None, "out_dir": None,
-    },
-    "selflearn": {
-        "record": None, "channel": 0, "peaks": None, "peaks_from_annotations": False,
-        "tolerance": _PIPELINE["tolerance_fraction"], "out_dir": None,
-    },
-    "evaluate": {
-        "records": [], "channel": 0, "classifier": "pla", "detector": "ann", "seed": None,
-        "max_epochs": _PIPELINE["max_epochs"], "hidden": _PIPELINE["hidden_units"],
-        "total_bits": _PIPELINE["total_bits"], "fraction_bits": _PIPELINE["fraction_bits"],
-        "tolerance": _PIPELINE["tolerance_fraction"], "out_dir": None,
-    },
-    "sweep-fraction-bits": {
-        "records": [], "channel": 0, "detector": "ann", "seed": None, "out_dir": None,
-        "max_epochs": _PIPELINE["max_epochs"], "hidden": _PIPELINE["hidden_units"],
-        "total_bits": _PIPELINE["total_bits"], "fraction_bits_min": 6, "fraction_bits_max": 14,
-    },
-    "activation-error": {"grid_step": 1e-4, "out_dir": None},
+
+@dataclass(frozen=True)
+class _Option:
+    """One row of the option table: a flag, and the config key of the
+    same name, with its type, default, valid values and help."""
+
+    flag: str
+    help: str
+    type: type = str  # bool is a switch, list a repeatable flag
+    default: object = None  # None: the command requires it or goes without
+    field: str | None = None  # the PipelineConfig field it sets and defaults from
+    choices: tuple = ()
+    valid: Callable | None = None
+    rule: str = ""  # what valid accepts, for the help and the error
+    metavar: str | None = None
+
+    def __post_init__(self):
+        if self.field is not None:
+            object.__setattr__(self, "default", _PIPELINE[self.field])
+
+    def add_to(self, parser, key: str) -> None:
+        if self.type is bool:
+            kind = {"action": "store_const", "const": True}
+        elif self.type is list:
+            kind = {"action": "append", "metavar": self.metavar}
+        else:
+            kind = {"type": self.type, "choices": self.choices or None,
+                    "metavar": self.metavar}
+        text = ", ".join(filter(None, (self.help, self.rule)))
+        if self.default is not None and self.type is not bool:
+            text += f" (default {self.default})"
+        parser.add_argument(self.flag, dest=key, help=text, **kind)
+
+    def parse(self, key: str, raw: str):
+        """A config file's text for this option as a value."""
+        try:
+            if self.type is bool:
+                return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+            return raw.split() if self.type is list else self.type(raw)
+        except (KeyError, ValueError):
+            raise UsageError(f"config value {key} = {raw!r} is malformed") from None
+
+    def check(self, value, name: str) -> None:
+        if self.choices and value not in self.choices:
+            raise UsageError(f"{name}: must be one of {', '.join(self.choices)}")
+        if self.valid is not None and not self.valid(value):
+            raise UsageError(f"{name}: must be {self.rule}")
+
+
+def _at_least(n: int) -> dict:
+    return {"valid": lambda v: v >= n, "rule": f">= {n}"}
+
+
+_OPTIONS = {
+    "record": _Option("--record", "record header path", metavar="HEADER"),
+    "records": _Option("--record", "record header path (repeatable)", list,
+                       metavar="HEADER"),
+    "channel": _Option("--channel", "signal channel", int, field="channel",
+                       **_at_least(0)),
+    "peaks": _Option("--peaks", "peak list from detect", metavar="FILE"),
+    "peaks_from_annotations": _Option(
+        "--peaks-from-annotations", "take beat positions from the annotation file",
+        bool, False),
+    # PCA needs at least one sample per component in a window
+    "window": _Option("--window", "beat window length in samples", int,
+                      2 * WINDOW_HALF_WIDTH + 1,
+                      valid=lambda v: v % 2 == 1 and v >= PCA_COMPONENTS,
+                      rule=f"odd and >= {PCA_COMPONENTS}, the PCA component count"),
+    "features": _Option("--features", "table from features", metavar="FILE"),
+    "model": _Option("--model", "model from train", metavar="FILE"),
+    "seed": _Option("--seed", "training seed, required to train a net", int,
+                    **_at_least(0)),
+    "hidden": _Option("--hidden", "hidden units", int, field="hidden_units",
+                      **_at_least(1)),
+    "max_epochs": _Option("--max-epochs", "epoch cap", int, field="max_epochs",
+                          **_at_least(1)),
+    "activation": _Option("--activation", "piecewise-linear or exact tanh pair",
+                          default="pla", choices=("pla", "exact")),
+    "classifier": _Option("--classifier", "evaluation mode", field="classifier",
+                          choices=CLASSIFIER_MODES),
+    "detector": _Option("--detector", "beat source", field="detector",
+                        choices=DETECTOR_MODES),
+    "total_bits": _Option("--total-bits", "fixed-point word size", int,
+                          field="total_bits"),
+    "fraction_bits": _Option("--fraction-bits", "fixed-point fraction bits", int,
+                             field="fraction_bits"),
+    "fraction_bits_min": _Option("--fraction-bits-min", "sweep start", int,
+                                 SWEEP_FRACTION_BITS[0]),
+    "fraction_bits_max": _Option("--fraction-bits-max", "sweep end, inclusive", int,
+                                 SWEEP_FRACTION_BITS[-1]),
+    "tolerance": _Option("--tolerance", "relative rhythm tolerance", float,
+                         field="tolerance_fraction",
+                         valid=lambda v: 0 < v < 1, rule="in (0, 1)"),
+    "grid_step": _Option("--grid-step", "grid spacing", float, 1e-4,
+                         valid=lambda v: 0 < v <= 1, rule="in (0, 1]"),
+    "out_dir": _Option("--out-dir", "directory for artifacts + manifest"),
 }
-
-_BOOL_KEYS = {"peaks_from_annotations"}
-_INT_KEYS = {
-    "channel", "window", "seed", "hidden", "max_epochs",
-    "total_bits", "fraction_bits", "fraction_bits_min", "fraction_bits_max",
-}
-_FLOAT_KEYS = {"tolerance", "grid_step"}
-_LIST_KEYS = {"records"}
-
-
-def _convert_config_value(key: str, raw: str):
-    try:
-        if key in _BOOL_KEYS:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _LIST_KEYS:
-            return raw.split()
-    except ValueError:
-        raise UsageError(f"config value {key} = {raw!r} is malformed") from None
-    return raw
 
 
 def _load_config_section(path: str, command: str) -> dict:
@@ -134,41 +179,42 @@ def _load_config_section(path: str, command: str) -> dict:
         raise UsageError(f"malformed config {path}: {exc}") from None
     if command not in parser:
         return {}
-    known = DEFAULTS[command]
     out = {}
     for key, raw in parser[command].items():
         key = key.replace("-", "_")
-        if key not in known:
+        if key not in _COMMANDS[command].options:
             raise UsageError(f"config key {key!r} is not a {command} option")
-        out[key] = _convert_config_value(key, raw)
+        out[key] = _OPTIONS[key].parse(key, raw)
     return out
 
 
 def _effective_options(args: argparse.Namespace, command: str) -> dict:
-    """Layer CLI flags over config-file values over built-in defaults."""
+    """Layer CLI flags over config-file values over the table's defaults,
+    and check each given value before any input file is read."""
+    spec = _COMMANDS[command]
     file_values = {}
     if args.config is not None:
         file_values = _load_config_section(args.config, command)
     out = {}
-    for key, default in DEFAULTS[command].items():
-        cli_value = getattr(args, key, None)
-        if key in _LIST_KEYS and cli_value == []:
-            cli_value = None  # append-action default, not an explicit choice
-        if cli_value is not None:
-            out[key] = cli_value
+    for key in spec.options:
+        option, value = _OPTIONS[key], getattr(args, key)
+        if value is not None:
+            option.check(value, f"{option.flag} {value}")
         elif key in file_values:
-            out[key] = file_values[key]
-        else:
-            out[key] = default
+            value = file_values[key]
+            option.check(value, f"config value {key} = {value}")
+        elif key not in spec.unset:
+            value = option.default
+        out[key] = value
+    if out.get("peaks") and out.get("peaks_from_annotations"):
+        raise UsageError("--peaks and --peaks-from-annotations are exclusive")
     return out
 
 
 def _require(opts: dict, command: str, *keys: str) -> None:
     for key in keys:
-        value = opts[key]
-        if value is None or (key in _LIST_KEYS and not value):
-            flag = "--" + key.replace("_", "-").rstrip("s" if key in _LIST_KEYS else "")
-            raise UsageError(f"{command} needs {flag} (flag or config)")
+        if opts[key] in (None, []):
+            raise UsageError(f"{command} needs {_OPTIONS[key].flag} (flag or config)")
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +266,6 @@ def _ensure_out_dir(opts: dict) -> str:
 
 def _beat_positions(record, signal, opts) -> np.ndarray:
     """Peak train from a detect artifact, the annotations, or the detector."""
-    if opts.get("peaks") and opts.get("peaks_from_annotations"):
-        raise UsageError("--peaks and --peaks-from-annotations are exclusive")
     if opts.get("peaks"):
         idx = np.loadtxt(opts["peaks"], dtype=np.int64, ndmin=1)
         return PeakTrain(idx, record.header.sampling_frequency).r_indices
@@ -229,13 +273,6 @@ def _beat_positions(record, signal, opts) -> np.ndarray:
         return annotated_beats(record)[0]
     peaks = detect_r_peaks(signal, record.header.sampling_frequency)
     return peaks.r_indices
-
-
-def _load_signal(record, channel: int) -> np.ndarray:
-    if channel >= record.header.n_signals:
-        raise ValueError(
-            f"channel {channel} out of range ({record.header.n_signals} signals)")
-    return record.samples[channel].astype(np.float64)
 
 
 def _qformat(total_bits: int, fraction_bits: int,
@@ -254,7 +291,7 @@ def _qformat(total_bits: int, fraction_bits: int,
 def cmd_ingest(opts) -> int:
     _require(opts, "ingest", "record", "out_dir")
     record = ingest_record(opts["record"])
-    signal = _load_signal(record, opts["channel"])
+    signal = record_signal(record, opts["channel"])
     out_dir = _ensure_out_dir(opts)
     name = record.header.record_name
     signal_path = os.path.join(out_dir, f"{name}-signal.txt")
@@ -275,7 +312,7 @@ def cmd_ingest(opts) -> int:
 def cmd_detect(opts) -> int:
     _require(opts, "detect", "record", "out_dir")
     record = ingest_record(opts["record"])
-    signal = _load_signal(record, opts["channel"])
+    signal = record_signal(record, opts["channel"])
     peaks = detect_r_peaks(signal, record.header.sampling_frequency)
     out_dir = _ensure_out_dir(opts)
     name = record.header.record_name
@@ -291,17 +328,13 @@ def cmd_detect(opts) -> int:
 
 def cmd_features(opts) -> int:
     _require(opts, "features", "records", "out_dir")
-    # PCA needs at least one sample per component in a window
-    if opts["window"] < PCA_COMPONENTS or opts["window"] % 2 == 0:
-        raise UsageError(f"--window must be an odd sample count >= {PCA_COMPONENTS}, "
-                         "the PCA component count")
     half_width = (opts["window"] - 1) // 2
 
     per_record = []
     inputs = []
     for header in opts["records"]:
         record = ingest_record(header)
-        signal = _load_signal(record, opts["channel"])
+        signal = record_signal(record, opts["channel"])
         fs = record.header.sampling_frequency
         peaks = _beat_positions(record, signal, opts)
         labels = label_peaks(peaks, *annotated_beats(record), fs,
@@ -334,13 +367,10 @@ def cmd_features(opts) -> int:
 
 def cmd_train(opts) -> int:
     _require(opts, "train", "features", "seed", "out_dir")
-    if opts["activation"] not in ("pla", "exact"):
-        raise UsageError("--activation must be pla or exact")
     rows = load_features(opts["features"])
     x = np.stack([r.features for r in rows])
     y = np.array([int(r.label) for r in rows])
-    hidden, output = (("platanh", "ntanh_pla") if opts["activation"] == "pla"
-                      else ("tanh", "ntanh"))
+    hidden, output = classifier_activations(opts["activation"])
     arch = init_model(seed=opts["seed"], layer_sizes=(12, opts["hidden"], 2),
                       hidden_activation=hidden, output_activation=output)
     model, report = train(arch, x, y, max_epochs=opts["max_epochs"],
@@ -364,10 +394,8 @@ def cmd_infer(opts) -> int:
     _require(opts, "infer", "features", "model", "out_dir")
     fmt = None
     if opts["total_bits"] is not None or opts["fraction_bits"] is not None:
-        fmt = _qformat(
-            _PIPELINE["total_bits"] if opts["total_bits"] is None else opts["total_bits"],
-            _PIPELINE["fraction_bits"] if opts["fraction_bits"] is None
-            else opts["fraction_bits"])
+        fmt = _qformat(*(_OPTIONS[k].default if opts[k] is None else opts[k]
+                         for k in ("total_bits", "fraction_bits")))
     rows = load_features(opts["features"])
     model = load_model(opts["model"])
     if fmt is not None:
@@ -391,7 +419,7 @@ def cmd_infer(opts) -> int:
 def cmd_selflearn(opts) -> int:
     _require(opts, "selflearn", "record", "out_dir")
     record = ingest_record(opts["record"])
-    signal = _load_signal(record, opts["channel"])
+    signal = record_signal(record, opts["channel"])
     peaks = _beat_positions(record, signal, opts)
     events, state = run_self_learner(peaks, tolerance_fraction=opts["tolerance"])
 
@@ -407,20 +435,12 @@ def cmd_selflearn(opts) -> int:
     return 0
 
 
-# option name -> PipelineConfig field
-_CONFIG_FIELDS = {
-    "channel": "channel", "total_bits": "total_bits", "fraction_bits": "fraction_bits",
-    "tolerance": "tolerance_fraction", "max_epochs": "max_epochs", "hidden": "hidden_units",
-}
-
-
-def _pipeline_config(opts, classifier: str, detector: str) -> PipelineConfig:
+def _pipeline_config(opts) -> PipelineConfig:
     return PipelineConfig(
         record_paths=tuple(opts["records"]),
-        detector=detector,
-        classifier=classifier,
         seed=opts["seed"] if opts["seed"] is not None else 0,
-        **{field: opts[key] for key, field in _CONFIG_FIELDS.items() if key in opts},
+        **{option.field: opts[key] for key, option in _OPTIONS.items()
+           if option.field is not None and key in opts},
     )
 
 
@@ -429,8 +449,7 @@ def cmd_evaluate(opts) -> int:
     if opts["classifier"] != "self-learner":
         _require(opts, "evaluate", "seed")
     _qformat(opts["total_bits"], opts["fraction_bits"])
-    result = run_experiment(_pipeline_config(opts, opts["classifier"],
-                                             opts["detector"]))
+    result = run_experiment(_pipeline_config(opts))
     text = render_experiment(result)
 
     out_dir = _ensure_out_dir(opts)
@@ -449,8 +468,7 @@ def cmd_sweep(opts) -> int:
     _qformat(opts["total_bits"], hi, "--fraction-bits-max")
     if not 0 < lo <= hi < opts["total_bits"]:
         raise UsageError("need 0 < fraction-bits-min <= fraction-bits-max < total-bits")
-    config = _pipeline_config(opts, "pla", opts["detector"])
-    points = sweep_fraction_bits(config, tuple(range(lo, hi + 1)))
+    points = sweep_fraction_bits(_pipeline_config(opts), tuple(range(lo, hi + 1)))
     text = render_sweep(points)
 
     out_dir = _ensure_out_dir(opts)
@@ -464,10 +482,7 @@ def cmd_sweep(opts) -> int:
 
 
 def cmd_activation_error(opts) -> int:
-    step = opts["grid_step"]
-    if not 0 < step <= 1:
-        raise UsageError("--grid-step must be in (0, 1]")
-    n = int(round(12.0 / step)) + 1
+    n = int(round(12.0 / opts["grid_step"])) + 1
     grid = np.linspace(-6.0, 6.0, n)
     err = np.abs(platanh(grid) - tanh_exact(grid))
     worst = int(np.argmax(err))
@@ -482,16 +497,43 @@ def cmd_activation_error(opts) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _Command:
+    run: Callable
+    help: str
+    options: tuple  # _OPTIONS keys, in --help order
+    unset: tuple = ()  # options left None unless given
+
+
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "detect": cmd_detect,
-    "features": cmd_features,
-    "train": cmd_train,
-    "infer": cmd_infer,
-    "selflearn": cmd_selflearn,
-    "evaluate": cmd_evaluate,
-    "sweep-fraction-bits": cmd_sweep,
-    "activation-error": cmd_activation_error,
+    "ingest": _Command(cmd_ingest, "dump a record's samples and annotations",
+                       ("record", "channel", "out_dir")),
+    "detect": _Command(cmd_detect, "write detected R-peak indices",
+                       ("record", "channel", "out_dir")),
+    "features": _Command(cmd_features, "build PCA model + beat feature table",
+                         ("records", "channel", "peaks", "peaks_from_annotations",
+                          "window", "out_dir")),
+    "train": _Command(cmd_train, "fit the beat classifier on a feature table",
+                      ("features", "seed", "hidden", "max_epochs", "activation",
+                       "out_dir")),
+    "infer": _Command(cmd_infer, "classify a feature table with a saved model, "
+                                 "quantized first if a format flag is given",
+                      ("features", "model", "total_bits", "fraction_bits", "out_dir"),
+                      unset=("total_bits", "fraction_bits")),
+    "selflearn": _Command(cmd_selflearn, "run the unsupervised rhythm monitor",
+                          ("record", "channel", "tolerance", "peaks",
+                           "peaks_from_annotations", "out_dir")),
+    "evaluate": _Command(cmd_evaluate, "train + score a whole experiment",
+                         ("records", "channel", "classifier", "detector", "seed",
+                          "max_epochs", "hidden", "total_bits", "fraction_bits",
+                          "tolerance", "out_dir")),
+    "sweep-fraction-bits": _Command(
+        cmd_sweep, "prediction drift of quantized vs real classifier",
+        ("records", "channel", "detector", "seed", "max_epochs", "hidden",
+         "total_bits", "fraction_bits_min", "fraction_bits_max", "out_dir")),
+    "activation-error": _Command(
+        cmd_activation_error, "largest gap between the PL approximation and tanh",
+        ("grid_step", "out_dir")),
 }
 
 
@@ -508,101 +550,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI file with one section per command; "
                                          "flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def record_flag(p, plural=False):
-        if plural:
-            p.add_argument("--record", dest="records", action="append",
-                           default=[], metavar="HEADER",
-                           help="record header path (repeatable)")
-        else:
-            p.add_argument("--record", metavar="HEADER", help="record header path")
-
-    def common_out(p):
-        p.add_argument("--out-dir", help="directory for artifacts + manifest")
-
-    def channel_flag(p):
-        p.add_argument("--channel", type=int, help="signal channel (default 0)")
-
-    p = sub.add_parser("ingest", help="dump a record's samples and annotations")
-    record_flag(p); channel_flag(p); common_out(p)
-
-    p = sub.add_parser("detect", help="write detected R-peak indices")
-    record_flag(p); channel_flag(p); common_out(p)
-
-    p = sub.add_parser("features", help="build PCA model + beat feature table")
-    record_flag(p, plural=True); channel_flag(p)
-    p.add_argument("--peaks", metavar="FILE", help="peak list from detect")
-    p.add_argument("--peaks-from-annotations", action="store_const", const=True,
-                   help="take beat positions from the annotation file")
-    p.add_argument("--window", type=int,
-                   help=f"beat window length in samples, odd and >= {PCA_COMPONENTS} "
-                        "(default 181)")
-    common_out(p)
-
-    p = sub.add_parser("train", help="fit the beat classifier on a feature table")
-    p.add_argument("--features", metavar="FILE", help="table from features")
-    p.add_argument("--seed", type=int, help="training seed (required)")
-    p.add_argument("--hidden", type=int, help="hidden units (default 6)")
-    p.add_argument("--max-epochs", type=int, help="epoch cap (default 1000)")
-    p.add_argument("--activation", choices=("pla", "exact"),
-                   help="piecewise-linear or exact tanh pair (default pla)")
-    common_out(p)
-
-    p = sub.add_parser("infer", help="classify a feature table with a saved model")
-    p.add_argument("--features", metavar="FILE", help="table from features")
-    p.add_argument("--model", metavar="FILE", help="model from train")
-    p.add_argument("--total-bits", type=int,
-                   help="quantize to this word size first (default 24)")
-    p.add_argument("--fraction-bits", type=int,
-                   help="quantize to this many fraction bits first (default 12)")
-    common_out(p)
-
-    p = sub.add_parser("selflearn", help="run the unsupervised rhythm monitor")
-    record_flag(p); channel_flag(p)
-    p.add_argument("--tolerance", type=float,
-                   help="relative rhythm tolerance (default 0.15)")
-    p.add_argument("--peaks", metavar="FILE", help="peak list from detect")
-    p.add_argument("--peaks-from-annotations", action="store_const", const=True,
-                   help="take beat positions from the annotation file")
-    common_out(p)
-
-    p = sub.add_parser("evaluate", help="train + score a whole experiment")
-    record_flag(p, plural=True); channel_flag(p)
-    p.add_argument("--classifier", choices=("pla", "exact", "fixed", "self-learner"),
-                   help="evaluation mode (default pla)")
-    p.add_argument("--detector", choices=("ann", "uni-dwt"),
-                   help="beat source (default ann)")
-    p.add_argument("--seed", type=int, help="training seed (required unless "
-                                            "classifier is self-learner)")
-    p.add_argument("--max-epochs", type=int, help="epoch cap (default 1000)")
-    p.add_argument("--hidden", type=int, help="hidden units (default 6)")
-    p.add_argument("--total-bits", type=int, help="fixed word size (default 24)")
-    p.add_argument("--fraction-bits", type=int,
-                   help="fixed fraction bits (default 12)")
-    p.add_argument("--tolerance", type=float,
-                   help="self-learner tolerance (default 0.15)")
-    common_out(p)
-
-    p = sub.add_parser("sweep-fraction-bits",
-                       help="prediction drift of quantized vs real classifier")
-    record_flag(p, plural=True); channel_flag(p)
-    p.add_argument("--detector", choices=("ann", "uni-dwt"),
-                   help="beat source (default ann)")
-    p.add_argument("--seed", type=int, help="training seed (required)")
-    p.add_argument("--max-epochs", type=int, help="epoch cap (default 1000)")
-    p.add_argument("--hidden", type=int, help="hidden units (default 6)")
-    p.add_argument("--total-bits", type=int, help="fixed word size (default 24)")
-    p.add_argument("--fraction-bits-min", type=int,
-                   help="sweep start (default 6)")
-    p.add_argument("--fraction-bits-max", type=int,
-                   help="sweep end, inclusive (default 14)")
-    common_out(p)
-
-    p = sub.add_parser("activation-error",
-                       help="largest gap between the PL approximation and tanh")
-    p.add_argument("--grid-step", type=float, help="grid spacing (default 1e-4)")
-    common_out(p)
-
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for key in spec.options:
+            _OPTIONS[key].add_to(p, key)
     return parser
 
 
@@ -611,7 +562,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _effective_options(args, args.command)
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[args.command].run(opts)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,9 @@ __all__ = [
     "RecordResult",
     "SweepPoint",
     "annotated_beats",
+    "classifier_activations",
     "label_peaks",
+    "record_signal",
     "render_experiment",
     "render_sweep",
     "run_experiment",
@@ -46,6 +48,7 @@ __all__ = [
 
 DETECTOR_MODES = ("ann", "uni-dwt")
 CLASSIFIER_MODES = ("exact", "pla", "fixed", "self-learner")
+SWEEP_FRACTION_BITS = tuple(range(6, 15))
 
 
 @dataclass(frozen=True)
@@ -164,14 +167,18 @@ def label_peaks(peaks, ann_indices, ann_labels, fs: float, window_ms: float) -> 
     return np.array([label_by_peak.get(int(p), -1) for p in peaks], dtype=np.int64)
 
 
+def record_signal(record, channel: int) -> np.ndarray:
+    """One channel of a record as float64, the array every stage reads."""
+    n_signals = record.header.n_signals
+    if not 0 <= channel < n_signals:
+        raise ValueError(f"record {record.header.record_name}: channel {channel} "
+                         f"out of range ({n_signals} signals)")
+    return record.samples[channel].astype(np.float64)
+
+
 def _load_record(header_path, config) -> _RecordData:
     record = ingest_record(header_path)
-    if config.channel >= record.header.n_signals:
-        raise ValueError(
-            f"{header_path}: channel {config.channel} out of range "
-            f"({record.header.n_signals} signals)"
-        )
-    signal = record.samples[config.channel].astype(np.float64)
+    signal = record_signal(record, config.channel)
     fs = record.header.sampling_frequency
     ann_idx, ann_lab = annotated_beats(record)
     if config.detector == "ann":
@@ -196,7 +203,8 @@ def _load_record(header_path, config) -> _RecordData:
 # classifier path
 
 
-def _classifier_activations(classifier):
+def classifier_activations(classifier):
+    """Hidden and output activation names of a classifier mode."""
     if classifier == "exact":
         return "tanh", "ntanh"
     return "platanh", "ntanh_pla"
@@ -220,7 +228,7 @@ def _prepare_classifier_data(records):
 
 def _run_classifier(records, config):
     pca, x_train, y_train, test = _prepare_classifier_data(records)
-    hidden, output = _classifier_activations(config.classifier)
+    hidden, output = classifier_activations(config.classifier)
     arch = init_model(
         seed=config.seed,
         layer_sizes=(12, config.hidden_units, 2),
@@ -353,7 +361,7 @@ def run_experiment(config: PipelineConfig) -> ExperimentResult:
 
 
 def sweep_fraction_bits(config: PipelineConfig,
-                        fraction_bits_values=tuple(range(6, 15))):
+                        fraction_bits_values=SWEEP_FRACTION_BITS):
     """Prediction disagreement of each quantization against the real
     piecewise-linear model, over the pooled test beats."""
     if config.classifier not in ("pla", "fixed"):
@@ -361,9 +369,10 @@ def sweep_fraction_bits(config: PipelineConfig,
     _check_files_exist(config)
     records = [_load_record(p, config) for p in config.record_paths]
     pca, x_train, y_train, test = _prepare_classifier_data(records)
+    hidden, output = classifier_activations("pla")
     arch = init_model(seed=config.seed,
                       layer_sizes=(12, config.hidden_units, 2),
-                      hidden_activation="platanh", output_activation="ntanh_pla")
+                      hidden_activation=hidden, output_activation=output)
     model, _ = train(arch, x_train, y_train,
                      max_epochs=config.max_epochs, seed=config.seed)
     x_test = np.vstack([feature_matrix(pca, table) for table in test])

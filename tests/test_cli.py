@@ -8,12 +8,14 @@ land in per-test directories.
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from ecgarr.cli import main
-from ecgarr.features import load_features
+from ecgarr.experiment import SWEEP_FRACTION_BITS, PipelineConfig
+from ecgarr.features import WINDOW_HALF_WIDTH, load_features
 from ecgarr.fixedpoint import QFormat
 from ecgarr.mlp import load_model, predict_batch, quantize_model
 from ecgarr.selflearn import load_anomaly_log
@@ -161,25 +163,56 @@ def test_infer_zero_fraction_bits_runs_integer_format(records, tmp_path, capsys)
 BAD_FORMATS = [["--total-bits", "0"], ["--total-bits", "1"],
                ["--total-bits", "8", "--fraction-bits", "8"], ["--fraction-bits", "-1"]]
 
+# (command, config key, value) outside the option's range; each case is
+# given once as a flag and once as a config line
+BAD_VALUES = [("evaluate", "max_epochs", "0"), ("evaluate", "max_epochs", "-3"),
+              ("evaluate", "hidden", "0"), ("evaluate", "seed", "-1"),
+              ("train", "max_epochs", "0"), ("sweep-fraction-bits", "max_epochs", "0"),
+              ("selflearn", "tolerance", "1.5"),
+              *[(c, "channel", "-1") for c in ("ingest", "detect", "features", "selflearn")]]
+
 
 @pytest.mark.parametrize("flags", [["infer", *f] for f in BAD_FORMATS]
                          + [["evaluate", "--classifier", c, *f]
                             for c in ("fixed", "pla") for f in BAD_FORMATS]
                          # shorter than the 10 PCA components
-                         + [["features", "--window", str(w)] for w in (3, 5, 7, 9)])
+                         + [["features", "--window", str(w)] for w in (3, 5, 7, 9)]
+                         + [[c, "--" + k.replace("_", "-"), v] for c, k, v in BAD_VALUES]
+                         # a config line, then the command whose section holds it
+                         + [["--config", f"{k} = {v}", c] for c, k, v in
+                            [*BAD_VALUES, ("evaluate", "classifier", "bogus")]])
 def test_infer_rejects_bad_format(tmp_path, capsys, flags):
-    # a bad format or window is checked before any input file is read
+    # a bad value is checked before any input file is read
     missing = str(tmp_path / "missing.txt")
     out = str(tmp_path / "bad")
-    inputs = {"infer": ["--features", missing, "--model", missing],
-              "evaluate": ["--record", missing, "--seed", "0"],
-              "features": ["--record", missing, "--peaks-from-annotations"]}[flags[0]]
-    assert main([*flags, *inputs, "--out-dir", out]) == 2
-    err = capsys.readouterr().err
-    if flags[0] == "features":
-        assert err.startswith("error: --window ") and "PCA" in err
+    inputs = {"infer": {"--features": missing, "--model": missing},
+              "train": {"--features": missing, "--seed": "0"},
+              "evaluate": {"--record": missing, "--seed": "0"},
+              "sweep-fraction-bits": {"--record": missing, "--seed": "0"},
+              "features": {"--record": missing},
+              "ingest": {"--record": missing},
+              "detect": {"--record": missing},
+              "selflearn": {"--record": missing}}
+    if flags[0] == "--config":
+        key, command = flags[1].split()[0], flags[2]
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{command}]\n{flags[1]}\n")
+        # a flag would override the config line
+        given = {f: v for f, v in inputs[command].items()
+                 if f != "--" + key.replace("_", "-")}
+        argv = ["--config", str(cfg), command, *sum(given.items(), ())]
     else:
+        argv = [flags[0], *sum(inputs[flags[0]].items(), ()), *flags[1:]]
+    assert main([*argv, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    if flags[0] == "--config":
+        assert err.startswith(f"error: config value {key} = ")
+    elif "--window" in flags:
+        assert err.startswith("error: --window ") and "PCA" in err
+    elif "--total-bits" in flags or "--fraction-bits" in flags:
         assert err.startswith("error: --total-bits ") and "--fraction-bits" in err
+    else:
+        assert err.startswith(f"error: {flags[1]} ")
     assert not os.path.exists(out)
 
 
@@ -382,10 +415,15 @@ def test_even_window_rejected(records, tmp_path, capsys):
     assert "odd" in capsys.readouterr().err
 
 
-def test_exclusive_peak_sources(records, tmp_path, capsys):
-    rc = main(["features", "--record", records["a"], "--peaks", "some.txt",
-               "--peaks-from-annotations", "--out-dir", str(tmp_path / "o")])
-    assert rc == 2
+def test_exclusive_peak_sources(tmp_path, capsys):
+    # rejected before the record, which does not exist, is read
+    argv = ["features", "--record", str(tmp_path / "ghost.hea"), "--peaks", "some.txt",
+            "--out-dir", str(tmp_path / "o")]
+    assert main([*argv, "--peaks-from-annotations"]) == 2
+    assert "exclusive" in capsys.readouterr().err
+    cfg = tmp_path / "both.ini"
+    cfg.write_text("[features]\npeaks_from_annotations = yes\n")
+    assert main(["--config", str(cfg), *argv]) == 2
     assert "exclusive" in capsys.readouterr().err
 
 
@@ -394,3 +432,51 @@ def test_channel_out_of_range_fails(records, tmp_path, capsys):
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert "out of range" in capsys.readouterr().err
+
+
+_PIPELINE = PipelineConfig(record_paths=("x.hea",))
+# each subcommand's flags in --help order; a default is the value it
+# comes from, None where the flag has none
+HELP_FLAGS = {
+    "ingest": {"--record": None, "--channel": _PIPELINE.channel, "--out-dir": None},
+    "detect": {"--record": None, "--channel": _PIPELINE.channel, "--out-dir": None},
+    "features": {"--record": None, "--channel": _PIPELINE.channel, "--peaks": None,
+                 "--peaks-from-annotations": None,
+                 "--window": 2 * WINDOW_HALF_WIDTH + 1, "--out-dir": None},
+    "train": {"--features": None, "--seed": None, "--hidden": _PIPELINE.hidden_units,
+              "--max-epochs": _PIPELINE.max_epochs, "--activation": "pla",
+              "--out-dir": None},
+    "infer": {"--features": None, "--model": None,
+              "--total-bits": _PIPELINE.total_bits,
+              "--fraction-bits": _PIPELINE.fraction_bits, "--out-dir": None},
+    "selflearn": {"--record": None, "--channel": _PIPELINE.channel,
+                  "--tolerance": _PIPELINE.tolerance_fraction, "--peaks": None,
+                  "--peaks-from-annotations": None, "--out-dir": None},
+    "evaluate": {"--record": None, "--channel": _PIPELINE.channel,
+                 "--classifier": _PIPELINE.classifier, "--detector": _PIPELINE.detector,
+                 "--seed": None, "--max-epochs": _PIPELINE.max_epochs,
+                 "--hidden": _PIPELINE.hidden_units, "--total-bits": _PIPELINE.total_bits,
+                 "--fraction-bits": _PIPELINE.fraction_bits,
+                 "--tolerance": _PIPELINE.tolerance_fraction, "--out-dir": None},
+    "sweep-fraction-bits": {
+        "--record": None, "--channel": _PIPELINE.channel, "--detector": _PIPELINE.detector,
+        "--seed": None, "--max-epochs": _PIPELINE.max_epochs,
+        "--hidden": _PIPELINE.hidden_units, "--total-bits": _PIPELINE.total_bits,
+        "--fraction-bits-min": SWEEP_FRACTION_BITS[0],
+        "--fraction-bits-max": SWEEP_FRACTION_BITS[-1], "--out-dir": None},
+    "activation-error": {"--grid-step": 1e-4, "--out-dir": None},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_prints_source_defaults(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    options = " ".join(capsys.readouterr().out.split()).split(" options: ")[1]
+    # each entry runs from its flag to the next flag
+    entries = {e.split()[0]: e for e in re.split(r" (?=--\w)", options)[1:]}
+    assert list(entries) == ["--help", *HELP_FLAGS[command]]
+    for flag, default in HELP_FLAGS[command].items():
+        printed = re.findall(r"\(default ([^)]*)\)", entries[flag])
+        assert printed == ([] if default is None else [str(default)]), flag

@@ -13,11 +13,13 @@ import pytest
 from ecgarr.experiment import (
     PipelineConfig,
     _nearest_within,
+    record_signal,
     render_experiment,
     render_sweep,
     run_experiment,
     sweep_fraction_bits,
 )
+from ecgarr.wfdb_io import ingest_record
 from wfdb_fixtures import (
     DROPPED_BEATS,
     add_pulse,
@@ -217,6 +219,10 @@ def test_channel_out_of_range(records):
                          classifier="pla")
     with pytest.raises(ValueError, match="channel 1 out of range"):
         run_experiment(cfg)
+    record = ingest_record(records["a"])
+    for channel in (-1, 1):
+        with pytest.raises(ValueError, match=f"channel {channel} out of range"):
+            record_signal(record, channel)
 
 
 def test_empty_test_half_raises(records, tmp_path):

@@ -6,8 +6,9 @@ records; later cases read earlier cases' outputs (``{features-ann}``
 names that case's output directory).  ``{odd_peaks}`` is a peak list
 for recA with one beat missing and two spurious peaks, so the feature
 table skips unmatched peaks and spans a doubled interval.  Each listed
-artifact's SHA-256 must equal its golden.  Manifests hold absolute
-paths and are not compared.
+artifact's SHA-256 must equal its golden, and so must each case's
+``manifest.json`` config block, serialized with the fixture directory
+masked.
 
 The goldens were taken with numpy 2.4.6 and OpenBLAS 0.3.31.  A
 refactor must leave them unchanged; a change that means to move a
@@ -15,6 +16,7 @@ number updates them and says why.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -31,7 +33,9 @@ CASES = {
        for c in ("exact", "pla", "fixed") for d in ("ann", "uni-dwt")},
     "evaluate-self-learner": ["evaluate", "--record", "{a}", "--record", "{drop}",
                               "--classifier", "self-learner"],
+    "ingest-a": ["ingest", "--record", "{a}"],
     "detect-a": ["detect", "--record", "{a}"],
+    "selflearn-drop": ["selflearn", "--record", "{drop}"],
     "features-ann": ["features", *PAIR, "--peaks-from-annotations"],
     "features-detector": ["features", "--record", "{a}", "--record", "{drop}"],
     "features-peaks": ["features", "--record", "{a}",
@@ -49,6 +53,7 @@ CASES = {
     "sweep-ann": ["sweep-fraction-bits", *PAIR, *TRAIN,
                   "--fraction-bits-min", "2", "--fraction-bits-max", "14"],
     "sweep-uni-dwt": ["sweep-fraction-bits", *PAIR, *TRAIN, "--detector", "uni-dwt"],
+    "activation-error": ["activation-error"],
 }
 
 GOLDEN = {
@@ -105,6 +110,55 @@ GOLDEN = {
 }
 
 
+# each case's config block as masked_config writes it
+MANIFEST_CONFIG = {
+    "activation-error":
+        "bc6365a3a89b9fc09d5aceba1420b94a14873ea8090ba5ef327b17f801e8e4fd",
+    "detect-a":
+        "9054b785563893cb106073192ee701d99a6a04aff81e02546cef31f9829bf79e",
+    "evaluate-exact-ann":
+        "0680e0a5a2b7285a0556d63e6acd8d2c690158a5633fb9db959662d9e82895c1",
+    "evaluate-exact-uni-dwt":
+        "3c73f644ec27ea525f59aeaf5079ea1da035f15878bb9fadefb77208ca6385ac",
+    "evaluate-fixed-ann":
+        "6d24847f019a79389fc2b833bfd6f9f933e6c1d7caeccf099b4689f4f363df08",
+    "evaluate-fixed-uni-dwt":
+        "20b486273b13f49f671d826937a04e49cbcfec36dac8b1862801bf0c21335f18",
+    "evaluate-pla-ann":
+        "b627ecdc1254eff6cbc450a0074f883f0535cfe6a92687559001f1a2a3b38927",
+    "evaluate-pla-uni-dwt":
+        "bf649b4f7e0e17d69ebe55bc38d6af55b8474d165e07e1addd623af7d2b0a0bd",
+    "evaluate-self-learner":
+        "28043e52545753815720787920cc30a11358fb89f56ea646c6ec44c369b59404",
+    "features-ann":
+        "d1e9716b8ec90ad8a1feb217b21d466f919965ce1eb81a4ce0045fbec6d0d6b9",
+    "features-detector":
+        "f4a0d1ec855d510d7359724879b3a0fe268addfd63dd64e4e8d070d2b3c0256b",
+    "features-odd-peaks":
+        "1bdacd7425f6f553ddf461f2623b7222e0c411a99b7ae31adcd28971a2fdc399",
+    "features-peaks":
+        "d56d4db64a463831236c88653c6f61562701b8d423450ad6f4c66245089235e5",
+    "features-window51":
+        "3cc3abbcbdf088dff1e5b03719f571758aba8d26ce4f2590f129f5005cd490df",
+    "infer-q24.3":
+        "947cb638ed982374cf8b64387cb360c90bf279088115bae80fea2714e3ae9898",
+    "infer-real":
+        "48854efb443f199972774689fc244c1571a94ce510b6bc69b74af6d2002e879b",
+    "ingest-a":
+        "9054b785563893cb106073192ee701d99a6a04aff81e02546cef31f9829bf79e",
+    "selflearn-drop":
+        "9c977cdafb19d0b98ea2d054ef136004078eceff5b77ada152160061b33c0b16",
+    "sweep-ann":
+        "0cbb5c710434daa6d2e4e7e9c171af224208c0052e78dc6cfbf6b72f75c1d7d9",
+    "sweep-uni-dwt":
+        "9dcb1d8d13ab9ce0e5b5e5f32dafe0eb42c868121712fa4cb4f5c886d14abd8d",
+    "train-exact":
+        "03276453688db6ee7444cdba897f31485c53effb1e31bbc4e353446335817437",
+    "train-pla":
+        "ce9342742da3a8dc5819ebf6bde33e070a7f2b2c11c294602c1f77401e10089c",
+}
+
+
 def run_cases(root):
     """Write the records under root, run every case; name -> path."""
     odd_peaks = sorted({150 + 300 * k for k in range(40)} - {1950} | {300, 5000})
@@ -134,3 +188,16 @@ def test_artifact_matches_golden(outputs, artifact, capsys):
     with open(os.path.join(outputs[case], filename), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN[artifact]
     capsys.readouterr()
+
+
+def masked_config(out_dir, root):
+    """A case's manifest config block as JSON, the fixture directory masked."""
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        config = json.load(fh)["config"]
+    return json.dumps(config, sort_keys=True).replace(root, "{root}")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_manifest_config_matches_golden(outputs, case):
+    text = masked_config(outputs[case], os.path.dirname(outputs["a"]))
+    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST_CONFIG[case], text
