@@ -15,8 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fixedpoint import QFormat, quantize_raw_array, rne_shift_array, saturate_array
-
+# rne_shift_array and saturate_array are not called here; they stay
+# importable from this module, where perfbench's tracer looks them up.
+from .fixedpoint import (QFormat, quantize_raw_array, rne_constants, rne_shift,  # noqa: F401
+                         rne_shift_array, saturate_array)
 
 def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
@@ -103,7 +105,8 @@ def ntanh(x, approximate: bool = False):
 
 @lru_cache(maxsize=None)
 def _fixed_table(fmt: QFormat):
-    """(raw borders, shifts, raw offsets, raw +1) of the table in one Q-format."""
+    """The segment table in one Q-format: raw borders, shifts, the shifts'
+    rounding biases and parities (rne_constants), raw offsets, raw +1."""
     # Quantize the positive half (index 6 on: the identity segment and up)
     # and mirror it, so saturation at raw_min cannot break the odd symmetry.
     pos = quantize_raw_array(PLA_BORDERS[6:], fmt)
@@ -112,25 +115,37 @@ def _fixed_table(fmt: QFormat):
     borders = np.concatenate([-pos[::-1], np.minimum(pos, pos[-1] - 1)])
     offsets = quantize_raw_array(PLA_OFFSETS[6:], fmt)
     offsets = np.concatenate([-offsets[:0:-1], offsets])
-    # A constant end takes any shift: raw and its shift share a sign there,
-    # so the clip to +-1 returns the constant.
+    # A constant end takes shift 0, which rounds nothing: raw and its
+    # offset share a sign there, so the clip to +-1 returns the constant.
     shifts = np.array([0 if s is None else s for s in PLA_SHIFTS], dtype=np.int64)
-    for arr in (borders, shifts, offsets):
+    bias, parity = rne_constants(shifts)
+    for arr in (borders, shifts, bias, parity, offsets):
         arr.setflags(write=False)  # shared by every caller through the cache
-    return borders, shifts, offsets, int(offsets[-1])
+    return borders, shifts, bias, parity, offsets, int(offsets[-1])
+
+
+def _platanh_fixed(r, table):
+    """Fixed-point PLA tanh of raw int64 values r, from one table lookup."""
+    borders, shifts, bias, parity, offsets, one = table
+    seg = np.searchsorted(borders, r)
+    y = rne_shift(r, shifts.take(seg), bias.take(seg), parity.take(seg)) + offsets.take(seg)
+    # +1 is a saturated raw, so clipping to +-1 also keeps y in the format
+    return np.minimum(np.maximum(y, -one), one)
+
+
+_HALVE = tuple(int(v) for v in rne_constants(1))
+
+
+def _ntanh_fixed(r, table):
+    """(platanh(r) + 1) / 2, rounded half to even; it lies in [0, +1]."""
+    return rne_shift(_platanh_fixed(r, table) + table[-1], 1, *_HALVE)
 
 
 def platanh_fixed_raw_array(raw, fmt: QFormat):
     """Fixed-point piecewise-linear tanh on raw int64 values, returning raw."""
-    r = np.asarray(raw, dtype=np.int64)
-    borders, shifts, offsets, one = _fixed_table(fmt)
-    seg = np.searchsorted(borders, r)
-    y = rne_shift_array(r, shifts[seg]) + offsets[seg]
-    return saturate_array(np.clip(y, -one, one), fmt)
+    return _platanh_fixed(np.asarray(raw, dtype=np.int64), _fixed_table(fmt))
 
 
 def ntanh_fixed_raw_array(raw, fmt: QFormat):
     """Fixed-point normalized tanh: (platanh(x) + 1) / 2 on raw values."""
-    one = _fixed_table(fmt)[3]
-    y = rne_shift_array(platanh_fixed_raw_array(raw, fmt) + one, 1)
-    return saturate_array(y, fmt)
+    return _ntanh_fixed(np.asarray(raw, dtype=np.int64), _fixed_table(fmt))

@@ -54,7 +54,7 @@ from .features import (
     save_features,
     save_pca_model,
 )
-from .fixedpoint import QFormat
+from .fixedpoint import QFormat, check_accumulator
 from .mlp import init_model, load_model, predict_batch, quantize_model, save_model, train
 from .selflearn import run_self_learner, save_anomaly_log
 from .wfdb_io import ingest_record
@@ -275,10 +275,15 @@ def _beat_positions(record, signal, opts) -> np.ndarray:
     return peaks.r_indices
 
 
-def _qformat(total_bits: int, fraction_bits: int,
+def _qformat(total_bits: int, fraction_bits: int, layer_sizes=None,
              fraction_flag: str = "--fraction-bits") -> QFormat:
+    """The Q format, checked on its own and, given the layer sizes, against
+    the net's int64 accumulators."""
     try:
-        return QFormat(total_bits, fraction_bits)
+        fmt = QFormat(total_bits, fraction_bits)
+        if layer_sizes is not None:
+            check_accumulator(fmt, layer_sizes)
+        return fmt
     except ValueError as exc:
         raise UsageError(
             f"--total-bits {total_bits} {fraction_flag} {fraction_bits}: {exc}") from None
@@ -392,14 +397,15 @@ def cmd_train(opts) -> int:
 
 def cmd_infer(opts) -> int:
     _require(opts, "infer", "features", "model", "out_dir")
-    fmt = None
+    bits = None
     if opts["total_bits"] is not None or opts["fraction_bits"] is not None:
-        fmt = _qformat(*(_OPTIONS[k].default if opts[k] is None else opts[k]
-                         for k in ("total_bits", "fraction_bits")))
-    rows = load_features(opts["features"])
+        bits = [_OPTIONS[k].default if opts[k] is None else opts[k]
+                for k in ("total_bits", "fraction_bits")]
+        _qformat(*bits)  # a malformed format fails before any file is read
     model = load_model(opts["model"])
-    if fmt is not None:
-        model = quantize_model(model, fmt)
+    if bits is not None:
+        model = quantize_model(model, _qformat(*bits, model.layer_sizes))
+    rows = load_features(opts["features"])
     x = np.stack([r.features for r in rows])
     pred = predict_batch(model, x)
 
@@ -448,7 +454,7 @@ def cmd_evaluate(opts) -> int:
     _require(opts, "evaluate", "records", "out_dir")
     if opts["classifier"] != "self-learner":
         _require(opts, "evaluate", "seed")
-    _qformat(opts["total_bits"], opts["fraction_bits"])
+    _qformat(opts["total_bits"], opts["fraction_bits"], (12, opts["hidden"], 2))
     result = run_experiment(_pipeline_config(opts))
     text = render_experiment(result)
 
@@ -465,7 +471,7 @@ def cmd_evaluate(opts) -> int:
 def cmd_sweep(opts) -> int:
     _require(opts, "sweep-fraction-bits", "records", "seed", "out_dir")
     lo, hi = opts["fraction_bits_min"], opts["fraction_bits_max"]
-    _qformat(opts["total_bits"], hi, "--fraction-bits-max")
+    _qformat(opts["total_bits"], hi, (12, opts["hidden"], 2), "--fraction-bits-max")
     if not 0 < lo <= hi < opts["total_bits"]:
         raise UsageError("need 0 < fraction-bits-min <= fraction-bits-max < total-bits")
     points = sweep_fraction_bits(_pipeline_config(opts), tuple(range(lo, hi + 1)))

@@ -14,17 +14,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# platanh and platanh_derivative are not called here; they stay importable
-# from this module, where callers and perfbench's tracer look them up.
+# platanh, platanh_derivative and the fixed-point names the integer kernel
+# does not call stay importable from this module, where callers and
+# perfbench's tracer look them up.
 from .activation import (
+    _fixed_table,
+    _ntanh_fixed,
     _platanh_and_slope,
+    _platanh_fixed,
     ntanh_fixed_raw_array,
     platanh,
     platanh_derivative,
     platanh_fixed_raw_array,
     softmax,
 )
-from .fixedpoint import QFormat, quantize_raw_array, rne_shift_array, saturate_array
+from .fixedpoint import (QFormat, check_accumulator, quantize_raw_array, rne_constants,
+                         rne_shift, rne_shift_array, saturate_array)
 
 __all__ = [
     "MlpModel",
@@ -58,8 +63,20 @@ class QuantizationWarning(UserWarning):
     pass
 
 
+FIXED_ACTIVATIONS = ("platanh", "ntanh_pla")  # the integer kernel's pair
+_PARAMETERS = ("w_hidden", "b_hidden", "w_out", "b_out")
+
+
 @dataclass(frozen=True)
 class MlpModel:
+    """Weights and activations; a q_format makes it a fixed-point model.
+
+    The parameter arrays are private read-only float64 copies.  A fixed
+    model also builds its integer kernel here, once: its parameters must
+    be exact multiples of 2**-F inside the format, and it runs only the
+    PLA activations.
+    """
+
     w_hidden: np.ndarray  # (n_hidden, n_in)
     b_hidden: np.ndarray  # (n_hidden,)
     w_out: np.ndarray     # (n_out, n_hidden)
@@ -69,10 +86,11 @@ class MlpModel:
     q_format: QFormat | None = None  # None = real arithmetic
 
     def __post_init__(self):
-        wh = np.asarray(self.w_hidden, dtype=np.float64)
-        bh = np.asarray(self.b_hidden, dtype=np.float64)
-        wo = np.asarray(self.w_out, dtype=np.float64)
-        bo = np.asarray(self.b_out, dtype=np.float64)
+        for attr in _PARAMETERS:
+            arr = np.array(getattr(self, attr), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, attr, arr)
+        wh, bh, wo, bo = self.parameter_arrays()
         if wh.ndim != 2 or wo.ndim != 2:
             raise ValueError("weight matrices must be 2-d")
         n_hidden, n_in = wh.shape
@@ -87,16 +105,11 @@ class MlpModel:
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
         if self.q_format is not None:
-            scale = self.q_format.scale
-            for name, arr in (("w_hidden", wh), ("b_hidden", bh),
-                              ("w_out", wo), ("b_out", bo)):
-                raw = arr * scale
-                if not np.array_equal(raw, np.rint(raw)):
-                    raise ValueError(f"{name} not representable in {self.q_format}")
-                if raw.min() < self.q_format.raw_min or raw.max() > self.q_format.raw_max:
-                    raise ValueError(f"{name} outside {self.q_format} range")
-        for attr, arr in (("w_hidden", wh), ("b_hidden", bh), ("w_out", wo), ("b_out", bo)):
-            object.__setattr__(self, attr, arr)
+            if (self.hidden_activation, self.output_activation) != FIXED_ACTIVATIONS:
+                raise ValueError(
+                    f"a fixed-point model runs {' and '.join(FIXED_ACTIVATIONS)}, not "
+                    f"{self.hidden_activation} and {self.output_activation}")
+            object.__setattr__(self, "_kernel", _IntegerKernel(self.q_format, self))
 
     @property
     def layer_sizes(self):
@@ -165,30 +178,43 @@ def _forward_real_batch(model, x):
     return h, h_slope, out, out_slope
 
 
-def _forward_fixed_batch(model, x):
-    fmt = model.q_format
-    f = fmt.fraction_bits
-    # 2*(W-1) magnitude bits per product plus headroom for the summed
-    # terms and the shifted bias must fit an int64 accumulator
-    terms = max(model.w_hidden.shape[1], model.w_out.shape[1]) + 1
-    if 2 * (fmt.total_bits - 1) + terms.bit_length() >= 63:
-        raise ValueError(f"{fmt} accumulators would overflow int64")
+class _IntegerKernel:
+    """A fixed model's forward pass in int64 arithmetic, built once.
 
-    x_raw = quantize_raw_array(x, fmt)
-    wh_raw = quantize_raw_array(model.w_hidden, fmt)
-    bh_raw = quantize_raw_array(model.b_hidden, fmt)
-    wo_raw = quantize_raw_array(model.w_out, fmt)
-    bo_raw = quantize_raw_array(model.b_out, fmt)
+    It holds the raw weights, transposed for a batch of rows, the biases
+    shifted up by F to join each neuron's wide accumulator, the shift
+    back by F with its rounding constants, and the PLA segment table.
+    """
 
-    acc_h = x_raw @ wh_raw.T + (bh_raw << f)
-    h_raw = platanh_fixed_raw_array(saturate_array(rne_shift_array(acc_h, f), fmt), fmt)
-    acc_o = h_raw @ wo_raw.T + (bo_raw << f)
-    o_pre_raw = saturate_array(rne_shift_array(acc_o, f), fmt)
-    if model.output_activation == "softmax":
-        raise ValueError("softmax is not available in fixed mode")
-    out_raw = ntanh_fixed_raw_array(o_pre_raw, fmt)
-    scale = float(fmt.scale)
-    return h_raw / scale, o_pre_raw / scale, out_raw / scale
+    def __init__(self, fmt: QFormat, model: MlpModel):
+        check_accumulator(fmt, model.layer_sizes)
+        raws = []
+        for name, arr in zip(_PARAMETERS, model.parameter_arrays()):
+            raw = arr * fmt.scale
+            if not np.array_equal(raw, np.rint(raw)):
+                raise ValueError(f"{name} not representable in {fmt}")
+            if raw.min() < fmt.raw_min or raw.max() > fmt.raw_max:
+                raise ValueError(f"{name} outside {fmt} range")
+            raws.append(raw.astype(np.int64))
+        wh, bh, wo, bo = raws
+        f = fmt.fraction_bits
+        self.fmt = fmt
+        self.w_hidden, self.b_hidden = wh.T.copy(), bh << f
+        self.w_out, self.b_out = wo.T.copy(), bo << f
+        self.shift_f = (f, *(int(v) for v in rne_constants(f)))
+        self.table = _fixed_table(fmt)
+
+    def _neurons(self, acc):
+        """One round-half-even shift by F per accumulator, then saturation."""
+        return saturate_array(rne_shift(acc, *self.shift_f), self.fmt)
+
+    def __call__(self, x):
+        """Outputs for a float batch, as floats: inputs are quantized first."""
+        fmt = self.fmt
+        x_raw = quantize_raw_array(x, fmt)
+        h = _platanh_fixed(self._neurons(x_raw @ self.w_hidden + self.b_hidden), self.table)
+        out = _ntanh_fixed(self._neurons(h @ self.w_out + self.b_out), self.table)
+        return out / float(fmt.scale)
 
 
 def _check_batch(model, x):
@@ -196,7 +222,7 @@ def _check_batch(model, x):
         raise ValueError(
             f"batch shape {x.shape} does not match input size {model.layer_sizes[0]}"
         )
-    if np.isnan(x).any():
+    if np.count_nonzero(np.isnan(x)):
         raise ValueError("cannot classify NaN features")
 
 
@@ -205,7 +231,7 @@ def forward_batch(model: MlpModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     _check_batch(model, x)
     if model.is_fixed:
-        return _forward_fixed_batch(model, x)[2]
+        return model._kernel(x)
     return _forward_real_batch(model, x)[2]
 
 
@@ -474,10 +500,11 @@ def quantize_model(model: MlpModel, fmt: QFormat = QFormat()) -> MlpModel:
             stacklevel=2,
         )
     wh, bh, wo, bo = quantized
+    hidden, output = FIXED_ACTIVATIONS
     return MlpModel(
         w_hidden=wh, b_hidden=bh, w_out=wo, b_out=bo,
-        hidden_activation="platanh",
-        output_activation="ntanh_pla",
+        hidden_activation=hidden,
+        output_activation=output,
         q_format=fmt,
     )
 

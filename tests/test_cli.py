@@ -17,7 +17,7 @@ from ecgarr.cli import main
 from ecgarr.experiment import SWEEP_FRACTION_BITS, PipelineConfig
 from ecgarr.features import WINDOW_HALF_WIDTH, load_features
 from ecgarr.fixedpoint import QFormat
-from ecgarr.mlp import load_model, predict_batch, quantize_model
+from ecgarr.mlp import init_model, load_model, predict_batch, quantize_model, save_model
 from ecgarr.selflearn import load_anomaly_log
 from wfdb_fixtures import DROPPED_BEATS, classifier_record, dropout_record
 
@@ -171,6 +171,15 @@ BAD_VALUES = [("evaluate", "max_epochs", "0"), ("evaluate", "max_epochs", "-3"),
               ("selflearn", "tolerance", "1.5"),
               *[(c, "channel", "-1") for c in ("ingest", "detect", "features", "selflearn")]]
 
+# valid Q formats whose dot products overflow an int64 accumulator on the
+# net's layer sizes; infer reads its model for those, never its features
+OVERFLOWS = [["infer", "--total-bits", "40", "--fraction-bits", "20"],
+             ["infer", "--total-bits", "31"],
+             ["evaluate", "--classifier", "fixed", "--total-bits", "40", "--fraction-bits", "20"],
+             ["evaluate", "--classifier", "fixed", "--total-bits", "31"],
+             ["evaluate", "--classifier", "fixed", "--hidden", "65535"],
+             ["sweep-fraction-bits", "--total-bits", "40", "--fraction-bits-max", "20"]]
+
 
 @pytest.mark.parametrize("flags", [["infer", *f] for f in BAD_FORMATS]
                          + [["evaluate", "--classifier", c, *f]
@@ -180,12 +189,16 @@ BAD_VALUES = [("evaluate", "max_epochs", "0"), ("evaluate", "max_epochs", "-3"),
                          + [[c, "--" + k.replace("_", "-"), v] for c, k, v in BAD_VALUES]
                          # a config line, then the command whose section holds it
                          + [["--config", f"{k} = {v}", c] for c, k, v in
-                            [*BAD_VALUES, ("evaluate", "classifier", "bogus")]])
+                            [*BAD_VALUES, ("evaluate", "classifier", "bogus")]]
+                         + OVERFLOWS)
 def test_infer_rejects_bad_format(tmp_path, capsys, flags):
     # a bad value is checked before any input file is read
     missing = str(tmp_path / "missing.txt")
     out = str(tmp_path / "bad")
-    inputs = {"infer": {"--features": missing, "--model": missing},
+    model = str(tmp_path / "model.txt")
+    save_model(model, init_model(seed=0))
+    inputs = {"infer": {"--features": missing,
+                        "--model": model if flags in OVERFLOWS else missing},
               "train": {"--features": missing, "--seed": "0"},
               "evaluate": {"--record": missing, "--seed": "0"},
               "sweep-fraction-bits": {"--record": missing, "--seed": "0"},
@@ -207,6 +220,9 @@ def test_infer_rejects_bad_format(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     if flags[0] == "--config":
         assert err.startswith(f"error: config value {key} = ")
+    elif flags in OVERFLOWS:
+        assert err.startswith("error: --total-bits ") and "--fraction-bits" in err
+        assert "int64" in err and f"(12, {6 if '--hidden' not in flags else 65535}, 2)" in err
     elif "--window" in flags:
         assert err.startswith("error: --window ") and "PCA" in err
     elif "--total-bits" in flags or "--fraction-bits" in flags:

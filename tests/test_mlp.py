@@ -80,6 +80,38 @@ def test_model_activation_validation():
         zero_model(output="sigmoid")
 
 
+@pytest.mark.parametrize("hidden, output", [("tanh", "ntanh"), ("tanh", "ntanh_pla"),
+                                            ("platanh", "ntanh"), ("platanh", "softmax")])
+def test_fixed_model_runs_only_the_pla_activations(tmp_path, hidden, output):
+    path = tmp_path / "model.txt"
+    path.write_text(
+        "mlp-model v1\nlayers 1 1 2\n"
+        f"hidden_activation {hidden}\noutput_activation {output}\n"
+        "mode fixed 24 12\nwh 4096\nbh 0\nwo 4096\nwo 0\nbo 0 0\n"
+    )
+    with pytest.raises(ValueError, match="platanh and ntanh_pla"):
+        load_model(path)
+    path.write_text(path.read_text().replace(f"activation {hidden}\n", "activation platanh\n")
+                    .replace(f"activation {output}\n", "activation ntanh_pla\n"))
+    # platanh(1) = 0.75, then ntanh_pla(0.75) = (0.75 / 2 + 0.25 + 1) / 2
+    assert forward(load_model(path), np.array([1.0])).tolist() == [0.8125, 0.5]
+
+
+def test_parameters_are_private_read_only_copies():
+    w_hidden = np.zeros((6, 12))
+    for fmt in (None, QFormat(24, 12)):
+        m = MlpModel(w_hidden=w_hidden, b_hidden=np.zeros(6), w_out=np.zeros((2, 6)),
+                     b_out=np.zeros(2), q_format=fmt)
+        for p in m.parameter_arrays():
+            with pytest.raises(ValueError, match="read-only"):
+                p[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.w_hidden[0, 0] = 1.0
+        w_hidden[0, 0] = 1.0  # the caller's array is neither frozen nor shared
+        assert m.w_hidden[0, 0] == 0.0
+        w_hidden[0, 0] = 0.0
+
+
 def test_fixed_model_requires_representable_weights():
     kwargs = dict(
         b_hidden=np.zeros(1),
@@ -683,10 +715,15 @@ def test_fixed_forward_input_quantization_is_idempotent():
     assert np.array_equal(forward_batch(q, x), forward_batch(q, x_q))
 
 
-@pytest.mark.parametrize("fmt", [QFormat(24, 12), QFormat(16, 8)],
+ORACLE_FORMATS = [QFormat(24, 12), QFormat(16, 8), QFormat(24, 0), QFormat(24, 3),
+                  QFormat(16, 14), QFormat(28, 14)]
+
+
+@pytest.mark.parametrize("fmt", ORACLE_FORMATS,
                          ids=lambda f: f"Q{f.total_bits}.{f.fraction_bits}")
 def test_forward_batch_matches_integer_oracle(fmt):
-    rng = np.random.default_rng(fmt.fraction_bits)
+    # Q24.0 makes the shift back by F a shift by 0, which must not round
+    rng = np.random.default_rng(fmt.total_bits * 100 + fmt.fraction_bits)
 
     def param(*shape):
         # near-zero, typical and saturating magnitudes side by side
@@ -696,15 +733,21 @@ def test_forward_batch_matches_integer_oracle(fmt):
     m = MlpModel(w_hidden=param(6, 12), b_hidden=param(6), w_out=param(2, 6),
                  b_out=param(2), q_format=fmt)
     x = rng.uniform(-8, 8, size=(300, 12)) * rng.choice([0.05, 1.0, 10.0], size=(300, 1))
+    # inputs past the format saturate, infinite ones too
+    x[rng.integers(300, size=40), rng.integers(12, size=40)] = rng.choice(
+        [np.inf, -np.inf, 1e30, -1e30], size=40)
     got = forward_batch(m, x) * fmt.scale
+    labels = predict_batch(m, x)
 
     def raw(values):
         return [oracle.to_fixed(float(v), fmt) for v in values]
 
     w_hidden, w_out = [raw(r) for r in m.w_hidden], [raw(r) for r in m.w_out]
-    for row, out in zip(x, got):
+    for row, out, label in zip(x, got, labels):
         want = oracle.forward(w_hidden, raw(m.b_hidden), w_out, raw(m.b_out), raw(row), fmt)
         assert out.tolist() == want
+        # one beat at a time, as at the bedside, agrees with the batch
+        assert predict(m, row) == label == int(want[1] >= want[0])
 
 
 def test_forward_batch_rounds_once_per_neuron():
@@ -720,15 +763,14 @@ def test_forward_batch_rounds_once_per_neuron():
 
 
 def test_accumulator_guard_rejects_oversized_formats():
-    m = MlpModel(
-        w_hidden=np.zeros((6, 12)),
-        b_hidden=np.zeros(6),
-        w_out=np.zeros((2, 6)),
-        b_out=np.zeros(2),
-        q_format=QFormat(32, 16),
-    )
     with pytest.raises(ValueError, match="int64"):
-        forward_batch(m, np.zeros((1, 12)))
+        MlpModel(
+            w_hidden=np.zeros((6, 12)),
+            b_hidden=np.zeros(6),
+            w_out=np.zeros((2, 6)),
+            b_out=np.zeros(2),
+            q_format=QFormat(32, 16),
+        )
 
 
 # ---------------------------------------------------------------------------
