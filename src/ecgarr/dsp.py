@@ -1,4 +1,4 @@
-"""Wavelet filtering, R-peak detection, and R-R interval extraction.
+"""Wavelet filtering and R-peak detection.
 
 The transform is a hand-rolled orthonormal Daubechies filter bank with
 symmetric boundary extension.  Keeping it explicit (rather than pulling
@@ -17,12 +17,10 @@ from scipy.ndimage import maximum_filter1d, uniform_filter1d
 __all__ = [
     "DwtCoefficients",
     "PeakTrain",
-    "RRSeries",
     "SignalTooShortError",
     "detect_r_peaks",
     "dwt_decompose",
     "dwt_reconstruct",
-    "extract_rr",
 ]
 
 
@@ -109,14 +107,23 @@ def _synthesis_step(a, d, h, g, n):
     # reads only the taps of parity r; so each branch is two half-length
     # filters over its coefficients.  The dropped products are the zero
     # ones, so every sum is the same, term for term and in order.  A
-    # muted branch is None, and so is the output when both are.
+    # muted branch is None, and so is the output when both are.  The
+    # first live branch is written, not added to zeros: a dot product
+    # starts from +0.0 and so never returns -0.0, and 0.0 + v is v.
+    # Each half is freed before the next is filtered, which keeps the
+    # peak memory of the full-length last level low.
     if a is None and d is None:
         return None
-    out = np.zeros(n)
-    for coeffs, filt in ((a, h), (d, g)):
-        if coeffs is not None:
-            out[0::2] += np.convolve(coeffs, filt[0::2], mode="valid")[1 : (n + 3) // 2]
-            out[1::2] += np.convolve(coeffs, filt[1::2], mode="valid")[1 : n // 2 + 1]
+    out = np.empty(n)
+    live = [(coeffs, filt) for coeffs, filt in ((a, h), (d, g)) if coeffs is not None]
+    for i, (coeffs, filt) in enumerate(live):
+        for r in (0, 1):
+            part = np.convolve(coeffs, filt[r::2], mode="valid")[1 : (n + 1 - r) // 2 + 1]
+            if i:
+                out[r::2] += part
+            else:
+                out[r::2] = part
+            del part
     return out
 
 
@@ -223,30 +230,123 @@ class PeakTrain:
         return int(self.r_indices.size)
 
 
+def _wrap(a, left, right):
+    """a extended circularly by left samples before it and right after,
+    with no temporary the size of a."""
+    n = a.size
+    return np.concatenate((np.take(a, np.arange(n - left, n), mode="wrap"), a,
+                           np.take(a, np.arange(n, n + right), mode="wrap")))
+
+
+def _atrous(x, h, g, depth, kept):
+    """Circular undecimated (a trous) details {level: D} for the kept
+    levels: with A_0 = x, A_l[p] = sum_j A_(l-1)[(p + 2**(l-1) j) mod n] h[j]
+    and D_l the same with g.  A dilated level runs as 2**(l-1) phase
+    correlations, each the np.convolve call _analysis_step makes, so each
+    coefficient is the same dot product of the same taps in the same
+    order.  An approximation is dropped once the next level is built."""
+    n = x.size
+    a, details = x, {}
+    for level in range(1, depth + 1):
+        dilation = 2 ** (level - 1)
+        ext = _wrap(a, 0, dilation * (h.size - 1))
+        a = np.empty(n) if level < depth else None
+        d = np.empty(n) if level in kept else None
+        for phase in range(dilation):
+            seq = np.ascontiguousarray(ext[phase::dilation])
+            for out, filt in ((a, h), (d, g)):
+                if out is not None:
+                    out[phase::dilation] = np.convolve(seq, filt[::-1], mode="valid")
+            del seq
+        del ext
+        if d is not None:
+            details[level] = d
+    return details
+
+
 def _band_energy(x, wavelet, levels, detail_levels, phase_average):
     """Squared reconstruction from detail_levels alone, averaged over
     every one-sample shift below 2**levels (only shift 0 without
-    phase_average).  Each shift rotates the record left, transforms it
-    and adds the square back in place; the rotation wraps fewer than
+    phase_average).  Each shift is the decimated transform of the record
+    rotated left, squared and rotated back; the rotation wraps fewer than
     2**levels samples across the ends, harmless next to the ~2 s
-    threshold window."""
+    threshold window.
+
+    Away from the rotated record's ends, detail k of level l of shift s
+    is the circular a trous detail D_l[2**l k - (2**l - 1) m + s], m taps,
+    so one shared analysis serves every shift as strided views.  The few
+    coefficients whose taps reach the symmetric padding come from the
+    decimated bank run on the rotated record's first and last
+    2**depth * (m + 1) samples (the tail starting on a multiple of
+    2**depth, where its coefficients line up with the record's); a record
+    shorter than twice that takes both segments whole.  The band is then
+    the usual polyphase synthesis.
+    """
     _check_signal(x, levels)
     h, g = _filters(wavelet)
     kept = _kept_levels(detail_levels, levels)
-    shifts = range(2**levels) if phase_average else range(1)
-    n = x.size
+    if not kept:
+        return np.zeros_like(x)
+    shifts = 2**levels if phase_average else 1
+    n, m, depth = x.size, h.size, max(kept)
+    span = 2**depth * (m + 1)
+    span = span if 2 * span < n else n
+    tail = (n - span) >> depth << depth
+
+    # Per level: the coefficient count and the interior [lo, stop), whose
+    # taps read no padding, directly or through the levels above; per
+    # kept level also the shared details, padded circularly, with the
+    # offset of shift 0's first interior coefficient.
+    shared = _atrous(x, h, g, depth, kept)
+    lengths, views, lo, hi = [n], {}, 0, n - 1
+    for level in range(1, depth + 1):
+        lengths.append((lengths[-1] + m) // 2 + 1)
+        lo, hi = (lo + m + 1) // 2, (hi + 1) // 2
+        if level in shared:
+            stop, step = max(lo, hi + 1), 2**level
+            first = step * lo - (step - 1) * m
+            left = max(0, -first)
+            right = max(0, first + step * (stop - lo - 1) + shifts - n)
+            views[level] = lo, stop, left + first, _wrap(shared.pop(level), left, right)
+
     energy = np.zeros_like(x)
-    for s in shifts:
-        _, details, lengths = _analyze(np.roll(x, -s), h, g, max(kept, default=0),
-                                       kept, keep_approx=False)
-        band = _synthesize(None, details, lengths, h, g)
-        if band is None:  # no detail level kept
-            continue
+    for s in range(shifts):
+        _, head, _ = _analyze(np.take(x, np.arange(s, s + span), mode="wrap"),
+                              h, g, depth, kept, keep_approx=False)
+        _, end, _ = _analyze(np.take(x, np.arange(s + tail, s + n), mode="wrap"),
+                             h, g, depth, kept, keep_approx=False)
+        details = [None] * depth
+        for level, (lo, stop, first, padded) in views.items():
+            step = 2**level
+            d = np.empty(lengths[level])
+            d[:lo] = head[level - 1][:lo]
+            d[lo:stop] = padded[first + s : first + s + step * (stop - lo) : step]
+            d[stop:] = end[level - 1][stop - (tail >> level) :]
+            details[level - 1] = d
+        band = _synthesize(None, details, lengths[:depth], h, g)
         band *= band
         energy[s:] += band[: n - s]
         energy[:s] += band[n - s :]
-    energy /= len(shifts)
+        del band  # so the next shift's synthesis does not hold two bands
+    energy /= shifts
     return energy
+
+
+def _refined_triggers(feature, active, x, radius):
+    """One candidate per run of active samples: the run's first feature
+    maximum (its trigger), moved to the first maximum of x within radius
+    of the trigger, the window clipped at the record's ends."""
+    idx = np.flatnonzero(active)
+    new_run = np.diff(idx, prepend=-2) > 1
+    run = np.cumsum(new_run) - 1
+    values = feature[idx]
+    peak = np.maximum.reduceat(values, np.flatnonzero(new_run))
+    hits = np.flatnonzero(values == peak[run])
+    triggers = idx[hits[np.diff(run[hits], prepend=-1) > 0]]
+    window = triggers[:, None] + np.arange(-radius, radius + 1)
+    inside = (window >= 0) & (window < x.size)
+    samples = np.where(inside, x[np.clip(window, 0, x.size - 1)], -np.inf)
+    return np.take_along_axis(window, np.argmax(samples, axis=1)[:, None], axis=1)[:, 0]
 
 
 def detect_r_peaks(
@@ -270,16 +370,18 @@ def detect_r_peaks(
     complex yields can swing by an order of magnitude with its sample
     alignment, so by default the squared reconstruction is averaged
     over every decimation phase (all 2**levels one-sample shifts),
-    which makes the trigger feature alignment-independent.  Each shift
-    computes only the branches the band reads (the approximations down
-    to the deepest kept level, and the kept details) and rebuilds it
-    with polyphase synthesis, so no zero-stuffed or muted branch is
-    ever filtered.  That energy, smoothed over a QRS-scale window, is compared against a
-    fraction of its own rolling maximum over a ~2 s window.  Each
-    suprathreshold run contributes one trigger at the feature maximum,
-    then moved to the raw-signal maximum within +-50 ms.  A 200 ms
-    refractory gap suppresses later duplicates.  A NaN or infinite
-    sample raises ValueError naming its index.
+    which makes the trigger feature alignment-independent.  One shared
+    a trous analysis of the record, of only the branches the band reads,
+    gives every shift's interior coefficients; each shift patches the
+    few at its ends from the decimated bank on a short segment and
+    rebuilds its band with polyphase synthesis, so no zero-stuffed or
+    muted branch is ever filtered.  That energy, smoothed over a
+    QRS-scale window, is compared against a fraction of its own rolling
+    maximum over a ~2 s window.  Each suprathreshold run contributes one
+    trigger at its first feature maximum, then moved to the first
+    raw-signal maximum within +-50 ms.  A 200 ms refractory gap
+    suppresses later duplicates.  A NaN or infinite sample raises
+    ValueError naming its index.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -302,19 +404,8 @@ def detect_r_peaks(
     floor = (1e-9 * float(np.max(np.abs(x)))) ** 2
     active = feature > np.maximum(threshold_ratio * rolling, floor)
 
-    padded = np.concatenate(([False], active, [False]))
-    changes = np.flatnonzero(np.diff(padded.astype(np.int8)))
-    starts, stops = changes[0::2], changes[1::2]
-
     radius = int(round(refine_ms / 1000.0 * fs))
-    candidates = []
-    for s, e in zip(starts, stops):
-        trigger = s + int(np.argmax(feature[s:e]))
-        lo = max(0, trigger - radius)
-        hi = min(x.size, trigger + radius + 1)
-        candidates.append(lo + int(np.argmax(x[lo:hi])))
-
-    candidates.sort()
+    candidates = np.sort(_refined_triggers(feature, active, x, radius)).tolist()
     min_gap = refractory_ms / 1000.0 * fs
     kept: list[int] = []
     for c in candidates:
@@ -326,33 +417,3 @@ def detect_r_peaks(
 
     return PeakTrain(r_indices=np.asarray(kept, dtype=np.int64), sampling_frequency=fs)
 
-
-# ---------------------------------------------------------------------------
-# R-R intervals
-
-
-@dataclass(frozen=True)
-class RRSeries:
-    samples: np.ndarray
-    seconds: np.ndarray
-    sampling_frequency: float
-
-    @property
-    def intervals(self):
-        """(samples, seconds) pairs, one per consecutive peak pair."""
-        return list(zip(self.samples.tolist(), self.seconds.tolist()))
-
-    def __len__(self):
-        return int(self.samples.size)
-
-
-def extract_rr(peaks: PeakTrain) -> RRSeries:
-    """Successive differences of the peak train, in samples and seconds."""
-    if len(peaks) < 2:
-        raise ValueError(f"need at least 2 peaks for intervals, got {len(peaks)}")
-    diffs = np.diff(peaks.r_indices)
-    return RRSeries(
-        samples=diffs,
-        seconds=diffs / peaks.sampling_frequency,
-        sampling_frequency=peaks.sampling_frequency,
-    )

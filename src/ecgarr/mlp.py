@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 # platanh, platanh_derivative and the fixed-point names the integer kernel
-# does not call stay importable from this module, where callers and
-# perfbench's tracer look them up.
+# does not call (rne_shift_array, saturate_array) stay importable from
+# this module, where callers and perfbench's tracer look them up.
 from .activation import (
     _fixed_table,
     _ntanh_fixed,
@@ -28,8 +28,9 @@ from .activation import (
     platanh_fixed_raw_array,
     softmax,
 )
-from .fixedpoint import (QFormat, check_accumulator, quantize_raw_array, rne_constants,
-                         rne_shift, rne_shift_array, saturate_array)
+from .fixedpoint import (QFormat, _quantize, check_accumulator,
+                         quantize_raw_array, rne_constants, rne_shift, rne_shift_array,
+                         saturate_array)
 
 __all__ = [
     "MlpModel",
@@ -100,6 +101,8 @@ class MlpModel:
                 f"inconsistent shapes: w_hidden {wh.shape}, b_hidden {bh.shape}, "
                 f"w_out {wo.shape}, b_out {bo.shape}"
             )
+        if 0 in (n_in, n_hidden, n_out):
+            raise ValueError(f"layer sizes {(n_in, n_hidden, n_out)} include an empty layer")
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
@@ -184,6 +187,8 @@ class _IntegerKernel:
     It holds the raw weights, transposed for a batch of rows, the biases
     shifted up by F to join each neuron's wide accumulator, the shift
     back by F with its rounding constants, and the PLA segment table.
+    A shifted accumulator goes to the PLA unsaturated: past the format
+    it lands in a constant end segment, which returns the saturated +-1.
     """
 
     def __init__(self, fmt: QFormat, model: MlpModel):
@@ -204,17 +209,14 @@ class _IntegerKernel:
         self.shift_f = (f, *(int(v) for v in rne_constants(f)))
         self.table = _fixed_table(fmt)
 
-    def _neurons(self, acc):
-        """One round-half-even shift by F per accumulator, then saturation."""
-        return saturate_array(rne_shift(acc, *self.shift_f), self.fmt)
-
     def __call__(self, x):
-        """Outputs for a float batch, as floats: inputs are quantized first."""
-        fmt = self.fmt
-        x_raw = quantize_raw_array(x, fmt)
-        h = _platanh_fixed(self._neurons(x_raw @ self.w_hidden + self.b_hidden), self.table)
-        out = _ntanh_fixed(self._neurons(h @ self.w_out + self.b_out), self.table)
-        return out / float(fmt.scale)
+        """Outputs for a float batch free of NaN, as floats: inputs are
+        quantized first, and each accumulator is shifted back by F once."""
+        x_raw = _quantize(x, self.fmt)
+        h = _platanh_fixed(rne_shift(x_raw @ self.w_hidden + self.b_hidden, *self.shift_f),
+                           self.table)
+        out = _ntanh_fixed(rne_shift(h @ self.w_out + self.b_out, *self.shift_f), self.table)
+        return out / float(self.fmt.scale)
 
 
 def _check_batch(model, x):

@@ -13,12 +13,10 @@ from ecgarr import dsp
 from ecgarr.dsp import (
     _WAVELETS,
     PeakTrain,
-    RRSeries,
     SignalTooShortError,
     detect_r_peaks,
     dwt_decompose,
     dwt_reconstruct,
-    extract_rr,
 )
 from ecgarr.wfdb_io import ingest_record
 from wfdb_fixtures import classifier_record, dropout_record
@@ -223,17 +221,74 @@ def test_detector_matches_oracle_where_the_wrap_dominates(monkeypatch):
         _assert_detector_matches_oracle(x, 360.0, monkeypatch)
 
 
-def test_detector_matches_oracle_on_benchmark_record(monkeypatch):
-    # five minutes of the benchmark's synthetic record, loaded by path
+def _benchmark_records(monkeypatch):
+    # the benchmark's synthetic record generator, loaded by path
     path = Path(__file__).resolve().parents[1] / "perfbench" / "records.py"
     spec = importlib.util.spec_from_file_location("perfbench_records", path)
     records = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, records)  # its dataclasses look it up
     spec.loader.exec_module(records)
+    return records
+
+
+def test_detector_matches_oracle_on_benchmark_record(monkeypatch):
+    # five minutes of the benchmark's synthetic record
+    records = _benchmark_records(monkeypatch)
     samples, _, _ = records.synthesize(1, 0)
     peaks = _assert_detector_matches_oracle(samples[0, : 5 * 60 * records.FS],
                                             records.FS, monkeypatch)
     assert peaks > 300  # about 365 beats in five minutes
+
+
+@pytest.mark.parametrize("record_no", [0, 1])
+def test_band_energy_matches_oracle_on_full_benchmark_records(record_no, monkeypatch):
+    # the whole 30-minute record, 648,000 samples, as the monitor workload reads it
+    samples, _, _ = _benchmark_records(monkeypatch).synthesize(1, record_no)
+    x = samples[0].astype(np.float64)
+    for phase_average in (True, False):
+        got = dsp._band_energy(x, "db4", 4, (3, 4), phase_average)
+        want = _oracle_energy(x, "db4", 4, (3, 4), phase_average)
+        assert got.tobytes() == want.tobytes(), phase_average
+
+
+@pytest.mark.parametrize("wavelet", sorted(_WAVELETS))
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_band_energy_matches_oracle_around_the_end_patches(wavelet, levels):
+    # The shared analysis patches the rotated record's first and last
+    # 2**depth * (m + 1) samples; below twice that both patches are the
+    # whole record.  Every length on both sides of that overlap, odd and
+    # even, most of them no multiple of 16.
+    m = len(_WAVELETS[wavelet])
+    rng = np.random.default_rng(levels * 10 + m)
+    for detail_levels in ((3, 4), (4,), (2,), (1, 2, 3, 4)):
+        if max(detail_levels) > levels:
+            continue
+        overlap = 2 * 2 ** max(detail_levels) * (m + 1)
+        lengths = [2**levels, 2**levels + 1, 1001, *range(overlap - 3, overlap + 4)]
+        for n in (n for n in lengths if n >= 2**levels):
+            x = rng.standard_normal(n) * 100.0
+            x[n // 3] += 2000.0
+            for phase_average in (True, False):
+                got = dsp._band_energy(x, wavelet, levels, detail_levels, phase_average)
+                want = _oracle_energy(x, wavelet, levels, detail_levels, phase_average)
+                assert got.tobytes() == want.tobytes(), (detail_levels, n, phase_average)
+
+
+@pytest.mark.parametrize("n", [600, 700, 1000, 1001, 1003, 4001, 4096, 5000, 5003, 20011])
+def test_band_energy_matches_oracle_at_assorted_lengths(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 100.0
+    for phase_average in (True, False):
+        got = dsp._band_energy(x, "db4", 4, (3, 4), phase_average)
+        want = _oracle_energy(x, "db4", 4, (3, 4), phase_average)
+        assert got.tobytes() == want.tobytes(), phase_average
+
+
+def test_band_energy_with_no_detail_level_is_zero():
+    x = np.random.default_rng(2).standard_normal(300)
+    for phase_average in (True, False):
+        assert dsp._band_energy(x, "db4", 4, (), phase_average).tobytes() == \
+            np.zeros(300).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -321,35 +376,74 @@ def test_peak_train_invariants():
 
 
 # ---------------------------------------------------------------------------
-# R-R intervals
+# trigger and refine step against the per-run loop
 
 
-def test_rr_from_three_peaks():
-    train = PeakTrain(np.asarray([100, 445, 790]), 500.0)
-    rr = extract_rr(train)
-    assert rr.samples.tolist() == [345, 345]
-    assert rr.seconds.tolist() == [0.69, 0.69]
-    assert rr.intervals == [(345, 0.69), (345, 0.69)]
+def _loop_refined_triggers(feature, active, x, radius):
+    """The per-run loop the detector used to run, kept as the reference."""
+    padded = np.concatenate(([False], active, [False]))
+    changes = np.flatnonzero(np.diff(padded.astype(np.int8)))
+    candidates = []
+    for s, e in zip(changes[0::2], changes[1::2]):
+        trigger = s + int(np.argmax(feature[s:e]))
+        lo = max(0, trigger - radius)
+        hi = min(x.size, trigger + radius + 1)
+        candidates.append(lo + int(np.argmax(x[lo:hi])))
+    return candidates
 
 
-def test_rr_minimal_pair():
-    rr = extract_rr(PeakTrain(np.asarray([0, 1]), 360.0))
-    assert rr.samples.tolist() == [1]
-    assert len(rr) == 1
+def _assert_refined_triggers_match_loop(feature, active, x, radius):
+    got = dsp._refined_triggers(feature, active, x, radius)
+    assert got.tolist() == _loop_refined_triggers(feature, active, x, radius)
 
 
-def test_rr_random_difference_oracle():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        n = int(rng.integers(2, 40))
-        idx = np.cumsum(rng.integers(1, 500, size=n))
-        rr = extract_rr(PeakTrain(idx, 250.0))
-        assert rr.samples.tolist() == np.diff(idx).tolist()
-        assert len(rr) == n - 1
-        assert np.all(rr.samples > 0)
-        assert np.allclose(rr.seconds, rr.samples / 250.0)
+def test_refined_triggers_match_loop_at_the_record_ends():
+    n, radius = 40, 5
+    x = np.zeros(n)
+    x[[0, 3, 8, 18, 24, 36, 39]] = [5.0, 9.0, 9.0, 2.0, 2.0, 9.0, 4.0]  # raw ties
+    feature = np.zeros(n)
+    feature[[1, 2, 37]] = 7.0  # trigger near each end, with a tie
+    feature[20:23] = 3.0       # a plateau: the first sample triggers
+    active = np.zeros(n, dtype=bool)
+    active[0:4] = True         # a run at index 0
+    active[20:23] = True
+    active[34:] = True         # a run that ends at n
+    _assert_refined_triggers_match_loop(feature, active, x, radius)
+    assert dsp._refined_triggers(feature, active, x, radius).tolist() == [3, 18, 36]
+    for r in (0, 1, 2, 39, 50):  # windows from one sample to wider than the record
+        _assert_refined_triggers_match_loop(feature, active, x, r)
 
 
-def test_rr_needs_two_peaks():
-    with pytest.raises(ValueError):
-        extract_rr(PeakTrain(np.asarray([7]), 360.0))
+def test_refined_triggers_match_loop_on_random_runs():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 80))
+        # coarse values, so both maxima often tie
+        feature = rng.integers(0, 4, size=n).astype(np.float64)
+        x = rng.integers(-3, 4, size=n).astype(np.float64)
+        active = rng.random(n) < rng.uniform(0.1, 0.9)
+        _assert_refined_triggers_match_loop(feature, active, x, int(rng.integers(0, 10)))
+
+
+def test_refined_triggers_without_a_run_are_empty():
+    got = dsp._refined_triggers(np.ones(10), np.zeros(10, dtype=bool), np.ones(10), 3)
+    assert got.size == 0
+
+
+@pytest.mark.parametrize("make", [classifier_record, dropout_record])
+def test_refined_triggers_match_loop_on_fixture_records(make, tmp_path, monkeypatch):
+    record = ingest_record(make(tmp_path, "rec"))
+    calls = []
+
+    def checked(feature, active, x, radius):
+        got = refined(feature, active, x, radius)
+        assert got.tolist() == _loop_refined_triggers(feature, active, x, radius)
+        calls.append(int(np.count_nonzero(active)))
+        return got
+
+    refined = dsp._refined_triggers
+    monkeypatch.setattr(dsp, "_refined_triggers", checked)
+    for phase_average in (True, False):
+        detect_r_peaks(record.samples[0], record.header.sampling_frequency,
+                       phase_average=phase_average)
+    assert len(calls) == 2 and min(calls) > 0

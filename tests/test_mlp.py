@@ -73,6 +73,18 @@ def test_model_shape_validation():
         )
 
 
+@pytest.mark.parametrize("layer_sizes", [(12, 0, 2), (0, 6, 2), (12, 6, 0)])
+@pytest.mark.parametrize("q_format", [None, QFormat()])
+def test_model_rejects_an_empty_layer(layer_sizes, q_format):
+    # a fixed model fails here too, before its integer kernel is built
+    n_in, n_hidden, n_out = layer_sizes
+    with pytest.raises(ValueError, match=rf"layer sizes \({n_in}, {n_hidden}, {n_out}\)"):
+        MlpModel(w_hidden=np.zeros((n_hidden, n_in)), b_hidden=np.zeros(n_hidden),
+                 w_out=np.zeros((n_out, n_hidden)), b_out=np.zeros(n_out), q_format=q_format)
+    with pytest.raises(ValueError, match="empty layer"):
+        init_model(seed=0, layer_sizes=layer_sizes)
+
+
 def test_model_activation_validation():
     with pytest.raises(ValueError, match="hidden activation"):
         zero_model(hidden="relu")
