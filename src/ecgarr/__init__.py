@@ -8,7 +8,7 @@ re-exports only the handful of names used most.
 """
 
 from .fixedpoint import QFormat
-from .activation import ntanh, platanh, softmax, tanh_exact
+from .activation import platanh, tanh_exact
 from .dsp import PeakTrain, detect_r_peaks, dwt_decompose, dwt_reconstruct
 from .features import PCAModel, build_feature_vector, fit_pca, project, window_beat
 from .mlp import (
@@ -46,7 +46,6 @@ __all__ = [
     "init_model",
     "load_model",
     "match_beats",
-    "ntanh",
     "platanh",
     "predict",
     "predict_batch",
@@ -55,7 +54,6 @@ __all__ = [
     "run_experiment",
     "run_self_learner",
     "save_model",
-    "softmax",
     "sweep_fraction_bits",
     "tanh_exact",
     "train",

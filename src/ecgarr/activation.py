@@ -1,4 +1,4 @@
-"""Activation functions: exact references plus piecewise-linear approximations.
+"""Activation functions: the exact tanh and its piecewise-linear approximation.
 
 The approximated tanh is a 13-segment piecewise-linear curve whose slopes are
 all powers of two, so the fixed-point variant needs only arithmetic shifts and
@@ -54,15 +54,6 @@ def tanh_exact(x):
     return _apply(x, np.tanh)
 
 
-def softmax(z) -> np.ndarray:
-    """Reference normalized exponential, stabilized by max subtraction."""
-    z = np.asarray(z, dtype=float)
-    if z.size < 1:
-        raise ValueError("softmax needs at least one input")
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
-
-
 def _pla_segments(x: np.ndarray) -> np.ndarray:
     """Segment index of each x, equal to np.searchsorted(PLA_BORDERS, x).
 
@@ -94,13 +85,6 @@ def platanh(x):
 def platanh_derivative(x):
     """Slope of the piecewise-linear tanh at x (left-segment rule at borders)."""
     return _apply(x, lambda a: PLA_SLOPES.take(_pla_segments(a)))
-
-
-def ntanh(x, approximate: bool = False):
-    """Normalized tanh (tanh(x)+1)/2, mapping outputs into [0, 1]."""
-    if approximate:
-        return _apply(x, lambda a: (platanh(a) + 1.0) / 2.0)
-    return _apply(x, lambda a: (np.tanh(a) + 1.0) / 2.0)
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,6 @@ from .experiment import (
     SWEEP_FRACTION_BITS,
     PipelineConfig,
     annotated_beats,
-    classifier_activations,
     label_peaks,
     record_signal,
     render_experiment,
@@ -55,7 +54,8 @@ from .features import (
     save_pca_model,
 )
 from .fixedpoint import QFormat, check_accumulator
-from .mlp import init_model, load_model, predict_batch, quantize_model, save_model, train
+from .mlp import (ACTIVATIONS, init_model, load_model, predict_batch, quantize_model,
+                  save_model, train)
 from .selflearn import run_self_learner, save_anomaly_log
 from .wfdb_io import ingest_record
 
@@ -145,8 +145,8 @@ _OPTIONS = {
                       **_at_least(1)),
     "max_epochs": _Option("--max-epochs", "epoch cap", int, field="max_epochs",
                           **_at_least(1)),
-    "activation": _Option("--activation", "piecewise-linear or exact tanh pair",
-                          default="pla", choices=("pla", "exact")),
+    "activation": _Option("--activation", "piecewise-linear or exact tanh",
+                          default="pla", choices=tuple(ACTIVATIONS)),
     "classifier": _Option("--classifier", "evaluation mode", field="classifier",
                           choices=CLASSIFIER_MODES),
     "detector": _Option("--detector", "beat source", field="detector",
@@ -342,8 +342,7 @@ def cmd_features(opts) -> int:
         signal = record_signal(record, opts["channel"])
         fs = record.header.sampling_frequency
         peaks = _beat_positions(record, signal, opts)
-        labels = label_peaks(peaks, *annotated_beats(record), fs,
-                             _PIPELINE["match_window_ms"])
+        labels = label_peaks(peaks, *annotated_beats(record), fs)
         per_record.append((record.header.record_name,
                            beat_table(signal, fs, peaks, labels, half_width)))
         inputs.extend(_record_companions(header))
@@ -375,9 +374,7 @@ def cmd_train(opts) -> int:
     rows = load_features(opts["features"])
     x = np.stack([r.features for r in rows])
     y = np.array([int(r.label) for r in rows])
-    hidden, output = classifier_activations(opts["activation"])
-    arch = init_model(seed=opts["seed"], layer_sizes=(12, opts["hidden"], 2),
-                      hidden_activation=hidden, output_activation=output)
+    arch = init_model(opts["seed"], (12, opts["hidden"], 2), opts["activation"])
     model, report = train(arch, x, y, max_epochs=opts["max_epochs"],
                           seed=opts["seed"])
 

@@ -210,6 +210,19 @@ def dwt_reconstruct(coeffs: DwtCoefficients, keep_details=None, keep_approx: boo
 # ---------------------------------------------------------------------------
 # R-peak detection
 
+# The detector's settings: the wavelet bank, the detail levels its band
+# keeps, the threshold as a fraction of the rolling maximum over
+# WINDOW_SECONDS, the energy smoothing width, the refine radius around a
+# trigger, and the refractory gap between kept peaks.
+WAVELET = "db4"
+LEVELS = 4
+DETAIL_LEVELS = (3, 4)
+THRESHOLD_RATIO = 0.4
+WINDOW_SECONDS = 2.0
+INTEGRATE_MS = 150.0
+REFINE_MS = 50.0
+REFRACTORY_MS = 200.0
+
 
 @dataclass(frozen=True)
 class PeakTrain:
@@ -349,29 +362,16 @@ def _refined_triggers(feature, active, x, radius):
     return np.take_along_axis(window, np.argmax(samples, axis=1)[:, None], axis=1)[:, 0]
 
 
-def detect_r_peaks(
-    signal,
-    fs: float,
-    *,
-    wavelet: str = "db4",
-    levels: int = 4,
-    detail_levels=(3, 4),
-    threshold_ratio: float = 0.4,
-    window_seconds: float = 2.0,
-    integrate_ms: float = 150.0,
-    refine_ms: float = 50.0,
-    refractory_ms: float = 200.0,
-    phase_average: bool = True,
-) -> PeakTrain:
+def detect_r_peaks(signal, fs: float) -> PeakTrain:
     """Locate R peaks from wavelet-band energy.
 
-    The signal is rebuilt from mid-band detail levels only and squared.
-    The decimated transform is shift-variant: how much band energy a
-    complex yields can swing by an order of magnitude with its sample
-    alignment, so by default the squared reconstruction is averaged
-    over every decimation phase (all 2**levels one-sample shifts),
-    which makes the trigger feature alignment-independent.  One shared
-    a trous analysis of the record, of only the branches the band reads,
+    The signal is rebuilt from the DETAIL_LEVELS details alone and
+    squared.  The decimated transform is shift-variant: how much band
+    energy a complex yields can swing by an order of magnitude with its
+    sample alignment, so the squared reconstruction is averaged over
+    every decimation phase (all 2**LEVELS one-sample shifts), which makes
+    the trigger feature alignment-independent.  One shared a trous
+    analysis of the record, of only the branches the band reads,
     gives every shift's interior coefficients; each shift patches the
     few at its ends from the decimated bank on a short segment and
     rebuilds its band with polyphase synthesis, so no zero-stuffed or
@@ -394,19 +394,19 @@ def detect_r_peaks(
         first = int(np.argmin(finite))
         raise ValueError(f"signal sample {first} is not finite ({x[first]})")
 
-    energy = _band_energy(x, wavelet, levels, detail_levels, phase_average)
-    smooth = max(1, int(round(integrate_ms / 1000.0 * fs)) | 1)
+    energy = _band_energy(x, WAVELET, LEVELS, DETAIL_LEVELS, phase_average=True)
+    smooth = max(1, int(round(INTEGRATE_MS / 1000.0 * fs)) | 1)
     feature = uniform_filter1d(energy, size=smooth, mode="nearest")
 
-    win = max(1, int(round(window_seconds * fs)) | 1)
+    win = max(1, int(round(WINDOW_SECONDS * fs)) | 1)
     rolling = maximum_filter1d(feature, size=win, mode="nearest")
     # absolute floor keeps numerically-flat signals from triggering
     floor = (1e-9 * float(np.max(np.abs(x)))) ** 2
-    active = feature > np.maximum(threshold_ratio * rolling, floor)
+    active = feature > np.maximum(THRESHOLD_RATIO * rolling, floor)
 
-    radius = int(round(refine_ms / 1000.0 * fs))
+    radius = int(round(REFINE_MS / 1000.0 * fs))
     candidates = np.sort(_refined_triggers(feature, active, x, radius)).tolist()
-    min_gap = refractory_ms / 1000.0 * fs
+    min_gap = REFRACTORY_MS / 1000.0 * fs
     kept: list[int] = []
     for c in candidates:
         if kept and c - kept[-1] < min_gap:

@@ -20,6 +20,7 @@ from .features import BeatTable, beat_table, feature_matrix, fit_pca
 from .features import build_feature_vector, project, window_beat  # noqa: F401
 from .fixedpoint import QFormat
 from .metrics import (
+    MATCH_WINDOW_MS,
     ConfusionCounts,
     MetricsReport,
     compute_metrics,
@@ -37,7 +38,6 @@ __all__ = [
     "RecordResult",
     "SweepPoint",
     "annotated_beats",
-    "classifier_activations",
     "label_peaks",
     "record_signal",
     "render_experiment",
@@ -60,11 +60,9 @@ class PipelineConfig:
     total_bits: int = 24
     fraction_bits: int = 12
     tolerance_fraction: float = 0.15
-    split: str = "chrono-half"
     seed: int = 0
     max_epochs: int = 1000
     hidden_units: int = 6
-    match_window_ms: float = 50.0
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -76,8 +74,6 @@ class PipelineConfig:
             raise ValueError(f"unknown detector mode {self.detector!r}")
         if self.classifier not in CLASSIFIER_MODES:
             raise ValueError(f"unknown classifier mode {self.classifier!r}")
-        if self.split != "chrono-half":
-            raise ValueError(f"unknown split policy {self.split!r}")
         if self.channel < 0:
             raise ValueError("channel must be nonnegative")
 
@@ -86,7 +82,7 @@ class PipelineConfig:
         out = {
             "detector": self.detector,
             "classifier": self.classifier,
-            "split": self.split if self.classifier != "self-learner" else "full-record",
+            "split": "full-record" if self.classifier == "self-learner" else "chrono-half",
             "seed": self.seed,
             "channel": self.channel,
         }
@@ -159,9 +155,9 @@ def annotated_beats(record):
     )
 
 
-def label_peaks(peaks, ann_indices, ann_labels, fs: float, window_ms: float) -> np.ndarray:
+def label_peaks(peaks, ann_indices, ann_labels, fs: float) -> np.ndarray:
     """The label of the annotation each peak matched, -1 where none did."""
-    matched = match_beats(peaks, ann_indices, sampling_frequency=fs, window_ms=window_ms)
+    matched = match_beats(peaks, ann_indices, sampling_frequency=fs)
     label_by_ann = dict(zip(ann_indices.tolist(), ann_labels.tolist()))
     label_by_peak = {p: label_by_ann[a] for p, a in matched.pairs}
     return np.array([label_by_peak.get(int(p), -1) for p in peaks], dtype=np.int64)
@@ -185,7 +181,7 @@ def _load_record(header_path, config) -> _RecordData:
         indices, labels = ann_idx, ann_lab
     else:
         indices = detect_r_peaks(signal, fs).r_indices
-        labels = label_peaks(indices, ann_idx, ann_lab, fs, config.match_window_ms)
+        labels = label_peaks(indices, ann_idx, ann_lab, fs)
     # the self-learner judges the beat train alone and reads no windows
     table = (None if config.classifier == "self-learner"
              else beat_table(signal, fs, indices, labels))
@@ -201,13 +197,6 @@ def _load_record(header_path, config) -> _RecordData:
 
 # ---------------------------------------------------------------------------
 # classifier path
-
-
-def classifier_activations(classifier):
-    """Hidden and output activation names of a classifier mode."""
-    if classifier == "exact":
-        return "tanh", "ntanh"
-    return "platanh", "ntanh_pla"
 
 
 def _prepare_classifier_data(records):
@@ -228,13 +217,9 @@ def _prepare_classifier_data(records):
 
 def _run_classifier(records, config):
     pca, x_train, y_train, test = _prepare_classifier_data(records)
-    hidden, output = classifier_activations(config.classifier)
-    arch = init_model(
-        seed=config.seed,
-        layer_sizes=(12, config.hidden_units, 2),
-        hidden_activation=hidden,
-        output_activation=output,
-    )
+    # "fixed" trains the piecewise-linear net it then quantizes
+    arch = init_model(config.seed, (12, config.hidden_units, 2),
+                      "exact" if config.classifier == "exact" else "pla")
     model, train_report = train(arch, x_train, y_train,
                                 max_epochs=config.max_epochs, seed=config.seed)
     eval_model = model
@@ -298,7 +283,7 @@ def _self_learner_verdicts(rec: _RecordData, config):
 
     judged = rec.ann_indices > monitor_from
     ann_idx, ann_lab = rec.ann_indices[judged], rec.ann_labels[judged]
-    window = config.match_window_ms * rec.sampling_frequency / 1000.0
+    window = MATCH_WINDOW_MS * rec.sampling_frequency / 1000.0
     nearest = _nearest_within(monitored, ann_idx, window)
     out = []
     for idx, label, peak in zip(ann_idx.tolist(), ann_lab.tolist(), nearest.tolist()):
@@ -369,10 +354,7 @@ def sweep_fraction_bits(config: PipelineConfig,
     _check_files_exist(config)
     records = [_load_record(p, config) for p in config.record_paths]
     pca, x_train, y_train, test = _prepare_classifier_data(records)
-    hidden, output = classifier_activations("pla")
-    arch = init_model(seed=config.seed,
-                      layer_sizes=(12, config.hidden_units, 2),
-                      hidden_activation=hidden, output_activation=output)
+    arch = init_model(config.seed, (12, config.hidden_units, 2), "pla")
     model, _ = train(arch, x_train, y_train,
                      max_epochs=config.max_epochs, seed=config.seed)
     x_test = np.vstack([feature_matrix(pca, table) for table in test])

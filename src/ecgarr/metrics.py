@@ -124,6 +124,10 @@ def format_report(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A detected beat and an annotated one match within this distance.
+MATCH_WINDOW_MS = 50.0
+
+
 @dataclass(frozen=True)
 class MatchResult:
     pairs: tuple                     # (prediction index, annotation index) pairs
@@ -131,11 +135,10 @@ class MatchResult:
     unmatched_annotations: tuple     # FN-side sample indices
 
 
-def match_beats(predicted, annotated, *, sampling_frequency: float,
-                window_ms: float = 50.0) -> MatchResult:
+def match_beats(predicted, annotated, *, sampling_frequency: float) -> MatchResult:
     """Greedy nearest pairing of two sorted sample-index lists.
 
-    Candidate pairs within +/- window_ms are taken closest-first (ties
+    Candidate pairs within +/- MATCH_WINDOW_MS are taken closest-first (ties
     broken by annotation then prediction position), each side used at
     most once.  A distance of exactly the window still matches.
     """
@@ -145,7 +148,7 @@ def match_beats(predicted, annotated, *, sampling_frequency: float,
         raise ValueError("both index lists must be sorted ascending")
     if sampling_frequency <= 0:
         raise ValueError("sampling_frequency must be positive")
-    window = window_ms * sampling_frequency / 1000.0
+    window = MATCH_WINDOW_MS * sampling_frequency / 1000.0
 
     candidates = []
     lo = np.searchsorted(pred, ann - np.int64(np.ceil(window)), side="left")

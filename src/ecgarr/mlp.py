@@ -26,7 +26,6 @@ from .activation import (
     platanh,
     platanh_derivative,
     platanh_fixed_raw_array,
-    softmax,
 )
 from .fixedpoint import (QFormat, _quantize, check_accumulator,
                          quantize_raw_array, rne_constants, rne_shift, rne_shift_array,
@@ -54,9 +53,6 @@ __all__ = [
     "train",
 ]
 
-HIDDEN_ACTIVATIONS = ("tanh", "platanh")
-OUTPUT_ACTIVATIONS = ("ntanh", "ntanh_pla", "softmax")
-
 NORMAL, ARRHYTHMIA = 0, 1  # output neuron convention
 
 
@@ -64,26 +60,38 @@ class QuantizationWarning(UserWarning):
     pass
 
 
-FIXED_ACTIVATIONS = ("platanh", "ntanh_pla")  # the integer kernel's pair
+def _tanh_and_slope(z):
+    y = np.tanh(z)
+    return y, 1.0 - y * y
+
+
+# Each activation mode: the (value, slope) function both layers run, and
+# the hidden and output names its model files carry.  Backprop takes the
+# PLA's left-segment slope at a border.
+ACTIVATIONS = {
+    "pla": (_platanh_and_slope, ("platanh", "ntanh_pla")),
+    "exact": (_tanh_and_slope, ("tanh", "ntanh")),
+}
 _PARAMETERS = ("w_hidden", "b_hidden", "w_out", "b_out")
 
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Weights and activations; a q_format makes it a fixed-point model.
+    """Weights and an activation mode; a q_format makes it a fixed-point
+    model.
 
-    The parameter arrays are private read-only float64 copies.  A fixed
-    model also builds its integer kernel here, once: its parameters must
-    be exact multiples of 2**-F inside the format, and it runs only the
-    PLA activations.
+    Both layers run the mode's tanh, the output layer's normalized to
+    [0, 1].  The parameter arrays are private read-only float64 copies.
+    A fixed model also builds its integer kernel here, once: its
+    parameters must be exact multiples of 2**-F inside the format, and
+    its mode must be "pla".
     """
 
     w_hidden: np.ndarray  # (n_hidden, n_in)
     b_hidden: np.ndarray  # (n_hidden,)
     w_out: np.ndarray     # (n_out, n_hidden)
     b_out: np.ndarray     # (n_out,)
-    hidden_activation: str = "platanh"
-    output_activation: str = "ntanh_pla"
+    activation: str = "pla"
     q_format: QFormat | None = None  # None = real arithmetic
 
     def __post_init__(self):
@@ -103,15 +111,13 @@ class MlpModel:
             )
         if 0 in (n_in, n_hidden, n_out):
             raise ValueError(f"layer sizes {(n_in, n_hidden, n_out)} include an empty layer")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}; "
+                             f"choose from {', '.join(ACTIVATIONS)}")
         if self.q_format is not None:
-            if (self.hidden_activation, self.output_activation) != FIXED_ACTIVATIONS:
+            if self.activation != "pla":
                 raise ValueError(
-                    f"a fixed-point model runs {' and '.join(FIXED_ACTIVATIONS)}, not "
-                    f"{self.hidden_activation} and {self.output_activation}")
+                    f"a fixed-point model runs the pla activation, not {self.activation}")
             object.__setattr__(self, "_kernel", _IntegerKernel(self.q_format, self))
 
     @property
@@ -126,12 +132,7 @@ class MlpModel:
         return (self.w_hidden, self.b_hidden, self.w_out, self.b_out)
 
 
-def init_model(
-    seed: int = 0,
-    layer_sizes=(12, 6, 2),
-    hidden_activation: str = "platanh",
-    output_activation: str = "ntanh_pla",
-) -> MlpModel:
+def init_model(seed: int = 0, layer_sizes=(12, 6, 2), activation: str = "pla") -> MlpModel:
     """Fresh real-mode model, weights uniform in [-0.5, 0.5]."""
     n_in, n_hidden, n_out = layer_sizes
     rng = np.random.default_rng(seed)
@@ -140,31 +141,12 @@ def init_model(
         b_hidden=rng.uniform(-0.5, 0.5, size=n_hidden),
         w_out=rng.uniform(-0.5, 0.5, size=(n_out, n_hidden)),
         b_out=rng.uniform(-0.5, 0.5, size=n_out),
-        hidden_activation=hidden_activation,
-        output_activation=output_activation,
+        activation=activation,
     )
 
 
 # ---------------------------------------------------------------------------
 # forward passes
-
-
-def _activate(name, z):
-    """(value, slope) of one layer's activation at its inputs z.
-
-    The slope is what backprop needs (left-segment rule at PLA borders);
-    softmax has none, since training with it is not supported.
-    """
-    if name in ("tanh", "ntanh"):
-        y = np.tanh(z)
-        slope = 1.0 - y * y
-    elif name in ("platanh", "ntanh_pla"):
-        y, slope = _platanh_and_slope(z)
-    else:
-        return (np.apply_along_axis(softmax, -1, z) if z.ndim > 1 else softmax(z)), None
-    if name in ("ntanh", "ntanh_pla"):
-        return (y + 1.0) / 2.0, slope / 2.0
-    return y, slope
 
 
 def _as_features(x) -> np.ndarray:
@@ -173,12 +155,12 @@ def _as_features(x) -> np.ndarray:
 
 
 def _forward_real_batch(model, x):
-    """(hidden outputs, their slopes, outputs, their slopes) for a batch."""
-    h, h_slope = _activate(model.hidden_activation,
-                           x @ model.w_hidden.T + model.b_hidden)
-    out, out_slope = _activate(model.output_activation,
-                               h @ model.w_out.T + model.b_out)
-    return h, h_slope, out, out_slope
+    """(hidden outputs, their slopes, outputs, their slopes) for a batch;
+    the output layer maps the mode's tanh to [0, 1], halving its slope."""
+    act = ACTIVATIONS[model.activation][0]
+    h, h_slope = act(x @ model.w_hidden.T + model.b_hidden)
+    y, y_slope = act(h @ model.w_out.T + model.b_out)
+    return h, h_slope, (y + 1.0) / 2.0, y_slope / 2.0
 
 
 class _IntegerKernel:
@@ -292,8 +274,6 @@ def gradients(model: MlpModel, x, targets):
 def _backprop(model, x, targets, forward):
     """Gradients from the forward pass of this model on x."""
     h, h_slope, out, out_slope = forward
-    if out_slope is None:
-        raise ValueError("gradient training with softmax outputs is not supported")
     # d(mean((out-t)^2)) / d(out): mean over n rows * n_out entries
     d_out = 2.0 * (out - targets) / targets.size
     delta_o = d_out * out_slope
@@ -414,7 +394,7 @@ def train(
 ):
     """Full-batch resilient backprop from a fresh seeded initialization.
 
-    The passed model supplies architecture and activations only; its
+    The passed model supplies architecture and activation only; its
     weights are re-drawn uniform [-0.5, 0.5] from the seed.  Stops at
     max_epochs or once the best MSE has failed to improve by
     plateau_epsilon for plateau_epochs consecutive epochs.  Returns
@@ -436,12 +416,7 @@ def train(
     targets = one_hot(labels, model.layer_sizes[2])
     counts = (int(np.sum(labels == NORMAL)), int(np.sum(labels == ARRHYTHMIA)))
 
-    current = init_model(
-        seed=seed,
-        layer_sizes=model.layer_sizes,
-        hidden_activation=model.hidden_activation,
-        output_activation=model.output_activation,
-    )
+    current = init_model(seed, model.layer_sizes, model.activation)
     state = RpropState.for_model(current, **(rprop_hyper or {}))
 
     # The forward pass that scores one epoch's weights is the one the
@@ -481,14 +456,11 @@ def train(
 def quantize_model(model: MlpModel, fmt: QFormat = QFormat()) -> MlpModel:
     """Round every parameter to the Q format and switch to fixed mode.
 
-    Hidden activation becomes the piecewise-linear tanh, output becomes
-    its normalized form.  Parameters outside the representable range
-    saturate with a QuantizationWarning.
+    The activation becomes the piecewise-linear tanh.  Parameters outside
+    the representable range saturate with a QuantizationWarning.
     """
     if model.is_fixed:
         raise ValueError("model is already fixed-point")
-    if model.output_activation == "softmax":
-        raise ValueError("softmax has no fixed-point deployment path")
     quantized = []
     clipped = 0
     for p in model.parameter_arrays():
@@ -502,13 +474,8 @@ def quantize_model(model: MlpModel, fmt: QFormat = QFormat()) -> MlpModel:
             stacklevel=2,
         )
     wh, bh, wo, bo = quantized
-    hidden, output = FIXED_ACTIVATIONS
-    return MlpModel(
-        w_hidden=wh, b_hidden=bh, w_out=wo, b_out=bo,
-        hidden_activation=hidden,
-        output_activation=output,
-        q_format=fmt,
-    )
+    return MlpModel(w_hidden=wh, b_hidden=bh, w_out=wo, b_out=bo,
+                    activation="pla", q_format=fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +485,12 @@ def quantize_model(model: MlpModel, fmt: QFormat = QFormat()) -> MlpModel:
 def save_model(path, model: MlpModel) -> None:
     """Structured text; lossless in real mode, bit-exact in fixed mode."""
     n_in, n_hidden, n_out = model.layer_sizes
+    hidden, output = ACTIVATIONS[model.activation][1]
     with open(path, "w") as fh:
         fh.write("mlp-model v1\n")
         fh.write(f"layers {n_in} {n_hidden} {n_out}\n")
-        fh.write(f"hidden_activation {model.hidden_activation}\n")
-        fh.write(f"output_activation {model.output_activation}\n")
+        fh.write(f"hidden_activation {hidden}\n")
+        fh.write(f"output_activation {output}\n")
         if model.is_fixed:
             fmt = model.q_format
             fh.write(f"mode fixed {fmt.total_bits} {fmt.fraction_bits}\n")
@@ -542,45 +510,54 @@ def save_model(path, model: MlpModel) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """A model from a save_model file.  A malformed or truncated file, or
+    an activation pair no mode writes, raises ValueError naming path."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "mlp-model v1":
-        raise ValueError(f"{path}: not a model file")
-    sizes = lines[1].split()
-    if sizes[0] != "layers" or len(sizes) != 4:
-        raise ValueError(f"{path}: bad layers line {lines[1]!r}")
-    n_in, n_hidden, n_out = (int(v) for v in sizes[1:])
-    if not lines[2].startswith("hidden_activation ") or not lines[3].startswith("output_activation "):
-        raise ValueError(f"{path}: activation lines missing or out of order")
-    hidden_act = lines[2].split()[1]
-    output_act = lines[3].split()[1]
-    mode = lines[4].split()
-    if mode[0] != "mode":
-        raise ValueError(f"{path}: bad mode line {lines[4]!r}")
-    fmt = None
-    if mode[1] == "fixed":
-        fmt = QFormat(int(mode[2]), int(mode[3]))
-    elif mode[1] != "real":
-        raise ValueError(f"{path}: unknown mode {mode[1]!r}")
+        lines = [ln.split() for ln in fh if ln.strip()]
+    try:
+        return _parse_model(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_model(lines) -> MlpModel:
+    def header(i, key, *counts):
+        """The values on header line i, which starts with key."""
+        if i >= len(lines):
+            raise ValueError(f"the file ends before its {key} line")
+        if lines[i][0] != key or len(lines[i]) - 1 not in counts:
+            raise ValueError(f"bad {key} line {' '.join(lines[i])!r}")
+        return lines[i][1:]
+
+    if not lines or lines[0] != ["mlp-model", "v1"]:
+        raise ValueError("not a model file")
+    n_in, n_hidden, n_out = (int(v) for v in header(1, "layers", 3))
+    pair = header(2, "hidden_activation", 1) + header(3, "output_activation", 1)
+    modes = [mode for mode, (_, names) in ACTIVATIONS.items() if list(names) == pair]
+    if not modes:
+        raise ValueError(f"no activation mode runs hidden {pair[0]} with output {pair[1]}")
+    mode = header(4, "mode", 1, 3)
+    if mode == ["real"]:
+        fmt = None
+    elif mode[0] == "fixed" and len(mode) == 3:
+        fmt = QFormat(int(mode[1]), int(mode[2]))
+    else:
+        raise ValueError(f"unknown mode {' '.join(mode)!r}")
 
     rows = {"wh": [], "bh": [], "wo": [], "bo": []}
-    for line in lines[5:]:
-        tag, rest = line.split(" ", 1)
+    for tag, *values in lines[5:]:
         if tag not in rows:
-            raise ValueError(f"{path}: unexpected row tag {tag!r}")
+            raise ValueError(f"unexpected row tag {tag!r}")
         if fmt is None:
-            rows[tag].append([float(v) for v in rest.split()])
+            rows[tag].append([float(v) for v in values])
         else:
-            rows[tag].append([int(v) / fmt.scale for v in rest.split()])
-    wh = np.asarray(rows["wh"])
-    bh = np.asarray(rows["bh"][0]) if rows["bh"] else np.zeros(0)
-    wo = np.asarray(rows["wo"])
-    bo = np.asarray(rows["bo"][0]) if rows["bo"] else np.zeros(0)
+            rows[tag].append([int(v) / fmt.scale for v in values])
+    if len(rows["bh"]) != 1 or len(rows["bo"]) != 1:
+        raise ValueError(f"{len(rows['bh'])} bh and {len(rows['bo'])} bo rows, "
+                         "not one of each")
+    wh, bh = np.asarray(rows["wh"]), np.asarray(rows["bh"][0])
+    wo, bo = np.asarray(rows["wo"]), np.asarray(rows["bo"][0])
     if wh.shape != (n_hidden, n_in) or wo.shape != (n_out, n_hidden):
-        raise ValueError(f"{path}: weight shapes disagree with layers line")
-    return MlpModel(
-        w_hidden=wh, b_hidden=bh, w_out=wo, b_out=bo,
-        hidden_activation=hidden_act,
-        output_activation=output_act,
-        q_format=fmt,
-    )
+        raise ValueError("weight shapes disagree with layers line")
+    return MlpModel(w_hidden=wh, b_hidden=bh, w_out=wo, b_out=bo,
+                    activation=modes[0], q_format=fmt)

@@ -60,34 +60,23 @@ class AnomalyEvent:
 
 @dataclass(frozen=True)
 class SelfLearnerState:
-    st_rr: float | None = None
-    tolerance_fraction: float = 0.15
-    phase: str = "learning"
-    learn_buffer: tuple = ()
-    last_peak_index: int | None = None
+    """What monitoring reads: the learned interval, the tolerance, and
+    the last peak, from which the next interval is measured."""
+
+    st_rr: float
+    tolerance_fraction: float
+    last_peak_index: int
 
     def __post_init__(self):
         if not 0 < self.tolerance_fraction < 1:
             raise ValueError("tolerance_fraction must lie in (0, 1)")
-        if self.phase not in ("learning", "monitoring"):
-            raise ValueError(f"unknown phase {self.phase!r}")
-        if len(self.learn_buffer) > 4:
-            raise ValueError("learn_buffer holds at most 4 intervals")
-        if self.phase == "monitoring":
-            if self.st_rr is None or self.st_rr <= 0:
-                raise ValueError("monitoring needs a positive learned interval")
-            if self.last_peak_index is None:
-                raise ValueError("monitoring needs an anchor peak index")
+        if not self.st_rr > 0:
+            raise ValueError("monitoring needs a positive learned interval")
 
 
 def monitoring_state(st_rr: float, anchor_index: int,
                      tolerance_fraction: float = 0.15) -> SelfLearnerState:
-    return SelfLearnerState(
-        st_rr=float(st_rr),
-        tolerance_fraction=tolerance_fraction,
-        phase="monitoring",
-        last_peak_index=int(anchor_index),
-    )
+    return SelfLearnerState(float(st_rr), tolerance_fraction, int(anchor_index))
 
 
 def epsilon_for(st_rr: float, tolerance_fraction: float = 0.15) -> float:
@@ -151,8 +140,6 @@ def monitor(peaks, state: SelfLearnerState):
     not judged.  A peak inside the window is checked: deviants are
     flagged and do not update the learned value, normals do.
     """
-    if state.phase != "monitoring":
-        raise ValueError("monitor needs a state in the monitoring phase")
     st = state.st_rr
     tol = state.tolerance_fraction
     last = state.last_peak_index
@@ -186,14 +173,7 @@ def run_self_learner(peaks, *, tolerance_fraction: float = 0.15):
         )
     intervals = np.diff(indices)
     start, st = find_stable_window(intervals, tolerance_fraction)
-    anchor = int(indices[start + 4])
-    state = SelfLearnerState(
-        st_rr=st,
-        tolerance_fraction=tolerance_fraction,
-        phase="monitoring",
-        learn_buffer=tuple(float(t) for t in intervals[start:start + 4]),
-        last_peak_index=anchor,
-    )
+    state = monitoring_state(st, indices[start + 4], tolerance_fraction)
     return monitor(indices[start + 5:], state)
 
 

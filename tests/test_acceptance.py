@@ -123,8 +123,7 @@ def test_criterion_3_fixed_point_fidelity():
             f"activation error {worst:.3e} exceeds 1.5*2^-12")
 
     x_train, y_train = blob_beats(np.random.default_rng(5), 100)
-    arch = init_model(seed=5, hidden_activation="platanh",
-                      output_activation="ntanh_pla")
+    arch = init_model(seed=5, activation="pla")
     model, _ = train(arch, x_train, y_train, max_epochs=200, seed=5)
     x_probe, _ = blob_beats(np.random.default_rng(6), 500)
     real_pred = predict_batch(model, x_probe)
@@ -153,8 +152,7 @@ def _fd_gradients(model, x, targets, h=1e-5):
                 m2 = MlpModel(
                     w_hidden=arrs[0], b_hidden=arrs[1],
                     w_out=arrs[2], b_out=arrs[3],
-                    hidden_activation=model.hidden_activation,
-                    output_activation=model.output_activation,
+                    activation=model.activation,
                 )
                 return mse(m2, x, targets)
             g[pos] = (bumped(h) - bumped(-h)) / (2 * h)
@@ -164,20 +162,18 @@ def _fd_gradients(model, x, targets, h=1e-5):
 
 def test_criterion_4_gradient_correctness():
     c = Criterion(4, "backprop vs finite differences", 30.0)
-    combos = [("tanh", "ntanh"), ("platanh", "ntanh_pla"),
-              ("tanh", "ntanh_pla"), ("platanh", "ntanh")]
+    modes = ("exact", "pla")
     rng = np.random.default_rng(404)
     checked = 0
     attempts = 0
     while checked < 100 and attempts < 400:
         attempts += 1
-        hidden, output = combos[checked % 4]
-        m = init_model(seed=int(rng.integers(2**31)),
-                       hidden_activation=hidden, output_activation=output)
+        activation = modes[checked % 2]
+        m = init_model(seed=int(rng.integers(2**31)), activation=activation)
         x = rng.uniform(-1.5, 1.5, size=(3, 12))
         targets = rng.uniform(0, 1, size=(3, 2))
         h_pre = x @ m.w_hidden.T + m.b_hidden
-        h_act = np.tanh(h_pre) if hidden == "tanh" else platanh(h_pre)
+        h_act = np.tanh(h_pre) if activation == "exact" else platanh(h_pre)
         o_pre = h_act @ m.w_out.T + m.b_out
         if _near_border(h_pre) or _near_border(o_pre):
             continue
@@ -267,17 +263,16 @@ def test_criterion_8_training_sanity():
     c = Criterion(8, "training reaches separation", 60.0)
     x, y = blob_beats(np.random.default_rng(88), 100)
     finals = {}
-    for hidden, output in (("tanh", "ntanh"), ("platanh", "ntanh_pla")):
-        arch = init_model(seed=88, hidden_activation=hidden,
-                          output_activation=output)
+    for activation in ("exact", "pla"):
+        arch = init_model(seed=88, activation=activation)
         model, report = train(arch, x, y, max_epochs=200, seed=88)
         wrong = int(np.sum(predict_batch(model, x) != y))
-        c.check(wrong == 0, f"{hidden}: {wrong} training misclassifications")
+        c.check(wrong == 0, f"{activation}: {wrong} training misclassifications")
         c.check(report.mse_history[-1] < 0.01,
-                f"{hidden}: final mse {report.mse_history[-1]:.4f} >= 0.01")
-        finals[hidden] = report.mse_history[-1]
-    c.conclude(f"final mse exact {finals['tanh']:.2e} / "
-               f"pla {finals['platanh']:.2e}")
+                f"{activation}: final mse {report.mse_history[-1]:.4f} >= 0.01")
+        finals[activation] = report.mse_history[-1]
+    c.conclude(f"final mse exact {finals['exact']:.2e} / "
+               f"pla {finals['pla']:.2e}")
 
 
 def _mitbih_headers():

@@ -14,15 +14,14 @@ from ecgarr.activation import (
     SATURATION_BORDER,
     _pla_segments,
     _platanh_and_slope,
-    ntanh,
     ntanh_fixed_raw_array,
     platanh,
     platanh_derivative,
     platanh_fixed_raw_array,
-    softmax,
     tanh_exact,
 )
 from ecgarr.fixedpoint import QFormat, quantize_raw_array
+from ecgarr.mlp import MlpModel, forward_batch
 
 Q24_12 = QFormat(24, 12)
 
@@ -34,19 +33,6 @@ def _segment_value(i, x):
 def test_tanh_exact_reference_value():
     assert tanh_exact(0.5) == pytest.approx(0.462117, abs=5e-7)
     assert tanh_exact(0.0) == 0.0
-
-
-def test_softmax_symmetry_and_stability():
-    out = softmax((0.0, 0.0))
-    assert out == pytest.approx([0.5, 0.5])
-    big = softmax((1000.0, 0.0))
-    assert np.all(np.isfinite(big))
-    assert big[0] == pytest.approx(1.0)
-    assert big[1] == pytest.approx(0.0, abs=1e-300)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        z = rng.normal(size=rng.integers(1, 6))
-        assert np.sum(softmax(z)) == pytest.approx(1.0)
 
 
 def test_platanh_known_points():
@@ -132,16 +118,26 @@ def test_platanh_derivative_values():
     assert platanh_derivative(-SATURATION_BORDER) == 0.0
 
 
+def _ntanh(x, activation):
+    """The classifier's output layer, (tanh + 1) / 2 in the given mode,
+    at each x and -x: with zero weights, the output biases x and -x are
+    the outputs' whole inputs."""
+    return np.array([
+        forward_batch(MlpModel(w_hidden=np.zeros((1, 1)), b_hidden=np.zeros(1),
+                               w_out=np.zeros((2, 1)), b_out=[v, -v], activation=activation),
+                      np.zeros((1, 1)))[0]
+        for v in x])
+
+
 def test_ntanh_values():
-    assert ntanh(0.0) == 0.5
-    assert ntanh(10.0, approximate=True) == 1.0
-    assert ntanh(-10.0, approximate=True) == 0.0
+    assert _ntanh([0.0], "exact").tolist() == [[0.5, 0.5]]
+    assert _ntanh([10.0], "pla").tolist() == [[1.0, 0.0]]
     rng = np.random.default_rng(29)
-    for x in rng.uniform(-6, 6, 500):
-        assert ntanh(x) + ntanh(-x) == pytest.approx(1.0, abs=1e-12)
-        assert ntanh(x, approximate=True) + ntanh(-x, approximate=True) == (
-            pytest.approx(1.0, abs=1e-12)
-        )
+    for activation, ref in (("exact", np.tanh), ("pla", platanh)):
+        x = rng.uniform(-6, 6, 500)
+        out = _ntanh(x, activation)
+        assert out[:, 0] == pytest.approx((ref(x) + 1.0) / 2.0, abs=1e-12)
+        assert out.sum(axis=1) == pytest.approx(np.ones(500), abs=1e-12)
 
 
 def _raw(values, fmt=Q24_12):
@@ -206,7 +202,7 @@ def test_ntanh_fixed():
     rng = np.random.default_rng(37)
     raws = _raw(rng.uniform(-8, 8, size=2000))
     got = ntanh_fixed_raw_array(raws, Q24_12) / 4096
-    want = ntanh(raws / 4096, approximate=True)
+    want = (platanh(raws / 4096) + 1.0) / 2.0
     assert np.all(np.abs(got - want) <= 2.0 ** -12)
 
 

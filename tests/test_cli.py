@@ -424,6 +424,19 @@ def test_missing_record_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keep_lines", [1, 4])
+def test_infer_truncated_model_is_an_error_line(records, tmp_path, capsys, keep_lines):
+    # a model file cut after its magic line, or after its output_activation line
+    features_path, model_path = _trained_features_and_model(records, tmp_path)
+    cut = tmp_path / "cut.txt"
+    cut.write_text("".join(open(model_path).readlines()[:keep_lines]))
+    capsys.readouterr()
+    rc = main(["infer", "--features", features_path, "--model", str(cut),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {cut}: the file ends before its ")
+
+
 def test_even_window_rejected(records, tmp_path, capsys):
     rc = main(["features", "--record", records["a"], "--window", "180",
                "--peaks-from-annotations", "--out-dir", str(tmp_path / "o")])

@@ -173,7 +173,7 @@ def test_detail_levels_outside_range_raise(levels):
         with pytest.raises(ValueError, match="no such detail levels"):
             dwt_reconstruct(coeffs, keep_details=bad)
         with pytest.raises(ValueError, match="no such detail levels"):
-            detect_r_peaks(np.zeros(64), fs=360.0, levels=levels, detail_levels=bad)
+            dsp._band_energy(np.zeros(64), "db4", levels, bad, True)
 
 
 def _oracle_energy(x, wavelet, levels, detail_levels, phase_average):
@@ -182,22 +182,20 @@ def _oracle_energy(x, wavelet, levels, detail_levels, phase_average):
 
 
 def _assert_detector_matches_oracle(x, fs, monkeypatch):
-    """Band energy byte for byte, and the peak list of the detector run on
-    the oracle's energy, with and without phase averaging; returns the
-    phase-averaged peak count."""
+    """Band energy byte for byte, with and without phase averaging, and
+    the peak list of the detector run on the oracle's energy; returns the
+    peak count."""
     x = np.asarray(x, dtype=np.float64)
-    counts = []
     for phase_average in (True, False):
         got = dsp._band_energy(x, "db4", 4, (3, 4), phase_average)
         want = _oracle_energy(x, "db4", 4, (3, 4), phase_average)
         assert got.tobytes() == want.tobytes(), phase_average
-        peaks = detect_r_peaks(x, fs, phase_average=phase_average).r_indices
-        with monkeypatch.context() as patched:
-            patched.setattr(dsp, "_band_energy", _oracle_energy)
-            reference = detect_r_peaks(x, fs, phase_average=phase_average).r_indices
-        assert peaks.tolist() == reference.tolist(), phase_average
-        counts.append(peaks.size)
-    return counts[0]
+    peaks = detect_r_peaks(x, fs).r_indices
+    with monkeypatch.context() as patched:
+        patched.setattr(dsp, "_band_energy", _oracle_energy)
+        reference = detect_r_peaks(x, fs).r_indices
+    assert peaks.tolist() == reference.tolist()
+    return peaks.size
 
 
 @pytest.mark.parametrize("make", [classifier_record, dropout_record])
@@ -443,7 +441,5 @@ def test_refined_triggers_match_loop_on_fixture_records(make, tmp_path, monkeypa
 
     refined = dsp._refined_triggers
     monkeypatch.setattr(dsp, "_refined_triggers", checked)
-    for phase_average in (True, False):
-        detect_r_peaks(record.samples[0], record.header.sampling_frequency,
-                       phase_average=phase_average)
-    assert len(calls) == 2 and min(calls) > 0
+    detect_r_peaks(record.samples[0], record.header.sampling_frequency)
+    assert len(calls) == 1 and calls[0] > 0

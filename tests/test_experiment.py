@@ -246,7 +246,5 @@ def test_config_validation():
         PipelineConfig(record_paths=("x.hea",), detector="fft")
     with pytest.raises(ValueError, match="classifier"):
         PipelineConfig(record_paths=("x.hea",), classifier="svm")
-    with pytest.raises(ValueError, match="split"):
-        PipelineConfig(record_paths=("x.hea",), split="random")
     with pytest.raises(ValueError, match="channel"):
         PipelineConfig(record_paths=("x.hea",), channel=-1)

@@ -261,7 +261,7 @@ def test_beat_table_matches_per_beat_loop_on_fixtures(tmp_path, make):
     ann_idx, ann_lab = annotated_beats(record)
     _assert_table_matches_loop(signal, fs, ann_idx, ann_lab)
     peaks = detect_r_peaks(signal, fs).r_indices
-    _assert_table_matches_loop(signal, fs, peaks, label_peaks(peaks, ann_idx, ann_lab, fs, 50.0))
+    _assert_table_matches_loop(signal, fs, peaks, label_peaks(peaks, ann_idx, ann_lab, fs))
 
 
 def test_beat_table_matches_per_beat_loop_on_random_signal():

@@ -120,25 +120,25 @@ def test_match_identical_lists():
 
 def test_match_small_offset_within_window():
     # 10 ms at 360 Hz is 3.6 samples, well inside the 18-sample window
-    m = match_beats([104], [100], sampling_frequency=360.0, window_ms=50.0)
+    m = match_beats([104], [100], sampling_frequency=360.0)
     assert m.pairs == ((104, 100),)
 
 
 def test_match_two_predictions_one_annotation():
-    m = match_beats([95, 103], [100], sampling_frequency=1000.0, window_ms=50.0)
+    m = match_beats([95, 103], [100], sampling_frequency=1000.0)
     assert m.pairs == ((103, 100),)  # nearest wins
     assert m.unmatched_predictions == (95,)
     assert m.unmatched_annotations == ()
 
 
 def test_match_two_annotations_one_prediction():
-    m = match_beats([102], [100, 140], sampling_frequency=1000.0, window_ms=50.0)
+    m = match_beats([102], [100, 140], sampling_frequency=1000.0)
     assert m.pairs == ((102, 100),)
     assert m.unmatched_annotations == (140,)
 
 
 def test_match_outside_window():
-    m = match_beats([200], [100], sampling_frequency=1000.0, window_ms=50.0)
+    m = match_beats([200], [100], sampling_frequency=1000.0)
     assert m.pairs == ()
     assert m.unmatched_predictions == (200,)
     assert m.unmatched_annotations == (100,)
@@ -146,12 +146,12 @@ def test_match_outside_window():
 
 def test_match_window_boundary_inclusive():
     # exactly 50 samples apart at 1 kHz with a 50 ms window
-    m = match_beats([150], [100], sampling_frequency=1000.0, window_ms=50.0)
+    m = match_beats([150], [100], sampling_frequency=1000.0)
     assert m.pairs == ((150, 100),)
 
 
 def test_match_prefers_globally_nearest():
-    m = match_beats([108, 112], [100, 110], sampling_frequency=1000.0, window_ms=50.0)
+    m = match_beats([108, 112], [100, 110], sampling_frequency=1000.0)
     assert set(m.pairs) == {(108, 110), (112, 100)}
     assert m.unmatched_predictions == ()
     assert m.unmatched_annotations == ()
@@ -162,7 +162,7 @@ def test_match_count_conservation():
     for _ in range(50):
         pred = np.unique(rng.integers(0, 5000, size=rng.integers(0, 40)))
         ann = np.unique(rng.integers(0, 5000, size=rng.integers(0, 40)))
-        m = match_beats(pred, ann, sampling_frequency=360.0, window_ms=50.0)
+        m = match_beats(pred, ann, sampling_frequency=360.0)
         assert len(m.pairs) + len(m.unmatched_annotations) == len(ann)
         assert len(m.pairs) + len(m.unmatched_predictions) == len(pred)
         for p, a in m.pairs:

@@ -1,15 +1,17 @@
 """Classifier network: forward passes, gradients, rprop, quantization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import fixed_oracle as oracle
-from ecgarr.activation import ntanh, platanh, platanh_derivative
+from ecgarr.activation import platanh, platanh_derivative
 from ecgarr.features import FeatureVector
 from ecgarr.fixedpoint import QFormat, quantize_raw_array
 from ecgarr.mlp import (
+    ACTIVATIONS,
     MlpModel,
     QuantizationWarning,
     RpropState,
@@ -31,15 +33,20 @@ from ecgarr.mlp import (
 PLA_BORDERS = (0.5, 1.125, 1.475, 2.02, 3.02, 5.58)
 
 
-def zero_model(hidden="platanh", output="ntanh_pla", sizes=(12, 6, 2)):
+def mode_id(value):
+    """A test id naming an activation mode by the layer pair its model
+    files carry, for example platanh-ntanh_pla."""
+    return "-".join(ACTIVATIONS[value][1]) if value in ACTIVATIONS else None
+
+
+def zero_model(activation="pla", sizes=(12, 6, 2)):
     n_in, n_hid, n_out = sizes
     return MlpModel(
         w_hidden=np.zeros((n_hid, n_in)),
         b_hidden=np.zeros(n_hid),
         w_out=np.zeros((n_out, n_hid)),
         b_out=np.zeros(n_out),
-        hidden_activation=hidden,
-        output_activation=output,
+        activation=activation,
     )
 
 
@@ -86,22 +93,30 @@ def test_model_rejects_an_empty_layer(layer_sizes, q_format):
 
 
 def test_model_activation_validation():
-    with pytest.raises(ValueError, match="hidden activation"):
-        zero_model(hidden="relu")
-    with pytest.raises(ValueError, match="output activation"):
-        zero_model(output="sigmoid")
+    with pytest.raises(ValueError, match="unknown activation 'relu'; choose from pla, exact"):
+        zero_model(activation="relu")
+    with pytest.raises(ValueError, match="runs the pla activation, not exact"):
+        MlpModel(w_hidden=np.zeros((6, 12)), b_hidden=np.zeros(6), w_out=np.zeros((2, 6)),
+                 b_out=np.zeros(2), activation="exact", q_format=QFormat())
+
+
+def _model_text(hidden, output, mode="fixed"):
+    # a 1-1-2 net whose one hidden and first output weight are 1
+    rows = {"fixed": "fixed 24 12\nwh 4096\nbh 0\nwo 4096\nwo 0\nbo 0 0\n",
+            "real": "real\nwh 1\nbh 0\nwo 1\nwo 0\nbo 0 0\n"}[mode]
+    return ("mlp-model v1\nlayers 1 1 2\n"
+            f"hidden_activation {hidden}\noutput_activation {output}\nmode {rows}")
 
 
 @pytest.mark.parametrize("hidden, output", [("tanh", "ntanh"), ("tanh", "ntanh_pla"),
                                             ("platanh", "ntanh"), ("platanh", "softmax")])
 def test_fixed_model_runs_only_the_pla_activations(tmp_path, hidden, output):
     path = tmp_path / "model.txt"
-    path.write_text(
-        "mlp-model v1\nlayers 1 1 2\n"
-        f"hidden_activation {hidden}\noutput_activation {output}\n"
-        "mode fixed 24 12\nwh 4096\nbh 0\nwo 4096\nwo 0\nbo 0 0\n"
-    )
-    with pytest.raises(ValueError, match="platanh and ntanh_pla"):
+    path.write_text(_model_text(hidden, output))
+    # the exact pair is a mode, but not one a fixed model runs
+    want = ("the pla activation, not exact" if (hidden, output) == ("tanh", "ntanh")
+            else f"hidden {hidden} with output {output}")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{want}"):
         load_model(path)
     path.write_text(path.read_text().replace(f"activation {hidden}\n", "activation platanh\n")
                     .replace(f"activation {output}\n", "activation ntanh_pla\n"))
@@ -156,8 +171,8 @@ def test_init_model_draw_order_and_range():
 
 
 def test_zero_model_outputs_half():
-    for output in ("ntanh", "ntanh_pla"):
-        m = zero_model(output=output)
+    for activation in ACTIVATIONS:
+        m = zero_model(activation)
         out = forward(m, np.zeros(12))
         assert out.shape == (2,)
         assert np.array_equal(out, [0.5, 0.5])
@@ -175,8 +190,6 @@ def hand_model():
         b_hidden=np.array([0.5]),
         w_out=np.array([[1.0], [-0.875]]),
         b_out=np.array([0.25, 0.5]),
-        hidden_activation="platanh",
-        output_activation="ntanh_pla",
     )
 
 
@@ -203,7 +216,7 @@ def test_hand_forward_fixed_matches_real_exactly():
 
 def test_forward_batch_matches_loop_oracle():
     rng = np.random.default_rng(77)
-    m = init_model(seed=3, hidden_activation="tanh", output_activation="ntanh")
+    m = init_model(seed=3, activation="exact")
     x = rng.uniform(-2, 2, size=(7, 12))
     got = forward_batch(m, x)
     for r in range(7):
@@ -257,18 +270,6 @@ def test_forward_batch_accepts_empty_batch(fixed):
     assert predict_batch(m, np.zeros((0, 12))).shape == (0,)
 
 
-def test_softmax_output_mode():
-    m = init_model(seed=2, output_activation="softmax")
-    x = np.random.default_rng(4).uniform(-1, 1, size=(5, 12))
-    out = forward_batch(m, x)
-    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(out > 0)
-    with pytest.raises(ValueError, match="softmax"):
-        gradients(m, x, np.zeros((5, 2)))
-    with pytest.raises(ValueError, match="softmax"):
-        quantize_model(m)
-
-
 def test_mse_known_value():
     m = zero_model()
     x = np.zeros((4, 12))
@@ -298,8 +299,7 @@ def fd_gradients(model, x, targets, h=1e-5):
                 m2 = MlpModel(
                     w_hidden=arrs[0], b_hidden=arrs[1],
                     w_out=arrs[2], b_out=arrs[3],
-                    hidden_activation=model.hidden_activation,
-                    output_activation=model.output_activation,
+                    activation=model.activation,
                 )
                 return mse(m2, x, targets)
             g[pos] = (bumped(h) - bumped(-h)) / (2 * h)
@@ -307,24 +307,18 @@ def fd_gradients(model, x, targets, h=1e-5):
     return outs
 
 
-@pytest.mark.parametrize("hidden,output", [
-    ("tanh", "ntanh"),
-    ("platanh", "ntanh_pla"),
-    ("tanh", "ntanh_pla"),
-    ("platanh", "ntanh"),
-])
-def test_gradients_match_finite_differences(hidden, output):
-    rng = np.random.default_rng(hash((hidden, output)) % 2**32)
+@pytest.mark.parametrize("activation", ["exact", "pla"], ids=mode_id)
+def test_gradients_match_finite_differences(activation):
+    rng = np.random.default_rng(list(ACTIVATIONS).index(activation))
     checked = 0
     for attempt in range(30):
         if checked >= 6:
             break
-        m = init_model(seed=int(rng.integers(2**31)),
-                       hidden_activation=hidden, output_activation=output)
+        m = init_model(seed=int(rng.integers(2**31)), activation=activation)
         x = rng.uniform(-1.5, 1.5, size=(5, 12))
         targets = rng.uniform(0, 1, size=(5, 2))
         h_pre = x @ m.w_hidden.T + m.b_hidden
-        h = np.tanh(h_pre) if hidden == "tanh" else platanh(h_pre)
+        h = np.tanh(h_pre) if activation == "exact" else platanh(h_pre)
         o_pre = h @ m.w_out.T + m.b_out
         if near_pla_border(h_pre) or near_pla_border(o_pre):
             continue
@@ -345,8 +339,6 @@ def test_gradients_zero_when_hidden_saturated():
         b_hidden=np.full(6, 10.0),  # pre-activations ~10, beyond the last knee
         w_out=np.random.default_rng(0).uniform(-0.5, 0.5, (2, 6)),
         b_out=np.zeros(2),
-        hidden_activation="platanh",
-        output_activation="ntanh_pla",
     )
     x = np.random.default_rng(1).uniform(-1, 1, size=(8, 12))
     targets = np.array([[1.0, 0.0]] * 8)
@@ -370,8 +362,6 @@ def test_pla_left_segment_derivative_feeds_gradient():
         b_hidden=np.array([0.0]),
         w_out=np.array([[1.0], [0.0]]),
         b_out=np.array([0.0, 0.0]),
-        hidden_activation="platanh",
-        output_activation="ntanh_pla",
     )
     x = np.array([[1.0]])
     targets = np.array([[0.0, 0.0]])
@@ -487,7 +477,7 @@ def test_train_learns_separable_blobs_platanh():
 
 def test_train_learns_separable_blobs_tanh():
     x, labels = blob_dataset(n_per_class=30)
-    m0 = init_model(seed=0, hidden_activation="tanh", output_activation="ntanh")
+    m0 = init_model(seed=0, activation="exact")
     m, report = train(m0, x, labels, max_epochs=200, seed=0)
     assert np.array_equal(predict_batch(m, x), labels)
     assert report.mse_history[-1] < 0.01
@@ -552,8 +542,7 @@ def _reference_train(model, x, labels, *, max_epochs, seed,
     x, labels = balance_classes(x, labels)
     targets = np.eye(2)[labels]
     current = init_model(seed=seed, layer_sizes=model.layer_sizes,
-                         hidden_activation=model.hidden_activation,
-                         output_activation=model.output_activation)
+                         activation=model.activation)
     state = RpropState.for_model(current)
     history = []
     best = mse(current, x, targets)
@@ -574,18 +563,18 @@ def _reference_train(model, x, labels, *, max_epochs, seed,
     return current, tuple(history), reason
 
 
-@pytest.mark.parametrize("hidden, output, max_epochs, reason", [
-    ("platanh", "ntanh_pla", 30, "max_epochs"),
-    ("platanh", "ntanh_pla", 300, "plateau"),
-    ("tanh", "ntanh", 30, "max_epochs"),
-    ("tanh", "ntanh", 300, "plateau"),
-])
-def test_train_matches_loop_of_public_steps(hidden, output, max_epochs, reason):
+@pytest.mark.parametrize("activation, max_epochs, reason", [
+    ("pla", 30, "max_epochs"),
+    ("pla", 300, "plateau"),
+    ("exact", 30, "max_epochs"),
+    ("exact", 300, "plateau"),
+], ids=mode_id)
+def test_train_matches_loop_of_public_steps(activation, max_epochs, reason):
     # overlapping blobs with a minority that balancing duplicates
     x, labels = blob_dataset(n_per_class=40, spread=4.0, seed=4)
     keep = np.concatenate([np.arange(40), np.arange(40, 48)])
     x, labels = x[keep], labels[keep]
-    model = init_model(seed=0, hidden_activation=hidden, output_activation=output)
+    model = init_model(seed=0, activation=activation)
     want_model, want_history, want_reason = _reference_train(
         model, x, labels, max_epochs=max_epochs, seed=2)
     got_model, report = train(model, x, labels, max_epochs=max_epochs, seed=2)
@@ -685,10 +674,8 @@ def test_quantize_saturation_warns_and_clips():
 
 
 def test_quantize_switches_activations():
-    q = quantize_model(init_model(seed=0, hidden_activation="tanh",
-                                  output_activation="ntanh"))
-    assert q.hidden_activation == "platanh"
-    assert q.output_activation == "ntanh_pla"
+    q = quantize_model(init_model(seed=0, activation="exact"))
+    assert q.activation == "pla"
     with pytest.raises(ValueError, match="already"):
         quantize_model(q)
 
@@ -790,15 +777,18 @@ def test_accumulator_guard_rejects_oversized_formats():
 
 
 def test_model_file_round_trip_real(tmp_path):
-    m = init_model(seed=42, hidden_activation="tanh", output_activation="softmax")
-    path = tmp_path / "real.txt"
-    save_model(path, m)
-    m2 = load_model(path)
-    assert m2.hidden_activation == "tanh"
-    assert m2.output_activation == "softmax"
-    assert m2.q_format is None
-    for a, b in zip(m.parameter_arrays(), m2.parameter_arrays()):
-        assert np.array_equal(a, b)
+    for activation, (hidden, output) in (("exact", ("tanh", "ntanh")),
+                                         ("pla", ("platanh", "ntanh_pla"))):
+        m = init_model(seed=42, activation=activation)
+        path = tmp_path / f"{activation}.txt"
+        save_model(path, m)
+        assert (f"hidden_activation {hidden}\noutput_activation {output}\nmode real\n"
+                in path.read_text())
+        m2 = load_model(path)
+        assert m2.activation == activation
+        assert m2.q_format is None
+        for a, b in zip(m.parameter_arrays(), m2.parameter_arrays()):
+            assert np.array_equal(a, b)
 
 
 def test_model_file_round_trip_fixed(tmp_path):
@@ -807,8 +797,9 @@ def test_model_file_round_trip_fixed(tmp_path):
     save_model(path, q)
     q2 = load_model(path)
     assert q2.q_format == q.q_format
-    assert q2.hidden_activation == "platanh"
-    assert q2.output_activation == "ntanh_pla"
+    assert q2.activation == "pla"
+    assert "hidden_activation platanh\noutput_activation ntanh_pla\nmode fixed 24 12\n" \
+        in path.read_text()
     for a, b in zip(q.parameter_arrays(), q2.parameter_arrays()):
         assert np.array_equal(quantize_raw_array(a, q.q_format),
                               quantize_raw_array(b, q.q_format))
@@ -841,4 +832,65 @@ def test_model_file_shape_mismatch(tmp_path):
         "wh 0\nbh 0\nwo 0\nwo 0\nbo 0 0\n"
     )
     with pytest.raises(ValueError, match="disagree"):
+        load_model(path)
+
+
+# every pair the mixed activations wrote, which no mode writes now
+UNWRITTEN_PAIRS = [("tanh", "ntanh_pla"), ("platanh", "ntanh"),
+                   ("tanh", "softmax"), ("platanh", "softmax")]
+
+
+@pytest.mark.parametrize("mode", ["real", "fixed"])
+@pytest.mark.parametrize("hidden, output", UNWRITTEN_PAIRS)
+def test_model_file_rejects_pairs_no_mode_writes(tmp_path, mode, hidden, output):
+    path = tmp_path / "model.txt"
+    path.write_text(_model_text(hidden, output, mode))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no activation mode runs "
+                                         f"hidden {hidden} with output {output}$"):
+        load_model(path)
+
+
+TRUNCATED = {
+    "magic only": ("mlp-model v1\n", "layers"),
+    "no mode line": ("mlp-model v1\nlayers 1 1 2\nhidden_activation platanh\n"
+                     "output_activation ntanh_pla\n", "mode"),
+    "no output activation": ("mlp-model v1\nlayers 1 1 2\nhidden_activation platanh\n",
+                             "output_activation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUNCATED))
+def test_model_file_truncated_in_its_header(tmp_path, case):
+    text, missing = TRUNCATED[case]
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                         f"the file ends before its {missing} line$"):
+        load_model(path)
+
+
+MALFORMED = {
+    "no hidden activation name": ("mlp-model v1\nlayers 1 1 2\nhidden_activation\n",
+                                  "bad hidden_activation line 'hidden_activation'"),
+    "short fixed mode": ("mlp-model v1\nlayers 1 1 2\nhidden_activation platanh\n"
+                         "output_activation ntanh_pla\nmode fixed 24\n",
+                         "bad mode line 'mode fixed 24'"),
+    "no output bias": ("mlp-model v1\nlayers 1 1 2\nhidden_activation platanh\n"
+                       "output_activation ntanh_pla\nmode real\nwh 1\nbh 0\nwo 1\nwo 0\n",
+                       "1 bh and 0 bo rows, not one of each"),
+    "two hidden bias rows": ("mlp-model v1\nlayers 1 1 2\nhidden_activation platanh\n"
+                             "output_activation ntanh_pla\nmode real\nwh 1\nbh 0\nbh 5\n"
+                             "wo 1\nwo 0\nbo 0 0\n", "2 bh and 1 bo rows, not one of each"),
+    "bias row of the wrong length": ("mlp-model v1\nlayers 1 1 2\nhidden_activation platanh\n"
+                                     "output_activation ntanh_pla\nmode real\nwh 1\nbh 0\n"
+                                     "wo 1\nwo 0\nbo 0\n", "inconsistent shapes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_model_file_malformed_lines_name_the_path(tmp_path, case):
+    text, message = MALFORMED[case]
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
         load_model(path)

@@ -1,0 +1,95 @@
+"""Public names the package removed stay removed, and README says so.
+
+README's "Removed names" table lists, per module, each removed name in
+backticks: a plain name is a module attribute, ``Owner.field`` a
+dataclass field and ``function(a, b)`` parameters of a function.  The
+table below must match it entry for entry, so a name that README calls
+removed but the package still has (or the reverse) fails here.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+REMOVED = {
+    "ecgarr": [
+        # the scalar fixed-point API
+        "FixedPoint", "to_fixed", "from_fixed", "platanh_fixed",
+        "softmax", "ntanh",
+    ],
+    "ecgarr.fixedpoint": [
+        "FixedPoint", "to_fixed", "from_fixed", "fx_add", "fx_mul", "fx_shr", "fx_dot",
+        "saturate",
+    ],
+    "ecgarr.activation": [
+        "platanh_fixed", "ntanh_fixed", "platanh_fixed_raw", "ntanh_fixed_raw",
+        "softmax", "ntanh",
+    ],
+    "ecgarr.dsp": [
+        "RRSeries", "extract_rr",
+        "detect_r_peaks(wavelet, levels, detail_levels, threshold_ratio, window_seconds, "
+        "integrate_ms, refine_ms, refractory_ms, phase_average)",
+    ],
+    "ecgarr.mlp": [
+        "HIDDEN_ACTIVATIONS", "OUTPUT_ACTIVATIONS", "FIXED_ACTIVATIONS",
+        "MlpModel.hidden_activation", "MlpModel.output_activation",
+        "init_model(hidden_activation, output_activation)",
+    ],
+    "ecgarr.selflearn": ["SelfLearnerState.phase", "SelfLearnerState.learn_buffer"],
+    "ecgarr.experiment": [
+        "classifier_activations", "PipelineConfig.split", "PipelineConfig.match_window_ms",
+        "label_peaks(window_ms)",
+    ],
+    "ecgarr.metrics": ["match_beats(window_ms)"],
+}
+
+# the whole parameter list of each function that lost parameters
+SIGNATURES = {
+    ("ecgarr.dsp", "detect_r_peaks"): ["signal", "fs"],
+    ("ecgarr.metrics", "match_beats"): ["predicted", "annotated", "sampling_frequency"],
+    ("ecgarr.experiment", "label_peaks"): ["peaks", "ann_indices", "ann_labels", "fs"],
+    ("ecgarr.mlp", "init_model"): ["seed", "layer_sizes", "activation"],
+}
+
+
+def _readme_table():
+    """{module: [removed entry, ...]} from README's removed-names table."""
+    text = README.read_text()
+    section = text.split("\n## Removed names\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for row in section.splitlines():
+        cells = [c.strip() for c in row.strip().strip("|").split("|")]
+        if not row.startswith("|") or len(cells) != 3 or not cells[0].startswith("`ecgarr"):
+            continue
+        table.setdefault(cells[0].strip("`"), []).extend(re.findall(r"`([^`]+)`", cells[1]))
+    return table
+
+
+def _is_present(module, entry):
+    call = re.fullmatch(r"(\w+)\((.*)\)", entry)
+    if call:
+        params = inspect.signature(getattr(module, call[1])).parameters
+        return [p for p in call[2].split(", ") if p in params]
+    owner, _, name = entry.rpartition(".")
+    if owner:
+        return name in {f.name for f in dataclasses.fields(getattr(module, owner))}
+    return hasattr(module, name)
+
+
+def test_removed_names_are_gone_and_listed_in_readme():
+    readme = _readme_table()
+    assert {m: sorted(e) for m, e in readme.items()} == \
+        {m: sorted(e) for m, e in REMOVED.items()}
+    present = [f"{name}: {entry}" for name, entries in REMOVED.items()
+               for entry in entries if _is_present(importlib.import_module(name), entry)]
+    assert not present
+
+
+def test_functions_that_lost_parameters_have_exactly_these():
+    for (name, function), params in SIGNATURES.items():
+        signature = inspect.signature(getattr(importlib.import_module(name), function))
+        assert list(signature.parameters) == params, function

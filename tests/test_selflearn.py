@@ -214,11 +214,6 @@ def test_monitor_tracks_drifting_rhythm():
     assert final.st_rr == st
 
 
-def test_monitor_requires_monitoring_phase():
-    with pytest.raises(ValueError, match="monitoring"):
-        monitor([100], SelfLearnerState())
-
-
 def test_monitor_requires_advancing_peaks():
     state = monitoring_state(345.0, anchor_index=500)
     with pytest.raises(ValueError, match="advance"):
@@ -263,7 +258,7 @@ def test_run_slides_past_irregular_prefix():
     events, final = run_self_learner(peaks)
     assert events == []
     assert final.st_rr == 345.0
-    assert final.learn_buffer == (345.0, 345.0, 345.0, 345.0)
+    assert final.last_peak_index == 1875
 
 
 def test_run_needs_five_peaks():
@@ -275,7 +270,7 @@ def test_run_accepts_peak_train():
     train = PeakTrain(np.arange(0, 345 * 8, 345), 500.0)
     events, final = run_self_learner(train)
     assert events == []
-    assert final.phase == "monitoring"
+    assert final == SelfLearnerState(345.0, 0.15, 345 * 7)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +279,17 @@ def test_run_accepts_peak_train():
 
 def test_state_validation():
     with pytest.raises(ValueError, match="tolerance"):
-        SelfLearnerState(tolerance_fraction=0.0)
+        SelfLearnerState(345.0, tolerance_fraction=0.0, last_peak_index=0)
     with pytest.raises(ValueError, match="tolerance"):
-        SelfLearnerState(tolerance_fraction=1.0)
-    with pytest.raises(ValueError, match="phase"):
-        SelfLearnerState(phase="resting")
-    with pytest.raises(ValueError, match="at most 4"):
-        SelfLearnerState(learn_buffer=(1.0,) * 5)
+        SelfLearnerState(345.0, tolerance_fraction=1.0, last_peak_index=0)
+    for st_rr in (0.0, -345.0, float("nan")):
+        with pytest.raises(ValueError, match="positive learned"):
+            SelfLearnerState(st_rr, 0.15, 0)
     with pytest.raises(ValueError, match="positive learned"):
-        SelfLearnerState(phase="monitoring", st_rr=None, last_peak_index=0)
-    with pytest.raises(ValueError, match="anchor"):
-        SelfLearnerState(phase="monitoring", st_rr=345.0)
+        monitoring_state(0.0, anchor_index=0)
+    # monitoring reads all three, so none has a default
+    with pytest.raises(TypeError, match="last_peak_index"):
+        SelfLearnerState(345.0, 0.15)
 
 
 def test_event_validation():
