@@ -101,30 +101,31 @@ def _analysis_step(x, h, g, approx, detail):
     return a, d
 
 
-def _synthesis_step(a, d, h, g, n):
-    # polyphase: output sample 2q + r (r = 0, 1) is sample m + 2q + r of
-    # the branch filter run over the zero-stuffed coefficients, which
-    # reads only the taps of parity r; so each branch is two half-length
-    # filters over its coefficients.  The dropped products are the zero
-    # ones, so every sum is the same, term for term and in order.  A
-    # muted branch is None, and so is the output when both are.  The
-    # first live branch is written, not added to zeros: a dot product
-    # starts from +0.0 and so never returns -0.0, and 0.0 + v is v.
-    # Each half is freed before the next is filtered, which keeps the
-    # peak memory of the full-length last level low.
-    if a is None and d is None:
-        return None
-    out = np.empty(n)
+_BLOCK = 1 << 15  # outputs per synthesis block: its temporaries stay small
+
+
+def _synthesis_blocks(a, d, h, g, n):
+    """Yield (r, q, v), r = 0 then 1: v holds output samples 2q + r,
+    2q + r + 2, ... of one synthesis step of length n.  Polyphase: output
+    sample 2q + r is sample m + 2q + r of the branch filter run over the
+    zero-stuffed coefficients, which reads only the taps of parity r; so
+    each branch is two half-length filters over its coefficients, run
+    one block of outputs at a time.  The dropped products are the zero
+    ones, so every sum is the same, term for term and in order.  A muted
+    branch is None.  The first live branch is taken as is, not added to
+    zeros: a dot product starts from +0.0 and so never returns -0.0, and
+    0.0 + v is v.
+    """
     live = [(coeffs, filt) for coeffs, filt in ((a, h), (d, g)) if coeffs is not None]
-    for i, (coeffs, filt) in enumerate(live):
-        for r in (0, 1):
-            part = np.convolve(coeffs, filt[r::2], mode="valid")[1 : (n + 1 - r) // 2 + 1]
-            if i:
-                out[r::2] += part
-            else:
-                out[r::2] = part
-            del part
-    return out
+    for r in (0, 1):
+        count = (n + 1 - r) // 2
+        for q in range(0, count, _BLOCK):
+            stop = min(q + _BLOCK, count)
+            block = None
+            for coeffs, filt in live:
+                part = np.convolve(coeffs[q + 1 : stop + h.size // 2], filt[r::2], "valid")
+                block = part if block is None else np.add(block, part, out=block)
+            yield r, q, block
 
 
 def _check_signal(x, levels):
@@ -165,9 +166,15 @@ def _analyze(x, h, g, levels, kept, keep_approx):
 
 def _synthesize(a, details, lengths, h, g):
     """Inverse bank over branches of which any may be None (muted);
-    None when every branch is."""
-    for d, n in zip(reversed(details), reversed(lengths)):
-        a = _synthesis_step(a, d, h, g, n)
+    None when every branch is.  Empties details, dropping each detail
+    once its level is rebuilt."""
+    while details:
+        d, n = details.pop(), lengths[len(details)]
+        if a is not None or d is not None:
+            out = np.empty(n)
+            for r, q, block in _synthesis_blocks(a, d, h, g, n):
+                out[2 * q + r :: 2][: block.size] = block
+            a = out
     return a
 
 
@@ -293,7 +300,8 @@ def _band_energy(x, wavelet, levels, detail_levels, phase_average):
     2**depth * (m + 1) samples (the tail starting on a multiple of
     2**depth, where its coefficients line up with the record's); a record
     shorter than twice that takes both segments whole.  The band is then
-    the usual polyphase synthesis.
+    the usual polyphase synthesis, its last level squared and added into
+    the energy a block at a time.
     """
     _check_signal(x, levels)
     h, g = _filters(wavelet)
@@ -331,16 +339,21 @@ def _band_energy(x, wavelet, levels, detail_levels, phase_average):
         details = [None] * depth
         for level, (lo, stop, first, padded) in views.items():
             step = 2**level
-            d = np.empty(lengths[level])
+            details[level - 1] = d = np.empty(lengths[level])
             d[:lo] = head[level - 1][:lo]
             d[lo:stop] = padded[first + s : first + s + step * (stop - lo) : step]
             d[stop:] = end[level - 1][stop - (tail >> level) :]
-            details[level - 1] = d
-        band = _synthesize(None, details, lengths[:depth], h, g)
-        band *= band
-        energy[s:] += band[: n - s]
-        energy[:s] += band[n - s :]
-        del band  # so the next shift's synthesis does not hold two bands
+        del d  # only the list holds the details, so each is freed once used
+        finest = details.pop(0)
+        a = _synthesize(None, details, lengths[1:depth], h, g)
+        for r, q, block in _synthesis_blocks(a, finest, h, g, n):
+            block *= block
+            start = (2 * q + r + s) % n  # where band sample 2q + r belongs
+            into = energy[start::2][: block.size]
+            into += block[: into.size]
+            # the rest, if any, wraps round to the record's start
+            energy[start + 2 * into.size - n :: 2][: block.size - into.size] += block[into.size :]
+        del a, finest, block
     energy /= shifts
     return energy
 
@@ -370,18 +383,14 @@ def detect_r_peaks(signal, fs: float) -> PeakTrain:
     energy a complex yields can swing by an order of magnitude with its
     sample alignment, so the squared reconstruction is averaged over
     every decimation phase (all 2**LEVELS one-sample shifts), which makes
-    the trigger feature alignment-independent.  One shared a trous
-    analysis of the record, of only the branches the band reads,
-    gives every shift's interior coefficients; each shift patches the
-    few at its ends from the decimated bank on a short segment and
-    rebuilds its band with polyphase synthesis, so no zero-stuffed or
-    muted branch is ever filtered.  That energy, smoothed over a
-    QRS-scale window, is compared against a fraction of its own rolling
-    maximum over a ~2 s window.  Each suprathreshold run contributes one
-    trigger at its first feature maximum, then moved to the first
-    raw-signal maximum within +-50 ms.  A 200 ms refractory gap
-    suppresses later duplicates.  A NaN or infinite sample raises
-    ValueError naming its index.
+    the trigger feature alignment-independent (_band_energy shares one
+    analysis between the shifts).  That energy, smoothed over a QRS-scale
+    window, is compared against a fraction of its own rolling maximum
+    over a ~2 s window.  Each suprathreshold run contributes one trigger
+    at its first feature maximum, then moved to the first raw-signal
+    maximum within +-50 ms.  A 200 ms refractory gap suppresses later
+    duplicates.  A NaN or infinite sample raises ValueError naming its
+    index.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -389,20 +398,21 @@ def detect_r_peaks(signal, fs: float) -> PeakTrain:
     if not fs > 0:
         raise ValueError(f"sampling frequency must be positive, got {fs}")
 
-    finite = np.isfinite(x)
-    if not finite.all():
-        first = int(np.argmin(finite))
+    if not np.isfinite(x).all():
+        first = int(np.argmin(np.isfinite(x)))
         raise ValueError(f"signal sample {first} is not finite ({x[first]})")
 
     energy = _band_energy(x, WAVELET, LEVELS, DETAIL_LEVELS, phase_average=True)
     smooth = max(1, int(round(INTEGRATE_MS / 1000.0 * fs)) | 1)
     feature = uniform_filter1d(energy, size=smooth, mode="nearest")
+    del energy
 
     win = max(1, int(round(WINDOW_SECONDS * fs)) | 1)
-    rolling = maximum_filter1d(feature, size=win, mode="nearest")
+    threshold = maximum_filter1d(feature, size=win, mode="nearest")
+    threshold *= THRESHOLD_RATIO
     # absolute floor keeps numerically-flat signals from triggering
     floor = (1e-9 * float(np.max(np.abs(x)))) ** 2
-    active = feature > np.maximum(THRESHOLD_RATIO * rolling, floor)
+    active = feature > np.maximum(threshold, floor, out=threshold)
 
     radius = int(round(REFINE_MS / 1000.0 * fs))
     candidates = np.sort(_refined_triggers(feature, active, x, radius)).tolist()

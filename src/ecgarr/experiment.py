@@ -10,7 +10,8 @@ configuration and seed the result is bit-for-bit reproducible.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,8 +176,9 @@ def record_signal(record, channel: int) -> np.ndarray:
 def _load_record(header_path, config) -> _RecordData:
     record = ingest_record(header_path)
     signal = record_signal(record, config.channel)
-    fs = record.header.sampling_frequency
+    fs, record_id = record.header.sampling_frequency, record.header.record_name
     ann_idx, ann_lab = annotated_beats(record)
+    del record  # its samples of every channel, not read again
     if config.detector == "ann":
         indices, labels = ann_idx, ann_lab
     else:
@@ -186,13 +188,22 @@ def _load_record(header_path, config) -> _RecordData:
     table = (None if config.classifier == "self-learner"
              else beat_table(signal, fs, indices, labels))
     return _RecordData(
-        record_id=record.header.record_name,
+        record_id=record_id,
         sampling_frequency=fs,
         table=table,
         beat_indices=indices,
         ann_indices=ann_idx,
         ann_labels=ann_lab,
     )
+
+
+def _load_records(config) -> list:
+    """Each record's data, loaded on a thread per CPU (numpy's work releases
+    the interpreter lock; memory grows by one record's transient arrays
+    per worker).  The first failing record, in record order, raises."""
+    paths = config.record_paths
+    with ThreadPoolExecutor(min(len(paths), os.cpu_count() or 1)) as pool:
+        return list(pool.map(_load_record, paths, [config] * len(paths)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +350,7 @@ def _run_self_learner_eval(records, config):
 def run_experiment(config: PipelineConfig) -> ExperimentResult:
     _check_files_exist(config)
     # self-learner judges raw beat trains; classifiers need labeled rows
-    records = [_load_record(p, config) for p in config.record_paths]
+    records = _load_records(config)
     if config.classifier == "self-learner":
         return _run_self_learner_eval(records, config)
     return _run_classifier(records, config)
@@ -352,7 +363,7 @@ def sweep_fraction_bits(config: PipelineConfig,
     if config.classifier not in ("pla", "fixed"):
         raise ValueError("the sweep runs on the piecewise-linear classifier")
     _check_files_exist(config)
-    records = [_load_record(p, config) for p in config.record_paths]
+    records = _load_records(config)
     pca, x_train, y_train, test = _prepare_classifier_data(records)
     arch = init_model(config.seed, (12, config.hidden_units, 2), "pla")
     model, _ = train(arch, x_train, y_train,

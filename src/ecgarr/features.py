@@ -318,23 +318,28 @@ def save_pca_model(path, model: PCAModel) -> None:
 
 
 def load_pca_model(path) -> PCAModel:
+    """A model from a save_pca_model file.  A malformed or truncated file
+    raises ValueError naming path."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "pca-model v1":
+        lines = [ln.split() for ln in fh]
+
+    def values(i, tag, kind, count):
+        """The count values on line i, which starts with tag."""
+        if i >= len(lines):
+            raise ValueError(f"{path}: the file ends before its {tag} line")
+        try:
+            out = [kind(v) for v in lines[i][1:]]
+        except ValueError:
+            out = None
+        if lines[i][:1] != [tag] or out is None or len(out) != count:
+            raise ValueError(f"{path}: bad {tag} line {' '.join(lines[i])!r}")
+        return out
+
+    if lines[:1] != [["pca-model", "v1"]]:
         raise ValueError(f"{path}: not a PCA model file")
-
-    def _field(line, tag):
-        if not line.startswith(tag + " "):
-            raise ValueError(f"{path}: expected '{tag} ...', got {line!r}")
-        return line[len(tag) + 1 :]
-
-    d = int(_field(lines[1], "window"))
-    k = int(_field(lines[2], "components"))
-    mean = np.asarray([float(v) for v in _field(lines[3], "mean").split()])
-    variance = np.asarray([float(v) for v in _field(lines[4], "variance").split()])
-    comps = np.asarray(
-        [[float(v) for v in _field(lines[5 + i], "comp").split()] for i in range(k)]
-    )
-    if mean.shape != (d,) or variance.shape != (k,) or comps.shape != (k, d):
-        raise ValueError(f"{path}: inconsistent dimensions")
+    (d,) = values(1, "window", int, 1)
+    (k,) = values(2, "components", int, 1)
+    mean = np.asarray(values(3, "mean", float, d))
+    variance = np.asarray(values(4, "variance", float, k))
+    comps = np.asarray([values(5 + i, "comp", float, d) for i in range(k)]).reshape(k, d)
     return PCAModel(mean=mean, components=comps, explained_variance=variance)

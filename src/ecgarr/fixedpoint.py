@@ -46,9 +46,6 @@ class QFormat:
     def max_value(self) -> float:
         return self.raw_max / self.scale
 
-    def resolution(self) -> float:
-        return 1.0 / self.scale
-
 
 # ---------------------------------------------------------------------------
 # raw-integer operations (int64 arrays)

@@ -10,7 +10,7 @@ shift-and-add piecewise-linear activations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

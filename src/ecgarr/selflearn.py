@@ -25,7 +25,6 @@ __all__ = [
     "check_beat",
     "epsilon_for",
     "find_stable_window",
-    "initialize",
     "load_anomaly_log",
     "monitor",
     "monitoring_state",
@@ -118,11 +117,6 @@ def find_stable_window(intervals, tolerance_fraction: float = 0.15):
     raise NoStableRhythmError(
         f"no stable rhythm in {len(vals)} intervals at tolerance {tolerance_fraction}"
     )
-
-
-def initialize(intervals, tolerance_fraction: float = 0.15) -> float:
-    """Learned interval from the first stable 4-interval window."""
-    return find_stable_window(intervals, tolerance_fraction)[1]
 
 
 def _peak_indices(peaks):

@@ -61,7 +61,6 @@ _SYMBOL_BY_CODE = {
     32: "[", 33: "]", 34: "e", 35: "n", 36: "@", 37: "x", 38: "f",
     39: "(", 40: ")", 41: "r",
 }
-_CODE_BY_SYMBOL = {sym: code for code, sym in _SYMBOL_BY_CODE.items()}
 
 # Codes that mark an actual heartbeat (as opposed to rhythm changes,
 # signal-quality notes and other bookkeeping).
@@ -150,6 +149,15 @@ def _header_lines(text):
         yield lineno, line
 
 
+def _header_number(kind, text: str, lineno: int, what: str, token: str | None = None):
+    """kind(text), or a HeaderError naming the line, what was read and the
+    header token holding it (text itself unless given)."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise HeaderError(f"line {lineno}: bad {what} {token or text!r}") from None
+
+
 def _parse_gain_field(token: str, lineno: int):
     """Split a gain token like ``200``, ``200(1024)`` or ``200(1024)/mV``.
 
@@ -161,14 +169,8 @@ def _parse_gain_field(token: str, lineno: int):
         if not body.endswith(")"):
             raise HeaderError(f"line {lineno}: malformed gain field {token!r}")
         body, base_str = body[:-1].split("(", 1)
-        try:
-            baseline = int(base_str)
-        except ValueError:
-            raise HeaderError(f"line {lineno}: bad baseline in gain field {token!r}") from None
-    try:
-        gain = float(body)
-    except ValueError:
-        raise HeaderError(f"line {lineno}: bad gain {token!r}") from None
+        baseline = _header_number(int, base_str, lineno, "baseline in gain field", token)
+    gain = _header_number(float, body, lineno, "gain", token)
     if gain == 0.0:
         gain = 200.0  # standard default when the field is written as 0
     return gain, baseline
@@ -199,19 +201,11 @@ def parse_header(text) -> RecordHeader:
             f"sampling frequency and length, got {len(fields)} fields"
         )
     record_name = fields[0].split("/", 1)[0]  # drop segment count if present
-    try:
-        n_signals = int(fields[1])
-    except ValueError:
-        raise HeaderError(f"line {lineno}: bad signal count {fields[1]!r}") from None
+    n_signals = _header_number(int, fields[1], lineno, "signal count")
     # frequency may carry a counter spec after '/'
-    try:
-        fs = float(fields[2].split("/", 1)[0])
-    except ValueError:
-        raise HeaderError(f"line {lineno}: bad sampling frequency {fields[2]!r}") from None
-    try:
-        n_samples = int(fields[3])
-    except ValueError:
-        raise HeaderError(f"line {lineno}: bad record length {fields[3]!r}") from None
+    fs = _header_number(float, fields[2].split("/", 1)[0], lineno, "sampling frequency",
+                        fields[2])
+    n_samples = _header_number(int, fields[3], lineno, "record length")
     if n_signals < 1:
         raise HeaderError(f"line {lineno}: record needs at least one signal")
     if fs <= 0:
@@ -232,11 +226,7 @@ def parse_header(text) -> RecordHeader:
         if len(fields) < 2:
             raise HeaderError(f"line {lineno}: signal line needs file name and format")
         file_name = fields[0]
-        fmt_token = fields[1]
-        try:
-            fmt = int(fmt_token)
-        except ValueError:
-            raise HeaderError(f"line {lineno}: bad format code {fmt_token!r}") from None
+        fmt = _header_number(int, fields[1], lineno, "format code")
         if fmt != 212:
             raise FormatUnsupportedError(
                 f"line {lineno}: sample format {fmt} unsupported (only 212)"
@@ -244,12 +234,7 @@ def parse_header(text) -> RecordHeader:
         gain, baseline = (200.0, None)
         if len(fields) >= 3:
             gain, baseline = _parse_gain_field(fields[2], lineno)
-        adc_zero = 0
-        if len(fields) >= 5:
-            try:
-                adc_zero = int(fields[4])
-            except ValueError:
-                raise HeaderError(f"line {lineno}: bad adc zero {fields[4]!r}") from None
+        adc_zero = _header_number(int, fields[4], lineno, "adc zero") if len(fields) >= 5 else 0
         description = " ".join(fields[9:]) if len(fields) > 9 else ""
         specs.append(SignalSpec(
             file_name=file_name,
@@ -273,14 +258,14 @@ def parse_header(text) -> RecordHeader:
 # format-212 samples
 
 
-def decode_format212(packed: bytes, n_samples: int):
-    """Unpack ``n_samples`` interleaved 12-bit samples from 3-byte groups.
+def decode_format212(packed: bytes, n_samples: int) -> np.ndarray:
+    """Unpack ``n_samples`` 12-bit samples from 3-byte groups.
 
     Layout per group: sample1 = byte0 | (low nibble of byte1) << 8,
     sample2 = byte2 | (high nibble of byte1) << 8, both sign-extended
-    from 12 bits.  Returns the even-position and odd-position series as
-    a pair of int32 arrays (for a two-channel file these are channels
-    0 and 1).
+    from 12 bits.  Returns the samples in file order as one int16
+    series; a file backing k signals interleaves them, so its sample
+    j * k + i is signal i's j-th.
     """
     if n_samples < 0:
         raise Format212Error(f"sample count cannot be negative, got {n_samples}")
@@ -290,19 +275,21 @@ def decode_format212(packed: bytes, n_samples: int):
             f"buffer truncated at byte {len(packed)}: "
             f"{n_samples} samples need {need} bytes"
         )
-    buf = np.frombuffer(packed, dtype=np.uint8, count=need).astype(np.int32)
+    buf = np.frombuffer(packed, dtype=np.uint8, count=need)
 
-    out = np.empty(n_samples, dtype=np.int32)
+    out = np.empty(n_samples, dtype=np.int16)
     pairs = n_samples // 2
     trip = buf[: 3 * pairs].reshape(pairs, 3)
-    out[0 : 2 * pairs : 2] = trip[:, 0] | ((trip[:, 1] & 0x0F) << 8)
-    out[1 : 2 * pairs : 2] = trip[:, 2] | ((trip[:, 1] >> 4) << 8)
+    pair = out[: 2 * pairs].reshape(pairs, 2)
+    pair[:, 0] = trip[:, 1] & 0x0F
+    pair[:, 1] = trip[:, 1] >> 4
+    pair <<= 8
+    pair |= trip[:, 0::2]
     if n_samples % 2:
-        b0, b1 = buf[3 * pairs], buf[3 * pairs + 1]
-        out[-1] = b0 | ((b1 & 0x0F) << 8)
-    out -= (out & 0x800) << 1  # two's-complement sign extension
-
-    return out[0::2].copy(), out[1::2].copy()
+        out[-1] = int(buf[3 * pairs]) | (int(buf[3 * pairs + 1]) & 0x0F) << 8
+    out <<= 4  # bit 11, the 12-bit sign, becomes int16's sign bit
+    out >>= 4
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +393,15 @@ def ingest_record(header_path, annotation_path=None) -> EcgRecord:
     for idx, spec in enumerate(header.signals):
         groups.setdefault(spec.file_name, []).append(idx)
 
+    # decoding checks that each file holds the samples the header claims
     n = header.n_samples
-    samples = np.empty((header.n_signals, n), dtype=np.int32)
+    decoded = []
     for file_name, indices in groups.items():
-        path = os.path.join(base_dir, file_name)
-        with open(path, "rb") as fh:
-            packed = fh.read()
-        k = len(indices)
-        evens, odds = decode_format212(packed, k * n)
-        flat = np.empty(k * n, dtype=np.int32)
-        flat[0::2] = evens
-        flat[1::2] = odds
-        for j, sig_idx in enumerate(indices):
-            samples[sig_idx] = flat[j::k]
+        with open(os.path.join(base_dir, file_name), "rb") as fh:
+            decoded.append((indices, decode_format212(fh.read(), len(indices) * n)))
+    samples = np.empty((header.n_signals, n), dtype=np.int32)
+    for indices, series in decoded:
+        samples[indices] = series.reshape(n, len(indices)).T
 
     annotations: list[Annotation] = []
     if annotation_path is None:

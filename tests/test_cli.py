@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+from ecgarr import experiment
 from ecgarr.cli import main
 from ecgarr.experiment import SWEEP_FRACTION_BITS, PipelineConfig
 from ecgarr.features import WINDOW_HALF_WIDTH, load_features
@@ -292,6 +293,39 @@ def test_evaluate_command(records, tmp_path, capsys):
     manifest = read_manifest(out)
     assert manifest["config"]["seed"] == 3
     assert len(manifest["inputs"]) == 6  # .hea/.dat/.atr per record
+
+
+@pytest.mark.parametrize("classifier", ["pla", "self-learner"])
+def test_evaluate_on_the_pool_writes_the_serial_report(records, tmp_path, monkeypatch,
+                                                       classifier):
+    # three records on three workers against one record loaded at a time
+    third = classifier_record(tmp_path, "recD", seed=2)
+    argv = ["evaluate", "--record", records["a"], "--record", records["b"],
+            "--record", third, "--classifier", classifier, "--detector", "uni-dwt",
+            "--seed", "3", "--max-epochs", "50"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert main([*argv, "--out-dir", str(tmp_path / "pool")]) == 0
+    monkeypatch.setattr(experiment, "_load_records", lambda config: [
+        experiment._load_record(path, config) for path in config.record_paths])
+    assert main([*argv, "--out-dir", str(tmp_path / "serial")]) == 0
+    report = (tmp_path / "pool" / "report.txt").read_bytes()
+    assert report.startswith(b"records 3\n")
+    assert report == (tmp_path / "serial" / "report.txt").read_bytes()
+
+
+def test_evaluate_with_a_bad_second_record_is_an_error_line(records, tmp_path, monkeypatch,
+                                                            capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bad = classifier_record(tmp_path, "recBad", seed=2)
+    dat = tmp_path / "recBad.dat"
+    dat.write_bytes(dat.read_bytes()[:-100])
+    capsys.readouterr()
+    rc = main(["evaluate", "--record", records["a"], "--record", bad,
+               "--classifier", "self-learner", "--detector", "uni-dwt",
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: buffer truncated at byte \d+: \d+ samples need \d+ bytes\n", err)
 
 
 def test_evaluate_self_learner_needs_no_seed(records, tmp_path, capsys):

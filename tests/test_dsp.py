@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,30 @@ def test_band_energy_matches_oracle_on_full_benchmark_records(record_no, monkeyp
         got = dsp._band_energy(x, "db4", 4, (3, 4), phase_average)
         want = _oracle_energy(x, "db4", 4, (3, 4), phase_average)
         assert got.tobytes() == want.tobytes(), phase_average
+
+
+def test_benchmark_record_memory_stays_within_its_budget(tmp_path, monkeypatch):
+    # A run loads its records on one thread per CPU, so its memory grows
+    # by one record's transient arrays per worker.  Traced peaks on a
+    # 30-minute record: ingest within 3x the bytes of its samples, the
+    # detector within 4x those of its float64 signal.
+    records = _benchmark_records(monkeypatch)
+    header, _ = records.write_record(tmp_path, "rec0", 1, 0)
+    tracemalloc.start()
+    try:
+        record = ingest_record(header)
+        _, ingest_peak = tracemalloc.get_traced_memory()
+        x = record.samples[0].astype(np.float64)
+        samples_bytes = record.samples.nbytes
+        del record
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        detect_r_peaks(x, records.FS)
+        _, detect_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ingest_peak <= 3 * samples_bytes, ingest_peak / samples_bytes
+    assert detect_peak - before <= 4 * x.nbytes, (detect_peak - before) / x.nbytes
 
 
 @pytest.mark.parametrize("wavelet", sorted(_WAVELETS))

@@ -7,6 +7,8 @@ annotation triples written through the same writer the readers are
 tested against.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,25 @@ def test_sweep_rejects_non_pla_reference(records):
 
 # ---------------------------------------------------------------------------
 # validation and error paths
+
+
+@pytest.mark.parametrize("late_first", [True, False])
+def test_first_failing_record_in_argument_order_raises(tmp_path, monkeypatch, late_first):
+    # Records load on a pool.  "late" fails once its samples are decoded
+    # (its annotation stream lost its terminator word), "early" at once
+    # (its signal count is no number); either way round, the error is
+    # that of the first record given.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any host
+    late = classifier_record(tmp_path, "late", seed=0)
+    atr = tmp_path / "late.atr"
+    atr.write_bytes(atr.read_bytes()[:-2])
+    early = classifier_record(tmp_path, "early", seed=1)
+    (tmp_path / "early.hea").write_text("early two 360 100\n")
+    paths, message = (((late, early), "no terminator word") if late_first
+                      else ((early, late), "bad signal count 'two'"))
+    for detector in ("ann", "uni-dwt"):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(PipelineConfig(record_paths=paths, detector=detector))
 
 
 def test_missing_files_listed(records, tmp_path):

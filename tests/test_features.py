@@ -1,5 +1,7 @@
 """Feature-extraction tests with dense linear-algebra oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -361,7 +363,46 @@ def test_pca_model_file_round_trip(tmp_path):
 def test_pca_model_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("something else\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a PCA model file$"):
+        load_pca_model(path)
+
+
+def test_pca_model_file_truncated_after_each_line(tmp_path):
+    rng = np.random.default_rng(14)
+    saved = tmp_path / "model.txt"
+    save_pca_model(saved, fit_pca(list(rng.standard_normal((30, 7))), k=3))
+    lines = saved.read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.txt"
+    for keep in range(1, len(lines)):
+        cut.write_text("".join(lines[:keep]))
+        missing = lines[keep].split()[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}: "
+                                             f"the file ends before its {missing} line$"):
+            load_pca_model(cut)
+
+
+# the line replaced, by its tag, and what replaces it
+PCA_MALFORMED = {
+    "window not an integer": ("window", "window 7.5"),
+    "two component counts": ("components", "components 3 4"),
+    "short mean": ("mean", "mean 1 2"),
+    "variance not a number": ("variance", "variance 1 x 2"),
+    "comp under another tag": ("comp", "row 1 2 3 4 5 6 7"),
+    "blank mean line": ("mean", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PCA_MALFORMED))
+def test_pca_model_file_malformed_lines_name_the_path(tmp_path, case):
+    tag, line = PCA_MALFORMED[case]
+    rng = np.random.default_rng(14)
+    path = tmp_path / "model.txt"
+    save_pca_model(path, fit_pca(list(rng.standard_normal((30, 7))), k=3))
+    lines = path.read_text().splitlines()
+    lines[[ln.split()[0] for ln in lines].index(tag)] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                         f"{re.escape(f'bad {tag} line {line!r}')}$"):
         load_pca_model(path)
 
 

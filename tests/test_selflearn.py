@@ -13,7 +13,6 @@ from ecgarr.selflearn import (
     check_beat,
     epsilon_for,
     find_stable_window,
-    initialize,
     load_anomaly_log,
     monitor,
     monitoring_state,
@@ -29,39 +28,38 @@ from ecgarr.selflearn import (
 
 
 def test_initialize_four_equal_intervals():
-    assert initialize([345, 345, 345, 345]) == 345.0
+    assert find_stable_window([345, 345, 345, 345])[1] == 345.0
 
 
 def test_initialize_slides_past_outlier():
     start, st = find_stable_window([345, 600, 345, 344, 346, 345])
     assert start == 2
     assert st == 345.0
-    assert initialize([345, 600, 345, 344, 346, 345]) == 345.0
 
 
 def test_initialize_exhausted_stream_errors():
     with pytest.raises(NoStableRhythmError):
-        initialize([100, 200, 300])
+        find_stable_window([100, 200, 300])
     with pytest.raises(NoStableRhythmError):
-        initialize([100, 200, 300, 400, 500])
+        find_stable_window([100, 200, 300, 400, 500])
     with pytest.raises(NoStableRhythmError):
-        initialize([])
+        find_stable_window([])
 
 
 def test_initialize_boundary_deviation_is_stable():
     # deviations of exactly tolerance*mean still count as agreement
-    assert initialize([85, 100, 100, 115], tolerance_fraction=0.15) == 100.0
+    assert find_stable_window([85, 100, 100, 115], tolerance_fraction=0.15)[1] == 100.0
 
 
 def test_initialize_accepts_generators():
-    assert initialize(iter([10.0, 10.0, 10.0, 10.0])) == 10.0
+    assert find_stable_window(iter([10.0, 10.0, 10.0, 10.0]))[1] == 10.0
 
 
 def test_initialize_rejects_nonpositive_intervals():
     with pytest.raises(ValueError, match="positive"):
-        initialize([345, -10, 345, 345, 345])
+        find_stable_window([345, -10, 345, 345, 345])
     with pytest.raises(ValueError, match="positive"):
-        initialize([0, 345, 345, 345, 345])
+        find_stable_window([0, 345, 345, 345, 345])
 
 
 # ---------------------------------------------------------------------------

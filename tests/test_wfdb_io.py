@@ -104,31 +104,23 @@ def test_parse_header_rejects_bad_numbers():
 
 
 def test_decode_known_triplets():
-    e, o = decode_format212(bytes([0x00, 0x00, 0x00]), 2)
-    assert (e.tolist(), o.tolist()) == ([0], [0])
-    e, o = decode_format212(bytes([0x64, 0x00, 0x00]), 2)
-    assert (e.tolist(), o.tolist()) == ([100], [0])
-    e, o = decode_format212(bytes([0xFF, 0x0F, 0x00]), 2)
-    assert (e.tolist(), o.tolist()) == ([-1], [0])
+    assert decode_format212(bytes([0x00, 0x00, 0x00]), 2).tolist() == [0, 0]
+    assert decode_format212(bytes([0x64, 0x00, 0x00]), 2).tolist() == [100, 0]
+    assert decode_format212(bytes([0xFF, 0x0F, 0x00]), 2).tolist() == [-1, 0]
 
 
 def test_decode_sign_extension_extremes():
     packed = encode_format212([-2048, 2047])
-    e, o = decode_format212(packed, 2)
-    assert e.tolist() == [-2048]
-    assert o.tolist() == [2047]
+    assert decode_format212(packed, 2).tolist() == [-2048, 2047]
 
 
 def test_decode_odd_sample_count():
     packed = encode_format212([7, -9, 55])
-    e, o = decode_format212(packed, 3)
-    assert e.tolist() == [7, 55]
-    assert o.tolist() == [-9]
+    assert decode_format212(packed, 3).tolist() == [7, -9, 55]
 
 
 def test_decode_empty():
-    e, o = decode_format212(b"", 0)
-    assert e.size == 0 and o.size == 0
+    assert decode_format212(b"", 0).size == 0
 
 
 def test_decode_truncated_buffer():
@@ -142,10 +134,7 @@ def test_round_trip_values_then_bytes():
     rng = np.random.default_rng(212)
     vals = rng.integers(-2048, 2048, size=10_000).tolist()
     packed = encode_format212(vals)
-    e, o = decode_format212(packed, len(vals))
-    flat = np.empty(len(vals), dtype=np.int64)
-    flat[0::2] = e
-    flat[1::2] = o
+    flat = decode_format212(packed, len(vals))
     assert flat.tolist() == vals
     assert np.all(flat >= -2048) and np.all(flat <= 2047)
 
@@ -154,10 +143,7 @@ def test_round_trip_bytes_then_values():
     # decode followed by re-encode must reproduce any 3-byte-aligned buffer
     rng = np.random.default_rng(99)
     raw = bytes(rng.integers(0, 256, size=3 * 500, dtype=np.uint8))
-    e, o = decode_format212(raw, 1000)
-    flat = np.empty(1000, dtype=np.int64)
-    flat[0::2] = e
-    flat[1::2] = o
+    flat = decode_format212(raw, 1000)
     assert encode_format212(flat.tolist()) == raw
 
 
