@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, uniform_filter1d
 
 __all__ = [
     "DwtCoefficients",
@@ -101,7 +100,7 @@ def _analysis_step(x, h, g, approx, detail):
     return a, d
 
 
-_BLOCK = 1 << 15  # outputs per synthesis block: its temporaries stay small
+_BLOCK = 1 << 15  # outputs per block of synthesis or rolling maximum: temporaries stay small
 
 
 def _synthesis_blocks(a, d, h, g, n):
@@ -358,6 +357,55 @@ def _band_energy(x, wavelet, levels, detail_levels, phase_average):
     return energy
 
 
+def _moving_mean(x, size):
+    """Mean of each centred window of size samples, edges extended with
+    the end samples; byte for byte scipy.ndimage.uniform_filter1d(x,
+    size, mode="nearest").  Its order of summation: the first window is
+    summed in sequence from +0.0, then the running sum takes in each step
+    the entering sample minus the leaving one, and every output is that
+    sum divided by size."""
+    n, left = x.size, size // 2
+    right = size - 1 - left
+    first = np.pad(x[: size - left], (left, max(0, size - left - n)), mode="edge")
+    out = np.empty(n)
+    out[0] = np.add.accumulate(first)[-1] + 0.0  # + 0.0: a sum from +0.0 is never -0.0
+    # out[i], i >= 1: the entering x[i + right] less the leaving
+    # x[i - 1 - left], each index clipped to the record
+    inside = max(0, n - 1 - right)
+    out[1 : 1 + inside] = x[1 + right :]
+    out[1 + inside :] = x[-1]
+    out[1 : left + 2] -= x[0]
+    out[left + 2 :] -= x[1 : max(1, n - 1 - left)]
+    np.add.accumulate(out, out=out)  # sequential, as the running sum
+    out /= size
+    return out
+
+
+def _moving_max(x, size):
+    """Maximum of each centred window of size samples, edges extended
+    with the end samples; the values of scipy.ndimage.maximum_filter1d(x,
+    size, mode="nearest"), exactly, as a maximum never rounds (of tied
+    zeros it may keep the other sign).  By doubling, _BLOCK outputs at a
+    time: after the pass of span s, cur[i] is the maximum of the block's
+    extended samples [i, i + 2s), and a window is the union of two spans
+    of the largest power of 2 <= size.  Passes alternate between two
+    small buffers, as numpy runs an output that overlaps an input slower."""
+    n, left = x.size, size // 2
+    ext = np.pad(x, (left, size - 1 - left), mode="edge")
+    buffers = np.empty((2, min(n, _BLOCK) + size - 1))
+    span = 1 << (size.bit_length() - 1)
+    for start in range(0, n, _BLOCK):
+        count = min(_BLOCK, n - start)
+        cur = ext[start : start + count + size - 1]
+        for k in range(size.bit_length() - 1):
+            s = 1 << k
+            cur = np.maximum(cur[:-s], cur[s:], out=buffers[k % 2, : cur.size - s])
+        # later blocks read ext from start + count on
+        np.maximum(cur[:count], cur[size - span : size - span + count],
+                   out=ext[start : start + count])
+    return ext[:n]
+
+
 def _refined_triggers(feature, active, x, radius):
     """One candidate per run of active samples: the run's first feature
     maximum (its trigger), moved to the first maximum of x within radius
@@ -404,11 +452,11 @@ def detect_r_peaks(signal, fs: float) -> PeakTrain:
 
     energy = _band_energy(x, WAVELET, LEVELS, DETAIL_LEVELS, phase_average=True)
     smooth = max(1, int(round(INTEGRATE_MS / 1000.0 * fs)) | 1)
-    feature = uniform_filter1d(energy, size=smooth, mode="nearest")
+    feature = _moving_mean(energy, smooth)
     del energy
 
     win = max(1, int(round(WINDOW_SECONDS * fs)) | 1)
-    threshold = maximum_filter1d(feature, size=win, mode="nearest")
+    threshold = _moving_max(feature, win)
     threshold *= THRESHOLD_RATIO
     # absolute floor keeps numerically-flat signals from triggering
     floor = (1e-9 * float(np.max(np.abs(x)))) ** 2

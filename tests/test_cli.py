@@ -9,6 +9,9 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +47,23 @@ def read_manifest(out_dir):
 
 
 # ---------------------------------------------------------------------------
+# start-up
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy alone took about 0.3 s
+    # and 23 MB of every command's start-up
+    src = str(Path(experiment.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, ecgarr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+# ---------------------------------------------------------------------------
 # the documented one-liner
 
 
@@ -75,8 +95,8 @@ def test_activation_error_artifact(tmp_path, capsys):
 def test_pipeline_chain(records, tmp_path, capsys):
     ingest_dir = str(tmp_path / "ingest")
     assert main(["ingest", "--record", records["a"], "--out-dir", ingest_dir]) == 0
-    signal_lines = open(os.path.join(ingest_dir, "recA-signal.txt")).read().splitlines()
-    ann_lines = open(os.path.join(ingest_dir, "recA-annotations.txt")).read().splitlines()
+    signal_lines = Path(ingest_dir, "recA-signal.txt").read_text().splitlines()
+    ann_lines = Path(ingest_dir, "recA-annotations.txt").read_text().splitlines()
     assert len(signal_lines) == 150 + 300 * 39 + 150
     assert ann_lines[0] == "sample_index,symbol"
     assert len(ann_lines) == 41
@@ -93,7 +113,7 @@ def test_pipeline_chain(records, tmp_path, capsys):
     assert main(["features", "--record", records["a"], "--peaks", peaks_path,
                  "--out-dir", feat_dir]) == 0
     features_path = os.path.join(feat_dir, "features.txt")
-    rows = open(features_path).read().splitlines()
+    rows = Path(features_path).read_text().splitlines()
     assert rows[0].startswith("record,r_index,f00")
     assert len(rows) == 39  # 38 interior beats + header
 
@@ -101,13 +121,13 @@ def test_pipeline_chain(records, tmp_path, capsys):
     assert main(["train", "--features", features_path, "--seed", "3",
                  "--max-epochs", "150", "--out-dir", train_dir]) == 0
     model_path = os.path.join(train_dir, "model.txt")
-    history = open(os.path.join(train_dir, "history.txt")).read().splitlines()
+    history = Path(train_dir, "history.txt").read_text().splitlines()
     assert history and float(history[-1]) < float(history[0])
 
     infer_dir = str(tmp_path / "infer")
     assert main(["infer", "--features", features_path, "--model", model_path,
                  "--out-dir", infer_dir]) == 0
-    verdict_lines = open(os.path.join(infer_dir, "verdicts.txt")).read().splitlines()
+    verdict_lines = Path(infer_dir, "verdicts.txt").read_text().splitlines()
     assert verdict_lines[0] == "record,r_index,label,prediction"
     body = [line.split(",") for line in verdict_lines[1:]]
     assert len(body) == 38
@@ -139,7 +159,7 @@ def test_infer_quantized_path(records, tmp_path):
                  "--fraction-bits", "12", "--out-dir", out]) == 0
     manifest = read_manifest(out)
     assert manifest["config"]["fraction_bits"] == 12
-    fixed_lines = open(os.path.join(out, "verdicts.txt")).read().splitlines()[1:]
+    fixed_lines = Path(out, "verdicts.txt").read_text().splitlines()[1:]
     assert all(ln.split(",")[2] == ln.split(",")[3] for ln in fixed_lines)
 
 
@@ -153,7 +173,7 @@ def test_infer_zero_fraction_bits_runs_integer_format(records, tmp_path, capsys)
     want = predict_batch(quantize_model(load_model(model_path), QFormat(24, 0)),
                          np.stack([r.features for r in rows]))
     got = [int(ln.split(",")[3]) for ln in
-           open(os.path.join(out, "verdicts.txt")).read().splitlines()[1:]]
+           Path(out, "verdicts.txt").read_text().splitlines()[1:]]
     assert got == want.tolist()
     q12 = predict_batch(quantize_model(load_model(model_path), QFormat(24, 12)),
                         np.stack([r.features for r in rows]))
@@ -244,7 +264,7 @@ def test_train_is_deterministic(records, tmp_path):
         assert main(["train", "--features", features_path, "--seed", "7",
                      "--out-dir", out]) == 0
         outs.append(out)
-    first, second = (open(os.path.join(o, "model.txt"), "rb").read() for o in outs)
+    first, second = (Path(o, "model.txt").read_bytes() for o in outs)
     assert first == second
     assert (read_manifest(outs[0]) == read_manifest(outs[1]))
 
@@ -284,7 +304,7 @@ def test_evaluate_command(records, tmp_path, capsys):
     assert main(["evaluate", "--record", records["a"], "--record", records["b"],
                  "--classifier", "fixed", "--seed", "3",
                  "--max-epochs", "150", "--out-dir", out]) == 0
-    report = open(os.path.join(out, "report.txt")).read()
+    report = Path(out, "report.txt").read_text()
     assert report == capsys.readouterr().out
     assert "records 2" in report
     assert "-- pooled" in report
@@ -332,7 +352,7 @@ def test_evaluate_self_learner_needs_no_seed(records, tmp_path, capsys):
     out = str(tmp_path / "eval-sl")
     assert main(["evaluate", "--record", records["drop"],
                  "--classifier", "self-learner", "--out-dir", out]) == 0
-    report = open(os.path.join(out, "report.txt")).read()
+    report = Path(out, "report.txt").read_text()
     assert "config.split full-record" in report
     capsys.readouterr()
 
@@ -343,7 +363,7 @@ def test_sweep_command(records, tmp_path, capsys):
                  "--record", records["b"], "--seed", "3", "--max-epochs", "150",
                  "--fraction-bits-min", "11", "--fraction-bits-max", "13",
                  "--out-dir", out]) == 0
-    text = open(os.path.join(out, "sweep.txt")).read()
+    text = Path(out, "sweep.txt").read_text()
     assert text.splitlines()[0] == "fraction_bits disagreements total fraction"
     assert len(text.splitlines()) == 4
     assert "12 0 38 0.000000" in text
@@ -385,7 +405,7 @@ def test_config_supplies_defaults_flags_override(records, tmp_path):
     assert main(["--config", str(cfg), "train", "--seed", "9",
                  "--out-dir", out2]) == 0
     assert read_manifest(out2)["config"]["seed"] == 9
-    models = [open(os.path.join(o, "model.txt"), "rb").read() for o in (out1, out2)]
+    models = [Path(o, "model.txt").read_bytes() for o in (out1, out2)]
     assert models[0] != models[1]
 
 
@@ -463,7 +483,7 @@ def test_infer_truncated_model_is_an_error_line(records, tmp_path, capsys, keep_
     # a model file cut after its magic line, or after its output_activation line
     features_path, model_path = _trained_features_and_model(records, tmp_path)
     cut = tmp_path / "cut.txt"
-    cut.write_text("".join(open(model_path).readlines()[:keep_lines]))
+    cut.write_text("".join(Path(model_path).read_text().splitlines(keepends=True)[:keep_lines]))
     capsys.readouterr()
     rc = main(["infer", "--features", features_path, "--model", str(cut),
                "--out-dir", str(tmp_path / "o")])

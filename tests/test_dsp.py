@@ -184,8 +184,8 @@ def _oracle_energy(x, wavelet, levels, detail_levels, phase_average):
 
 def _assert_detector_matches_oracle(x, fs, monkeypatch):
     """Band energy byte for byte, with and without phase averaging, and
-    the peak list of the detector run on the oracle's energy; returns the
-    peak count."""
+    the peak list of the detector run on the oracle's energy and the loop
+    filters; returns the peak count."""
     x = np.asarray(x, dtype=np.float64)
     for phase_average in (True, False):
         got = dsp._band_energy(x, "db4", 4, (3, 4), phase_average)
@@ -194,6 +194,8 @@ def _assert_detector_matches_oracle(x, fs, monkeypatch):
     peaks = detect_r_peaks(x, fs).r_indices
     with monkeypatch.context() as patched:
         patched.setattr(dsp, "_band_energy", _oracle_energy)
+        patched.setattr(dsp, "_moving_mean", _loop_moving_mean)
+        patched.setattr(dsp, "_moving_max", _loop_moving_max)
         reference = detect_r_peaks(x, fs).r_indices
     assert peaks.tolist() == reference.tolist()
     return peaks.size
@@ -312,6 +314,105 @@ def test_band_energy_with_no_detail_level_is_zero():
     for phase_average in (True, False):
         assert dsp._band_energy(x, "db4", 4, (), phase_average).tobytes() == \
             np.zeros(300).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# detector filters: plain loops over the edge-extended series, independent
+# of the numpy code
+
+
+def _loop_extended(x, size):
+    left = size // 2
+    x = [float(v) for v in x]
+    return [x[0]] * left + x + [x[-1]] * (size - 1 - left)
+
+
+def _loop_moving_mean(x, size):
+    # the first window summed in turn from +0.0, then a running sum taking
+    # in the entering sample minus the leaving one, divided at output
+    ext = _loop_extended(x, size)
+    total = 0.0
+    for v in ext[:size]:
+        total += v
+    out = [total / size]
+    for i in range(1, len(x)):
+        total += ext[i + size - 1] - ext[i - 1]
+        out.append(total / size)
+    return np.asarray(out)
+
+
+def _loop_moving_max(x, size):
+    ext = _loop_extended(x, size)
+    return np.asarray([max(ext[i : i + size]) for i in range(len(x))])
+
+
+def _filter_inputs(rng, n):
+    # noise, small integers (ties everywhere) and constant runs of 7
+    yield rng.standard_normal(n) * 100.0
+    yield rng.integers(-3, 4, n).astype(np.float64)
+    yield np.repeat(rng.standard_normal(n // 7 + 1), 7)[:n]
+
+
+@pytest.mark.parametrize("size", [1, 3, 5, 55, 721, 901])
+def test_moving_filters_match_loops(size, monkeypatch):
+    rng = np.random.default_rng(size)
+    lengths = [1, 2, 3, 4, 5, 54, 55, 56, 720, 721, 722, 901, 902, 2999, 3000]
+    lengths += rng.integers(1, 3001, 4).tolist()
+    for n in lengths:
+        for x in _filter_inputs(rng, n):
+            assert dsp._moving_mean(x, size).tobytes() == \
+                _loop_moving_mean(x, size).tobytes(), (n, size)
+            want = _loop_moving_max(x, size).tobytes()
+            assert dsp._moving_max(x, size).tobytes() == want, (n, size)
+            with monkeypatch.context() as patched:
+                patched.setattr(dsp, "_BLOCK", 64)  # many blocks, most narrower than the window
+                assert dsp._moving_max(x, size).tobytes() == want, (n, size)
+
+
+def test_moving_mean_of_a_negative_zero_window_is_positive_zero():
+    # a sum from +0.0 never gives -0.0, nor does scipy's
+    for size in (1, 3, 7):
+        for x in (np.full(5, -0.0), np.array([-0.0, -0.0, -0.0, -0.0, 4.0, -2.0])):
+            got = dsp._moving_mean(x, size)
+            assert got.tobytes() == _loop_moving_mean(x, size).tobytes(), (size, x)
+            assert not np.signbit(got[0])
+
+
+def test_moving_max_of_tied_signed_zeros_is_zero():
+    # of tied zeros of both signs either may come out; the detector only
+    # compares its threshold, where -0.0 == +0.0
+    x = np.array([-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0])
+    for size in (1, 3, 5, 9):
+        assert np.array_equal(dsp._moving_max(x, size), _loop_moving_max(x, size))
+
+
+def test_moving_filters_match_scipy_byte_for_byte():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n, size = (int(v) for v in rng.integers(1, [3001, 1000]))  # size > n too
+        for x in _filter_inputs(rng, n):
+            want = ndimage.uniform_filter1d(x, size, mode="nearest")
+            assert dsp._moving_mean(x, size).tobytes() == want.tobytes(), (n, size)
+            want = ndimage.maximum_filter1d(x, size, mode="nearest")
+            assert dsp._moving_max(x, size).tobytes() == want.tobytes(), (n, size)
+
+
+@pytest.mark.parametrize("record_no", [0, 1])
+def test_detector_filters_match_scipy_on_full_benchmark_records(record_no, monkeypatch):
+    # the band energy of the whole 30-minute record and its smoothing
+    # widths, as detect_r_peaks runs them
+    ndimage = pytest.importorskip("scipy.ndimage")
+    records = _benchmark_records(monkeypatch)
+    samples, _, _ = records.synthesize(1, record_no)
+    energy = dsp._band_energy(samples[0].astype(np.float64), "db4", 4, (3, 4), True)
+    smooth = int(round(dsp.INTEGRATE_MS / 1000.0 * records.FS)) | 1
+    win = int(round(dsp.WINDOW_SECONDS * records.FS)) | 1
+    feature = dsp._moving_mean(energy, smooth)
+    want = ndimage.uniform_filter1d(energy, smooth, mode="nearest")
+    assert feature.tobytes() == want.tobytes()
+    want = ndimage.maximum_filter1d(feature, win, mode="nearest")
+    assert dsp._moving_max(feature, win).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
