@@ -10,7 +10,7 @@ shift-and-add piecewise-linear activations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +22,18 @@ from .activation import (
     _ntanh_fixed,
     _platanh_and_slope,
     _platanh_fixed,
-    ntanh_fixed_raw_array,
+    ntanh_fixed_raw_array,  # noqa: F401
     platanh,
     platanh_derivative,
-    platanh_fixed_raw_array,
+    platanh_fixed_raw_array,  # noqa: F401
 )
 from .fixedpoint import (QFormat, _quantize, check_accumulator,
-                         quantize_raw_array, rne_constants, rne_shift, rne_shift_array,
-                         saturate_array)
+                         quantize_raw_array, rne_constants, rne_shift)
+from .fixedpoint import rne_shift_array, saturate_array  # noqa: F401
 
 __all__ = [
     "MlpModel",
     "QuantizationWarning",
-    "RpropState",
     "TrainReport",
     "balance_classes",
     "forward",
@@ -154,12 +153,14 @@ def _as_features(x) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _forward_real_batch(model, x):
-    """(hidden outputs, their slopes, outputs, their slopes) for a batch;
-    the output layer maps the mode's tanh to [0, 1], halving its slope."""
-    act = ACTIVATIONS[model.activation][0]
-    h, h_slope = act(x @ model.w_hidden.T + model.b_hidden)
-    y, y_slope = act(h @ model.w_out.T + model.b_out)
+def _forward_real_batch(activation, weights, x):
+    """(hidden outputs, their slopes, outputs, their slopes) for a batch,
+    from an activation mode and (w_hidden, b_hidden, w_out, b_out); the
+    output layer maps the mode's tanh to [0, 1], halving its slope."""
+    act = ACTIVATIONS[activation][0]
+    w_hidden, b_hidden, w_out, b_out = weights
+    h, h_slope = act(x @ w_hidden.T + b_hidden)
+    y, y_slope = act(h @ w_out.T + b_out)
     return h, h_slope, (y + 1.0) / 2.0, y_slope / 2.0
 
 
@@ -216,7 +217,7 @@ def forward_batch(model: MlpModel, x) -> np.ndarray:
     _check_batch(model, x)
     if model.is_fixed:
         return model._kernel(x)
-    return _forward_real_batch(model, x)[2]
+    return _forward_real_batch(model.activation, model.parameter_arrays(), x)[2]
 
 
 def forward(model: MlpModel, feature) -> np.ndarray:
@@ -268,18 +269,19 @@ def gradients(model: MlpModel, x, targets):
     t = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or t.shape != (x.shape[0], model.layer_sizes[2]):
         raise ValueError(f"bad batch shapes: x {x.shape}, targets {t.shape}")
-    return _backprop(model, x, t, _forward_real_batch(model, x))
+    weights = model.parameter_arrays()
+    return _backprop(weights, x, t, _forward_real_batch(model.activation, weights, x))
 
 
-def _backprop(model, x, targets, forward):
-    """Gradients from the forward pass of this model on x."""
+def _backprop(weights, x, targets, forward):
+    """Gradients from the forward pass of these weights on x."""
     h, h_slope, out, out_slope = forward
     # d(mean((out-t)^2)) / d(out): mean over n rows * n_out entries
     d_out = 2.0 * (out - targets) / targets.size
     delta_o = d_out * out_slope
     gw_o = delta_o.T @ h
     gb_o = delta_o.sum(axis=0)
-    delta_h = (delta_o @ model.w_out) * h_slope
+    delta_h = (delta_o @ weights[2]) * h_slope
     gw_h = delta_h.T @ x
     gb_h = delta_h.sum(axis=0)
     return gw_h, gb_h, gw_o, gb_o
@@ -288,51 +290,30 @@ def _backprop(model, x, targets, forward):
 # ---------------------------------------------------------------------------
 # resilient backpropagation
 
+# Rprop- (Riedmiller & Braun, ICNN 1993, without weight-backtracking as in
+# Igel & Huesken 2000): each weight's step grows by ETA_PLUS while its
+# gradient keeps its sign and shrinks by ETA_MINUS when the sign flips,
+# within [DELTA_MIN, DELTA_MAX].  Training stops once the best MSE has
+# failed to improve by PLATEAU_EPSILON for PLATEAU_EPOCHS epochs in a row;
+# balancing lifts the minority class to ceil(majority / BALANCE_RATIO).
+ETA_PLUS, ETA_MINUS = 1.2, 0.5
+DELTA_INIT, DELTA_MIN, DELTA_MAX = 0.1, 1e-6, 50.0
+PLATEAU_EPSILON, PLATEAU_EPOCHS, BALANCE_RATIO = 1e-7, 20, 3
 
-@dataclass(frozen=True)
-class RpropState:
-    """Per-weight step sizes and previous-gradient memory.
 
-    Sign-change handling: the step shrinks and the weight holds still
-    for one round (previous gradient zeroed so no double shrink).
+def rprop_step(params, steps, prev_grads, grads):
+    """One in-place update of the flat float64 vectors params, steps and
+    prev_grads from the full-batch gradients grads.
+
+    After a sign change the step shrinks and the weight holds still for
+    one round (its previous gradient is zeroed, so no double shrink).
     """
-
-    steps: tuple          # one array per parameter group
-    prev_grads: tuple
-    eta_plus: float = 1.2
-    eta_minus: float = 0.5
-    delta_init: float = 0.1
-    delta_max: float = 50.0
-    delta_min: float = 1e-6
-
-    @classmethod
-    def for_model(cls, model: MlpModel, **hyper) -> "RpropState":
-        delta0 = hyper.get("delta_init", 0.1)
-        steps = tuple(np.full_like(p, delta0) for p in model.parameter_arrays())
-        prev = tuple(np.zeros_like(p) for p in model.parameter_arrays())
-        return cls(steps=steps, prev_grads=prev, **hyper)
-
-
-def rprop_step(model: MlpModel, state: RpropState, grads):
-    """One update of every weight from full-batch gradients."""
-    new_params = []
-    new_steps = []
-    new_prev = []
-    for p, g, step, pg in zip(model.parameter_arrays(), grads,
-                              state.steps, state.prev_grads):
-        g = np.asarray(g, dtype=np.float64)
-        product = g * pg
-        step = np.where(product > 0, np.minimum(step * state.eta_plus, state.delta_max),
-                        np.where(product < 0, np.maximum(step * state.eta_minus, state.delta_min),
-                                 step))
-        g_eff = np.where(product < 0, 0.0, g)  # skip move after a sign flip
-        new_params.append(p - np.sign(g_eff) * step)
-        new_steps.append(step)
-        new_prev.append(g_eff)
-    wh, bh, wo, bo = new_params
-    model2 = replace(model, w_hidden=wh, b_hidden=bh, w_out=wo, b_out=bo)
-    state2 = replace(state, steps=tuple(new_steps), prev_grads=tuple(new_prev))
-    return model2, state2
+    product = grads * prev_grads
+    flip = product < 0
+    shrunk = np.where(flip, np.maximum(steps * ETA_MINUS, DELTA_MIN), steps)
+    steps[...] = np.where(product > 0, np.minimum(steps * ETA_PLUS, DELTA_MAX), shrunk)
+    prev_grads[...] = np.where(flip, 0.0, grads)  # skip move after a sign flip
+    params -= np.sign(prev_grads) * steps
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +332,8 @@ class TrainReport:
             raise ValueError("MSE history must be nonnegative")
 
 
-def balance_classes(x, labels, *, floor_ratio: float = 3.0):
-    """Duplicate minority rows (cyclically) up to ceil(majority/ratio).
+def balance_classes(x, labels):
+    """Duplicate minority rows (cyclically) up to ceil(majority/BALANCE_RATIO).
 
     Returns (x, labels) unchanged when the minority is already at or
     above the floor.  Deterministic: duplicates repeat the minority
@@ -362,7 +343,7 @@ def balance_classes(x, labels, *, floor_ratio: float = 3.0):
     labels = np.asarray(labels)
     counts = [int(np.sum(labels == c)) for c in (NORMAL, ARRHYTHMIA)]
     minority = int(np.argmin(counts))
-    need = -(-counts[1 - minority] // int(floor_ratio))  # ceil
+    need = -(-counts[1 - minority] // BALANCE_RATIO)  # ceil
     have = counts[minority]
     if have == 0 or have >= need:
         return x, labels
@@ -373,32 +354,13 @@ def balance_classes(x, labels, *, floor_ratio: float = 3.0):
     return x2, labels2
 
 
-def one_hot(labels, n_classes: int = 2) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    t = np.zeros((labels.size, n_classes))
-    t[np.arange(labels.size), labels] = 1.0
-    return t
-
-
-def train(
-    model: MlpModel,
-    x,
-    labels,
-    *,
-    max_epochs: int = 1000,
-    seed: int = 0,
-    balance: bool = True,
-    plateau_epsilon: float = 1e-7,
-    plateau_epochs: int = 20,
-    rprop_hyper: dict | None = None,
-):
-    """Full-batch resilient backprop from a fresh seeded initialization.
+def train(model: MlpModel, x, labels, *, max_epochs: int = 1000, seed: int = 0):
+    """Full-batch Rprop- on the balanced classes from fresh seeded weights.
 
     The passed model supplies architecture and activation only; its
     weights are re-drawn uniform [-0.5, 0.5] from the seed.  Stops at
-    max_epochs or once the best MSE has failed to improve by
-    plateau_epsilon for plateau_epochs consecutive epochs.  Returns
-    (trained model, TrainReport).
+    max_epochs or on a plateau (PLATEAU_EPSILON, PLATEAU_EPOCHS).
+    Returns (trained model, TrainReport).
     """
     if model.is_fixed:
         raise ValueError("training runs in real arithmetic; quantize afterwards")
@@ -411,30 +373,35 @@ def train(
     if not present == {NORMAL, ARRHYTHMIA}:
         raise ValueError(f"training needs both classes present, got labels {sorted(present)}")
 
-    if balance:
-        x, labels = balance_classes(x, labels)
-    targets = one_hot(labels, model.layer_sizes[2])
+    x, labels = balance_classes(x, labels)
+    targets = np.eye(model.layer_sizes[2])[labels]
     counts = (int(np.sum(labels == NORMAL)), int(np.sum(labels == ARRHYTHMIA)))
 
-    current = init_model(seed, model.layer_sizes, model.activation)
-    state = RpropState.for_model(current, **(rprop_hyper or {}))
+    # One flat vector holds every weight; the four parameter arrays are
+    # C-contiguous views of it, so rprop_step updates them in place.
+    first = init_model(seed, model.layer_sizes, model.activation).parameter_arrays()
+    params = np.concatenate(first, axis=None)
+    ends = np.cumsum([p.size for p in first])[:-1]
+    weights = tuple(v.reshape(p.shape) for v, p in zip(np.split(params, ends), first))
+    steps = np.full_like(params, DELTA_INIT)
+    prev_grads = np.zeros_like(params)
 
     # The forward pass that scores one epoch's weights is the one the
     # next epoch's gradients start from.
     history = []
-    forward = _forward_real_batch(current, x)
+    forward = _forward_real_batch(model.activation, weights, x)
     best = _mse(forward[2], targets)
     streak = 0
     reason = "max_epochs"
     for _ in range(max_epochs):
-        grads = _backprop(current, x, targets, forward)
-        current, state = rprop_step(current, state, grads)
-        forward = _forward_real_batch(current, x)
+        grads = np.concatenate(_backprop(weights, x, targets, forward), axis=None)
+        rprop_step(params, steps, prev_grads, grads)
+        forward = _forward_real_batch(model.activation, weights, x)
         err = _mse(forward[2], targets)
         history.append(err)
-        if best - err < plateau_epsilon:
+        if best - err < PLATEAU_EPSILON:
             streak += 1
-            if streak >= plateau_epochs:
+            if streak >= PLATEAU_EPOCHS:
                 reason = "plateau"
                 break
         else:
@@ -446,7 +413,7 @@ def train(
         stop_reason=reason,
         balanced_counts=counts,
     )
-    return current, report
+    return MlpModel(*weights, activation=model.activation), report
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from ecgarr.dsp import detect_r_peaks
 from ecgarr.experiment import annotated_beats, label_peaks
 from ecgarr.features import (
     BeatFeatureRow,
-    BeatWindow,
     EdgeBeatError,
     FeatureVector,
     RankDeficiencyWarning,

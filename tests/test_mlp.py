@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fixed_oracle as oracle
+import rprop_oracle
 from ecgarr.activation import platanh, platanh_derivative
 from ecgarr.features import FeatureVector
 from ecgarr.fixedpoint import QFormat, quantize_raw_array
@@ -14,7 +15,6 @@ from ecgarr.mlp import (
     ACTIVATIONS,
     MlpModel,
     QuantizationWarning,
-    RpropState,
     balance_classes,
     forward,
     forward_batch,
@@ -381,85 +381,111 @@ def test_pla_left_segment_derivative_feeds_gradient():
 
 
 def rprop_fixture():
-    m = MlpModel(
-        w_hidden=np.array([[1.0]]),
-        b_hidden=np.array([0.0]),
-        w_out=np.array([[1.0], [1.0]]),
-        b_out=np.array([0.0, 0.0]),
-    )
-    return m, RpropState.for_model(m)
-
-
-def grads_like(model, value):
-    return tuple(np.full_like(p, value) for p in model.parameter_arrays())
+    """Flat (params, steps, prev_grads) of a 1-1-2 model: w_hidden is
+    params[0]."""
+    params = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+    return params, np.full_like(params, 0.1), np.zeros_like(params)
 
 
 def test_rprop_first_step_uses_initial_delta():
-    m, s = rprop_fixture()
-    m2, s2 = rprop_step(m, s, grads_like(m, 0.3))
-    assert m2.w_hidden[0, 0] == 1.0 - 0.1
-    assert s2.steps[0][0, 0] == 0.1
-    assert s2.prev_grads[0][0, 0] == 0.3
+    p, s, prev = rprop_fixture()
+    rprop_step(p, s, prev, np.full(6, 0.3))
+    assert p[0] == 1.0 - 0.1
+    assert s[0] == 0.1
+    assert prev[0] == 0.3
 
 
 def test_rprop_same_sign_grows_step():
-    m, s = rprop_fixture()
-    m, s = rprop_step(m, s, grads_like(m, 0.3))
-    m, s = rprop_step(m, s, grads_like(m, 0.2))
-    assert s.steps[0][0, 0] == pytest.approx(0.12)
-    assert m.w_hidden[0, 0] == pytest.approx(1.0 - 0.1 - 0.12)
+    p, s, prev = rprop_fixture()
+    rprop_step(p, s, prev, np.full(6, 0.3))
+    rprop_step(p, s, prev, np.full(6, 0.2))
+    assert s[0] == pytest.approx(0.12)
+    assert p[0] == pytest.approx(1.0 - 0.1 - 0.12)
 
 
 def test_rprop_sign_flip_shrinks_and_holds():
-    m, s = rprop_fixture()
-    m, s = rprop_step(m, s, grads_like(m, 0.3))
-    m, s = rprop_step(m, s, grads_like(m, 0.2))
-    w_before = m.w_hidden[0, 0]
-    m, s = rprop_step(m, s, grads_like(m, -0.5))
-    assert m.w_hidden[0, 0] == w_before          # no move on the flip
-    assert s.steps[0][0, 0] == pytest.approx(0.06)
-    assert s.prev_grads[0][0, 0] == 0.0          # memory cleared
+    p, s, prev = rprop_fixture()
+    rprop_step(p, s, prev, np.full(6, 0.3))
+    rprop_step(p, s, prev, np.full(6, 0.2))
+    w_before = p[0]
+    rprop_step(p, s, prev, np.full(6, -0.5))
+    assert p[0] == w_before          # no move on the flip
+    assert s[0] == pytest.approx(0.06)
+    assert prev[0] == 0.0            # memory cleared
     # the epoch after the flip moves with the shrunk step
-    m, s = rprop_step(m, s, grads_like(m, -0.5))
-    assert m.w_hidden[0, 0] == pytest.approx(w_before + 0.06)
+    rprop_step(p, s, prev, np.full(6, -0.5))
+    assert p[0] == pytest.approx(w_before + 0.06)
 
 
 def test_rprop_zero_gradient_freezes_weight():
-    m, s = rprop_fixture()
-    m, s = rprop_step(m, s, grads_like(m, 0.3))
-    w = m.w_hidden[0, 0]
-    m, s = rprop_step(m, s, grads_like(m, 0.0))
-    assert m.w_hidden[0, 0] == w
-    assert s.steps[0][0, 0] == 0.1
-    assert s.prev_grads[0][0, 0] == 0.0
+    p, s, prev = rprop_fixture()
+    rprop_step(p, s, prev, np.full(6, 0.3))
+    w = p[0]
+    rprop_step(p, s, prev, np.full(6, 0.0))
+    assert p[0] == w
+    assert s[0] == 0.1
+    assert prev[0] == 0.0
 
 
 def test_rprop_step_bounds():
-    m, s = rprop_fixture()
-    big = RpropState(
-        steps=tuple(np.full_like(p, 49.0) for p in m.parameter_arrays()),
-        prev_grads=tuple(np.ones_like(p) for p in m.parameter_arrays()),
-    )
-    _, s2 = rprop_step(m, big, grads_like(m, 1.0))
-    assert s2.steps[0][0, 0] == 50.0  # capped, not 58.8
-    tiny = RpropState(
-        steps=tuple(np.full_like(p, 1.5e-6) for p in m.parameter_arrays()),
-        prev_grads=tuple(np.ones_like(p) for p in m.parameter_arrays()),
-    )
-    _, s3 = rprop_step(m, tiny, grads_like(m, -1.0))
-    assert s3.steps[0][0, 0] == 1e-6  # floored, not 7.5e-7
+    p, _, _ = rprop_fixture()
+    big = np.full(6, 49.0)
+    rprop_step(p, big, np.ones(6), np.full(6, 1.0))
+    assert big[0] == 50.0  # capped, not 58.8
+    tiny = np.full(6, 1.5e-6)
+    rprop_step(p, tiny, np.ones(6), np.full(6, -1.0))
+    assert tiny[0] == 1e-6  # floored, not 7.5e-7
+
+
+def flat(arrays):
+    return np.concatenate(arrays, axis=None)
+
+
+def unflatten(vector, like):
+    """vector cut into copies shaped like the arrays of like."""
+    ends = np.cumsum([a.size for a in like])[:-1]
+    return tuple(v.reshape(a.shape).copy() for v, a in zip(np.split(vector, ends), like))
 
 
 def test_rprop_steps_stay_in_bounds_during_training():
     x, labels = blob_dataset(n_per_class=15, seed=2)
     m = init_model(seed=0)
-    state = RpropState.for_model(m)
+    params = flat(m.parameter_arrays())
+    steps, prev = np.full_like(params, 0.1), np.zeros_like(params)
     targets = np.zeros((30, 2))
     targets[np.arange(30), labels] = 1.0
     for _ in range(60):
-        m, state = rprop_step(m, state, gradients(m, x, targets))
-        for step in state.steps:
-            assert np.all(step >= 1e-6) and np.all(step <= 50.0)
+        rprop_step(params, steps, prev, flat(gradients(m, x, targets)))
+        m = MlpModel(*unflatten(params, m.parameter_arrays()))
+        assert np.all(steps >= 1e-6) and np.all(steps <= 50.0)
+
+
+def test_rprop_step_matches_per_array_oracle():
+    rng = np.random.default_rng(13)
+    like = init_model(seed=0).parameter_arrays()
+    n = sum(a.size for a in like)
+    # steps inside and at their bounds; a quarter of the previous
+    # gradients zero; about a third of the signs flipped; a quarter of
+    # the gradients redrawn, some of them +0.0 or -0.0
+    for _ in range(200):
+        params = rng.uniform(-3.0, 3.0, n)
+        steps = np.exp(rng.uniform(np.log(1e-6), np.log(50.0), n))
+        edge = rng.random(n) < 0.1
+        steps[edge] = rng.choice([1e-6, 1.5e-6, 49.0, 50.0], edge.sum())
+        prev = rng.normal(size=n) * (rng.random(n) < 0.75)
+        grads = np.abs(rng.normal(size=n)) * np.sign(prev)
+        flip = rng.random(n) < 0.35
+        grads[flip] = -grads[flip]
+        fresh = rng.random(n) < 0.25
+        grads[fresh] = rng.choice([0.0, -0.0, 1.0], fresh.sum()) * rng.normal(size=fresh.sum())
+        want_params, want_state = rprop_oracle.rprop_step(
+            unflatten(params, like),
+            rprop_oracle.RpropState(unflatten(steps, like), unflatten(prev, like)),
+            unflatten(grads, like))
+        rprop_step(params, steps, prev, grads)
+        assert params.tobytes() == flat(want_params).tobytes()
+        assert steps.tobytes() == flat(want_state.steps).tobytes()
+        assert prev.tobytes() == flat(want_state.prev_grads).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -523,44 +549,49 @@ def test_train_requires_both_classes():
 def test_train_plateau_stop():
     # saturate the network so gradients vanish and MSE freezes
     x, labels = blob_dataset(n_per_class=6, seed=1)
-    m, report = train(
-        init_model(seed=0), x * 1e4, labels,
-        max_epochs=500, seed=0, plateau_epochs=20,
-    )
-    if report.stop_reason == "plateau":
-        assert report.epochs < 500
-        tail = report.mse_history[-20:]
-        assert max(tail) - min(tail) < 1e-5
-    else:
-        assert report.epochs == 500
+    m, report = train(init_model(seed=0), x * 1e4, labels, max_epochs=500, seed=0)
+    assert report.stop_reason == "plateau"
+    assert report.epochs == 25
+    tail = report.mse_history[-20:]
+    assert max(tail) - min(tail) < 1e-5
 
 
-def _reference_train(model, x, labels, *, max_epochs, seed,
-                     plateau_epsilon=1e-7, plateau_epochs=20):
-    """The training loop built from public functions alone: one mse, then
-    gradients, rprop_step and mse again on every epoch."""
+def _reference_train(model, x, labels, *, max_epochs, seed):
+    """The training loop built from the per-array Rprop oracle and the
+    public balance_classes, gradients and mse: one mse, then gradients,
+    an oracle step and mse again on every epoch, stopping once the best
+    MSE has failed to improve by 1e-7 for 20 epochs in a row."""
     x, labels = balance_classes(x, labels)
     targets = np.eye(2)[labels]
     current = init_model(seed=seed, layer_sizes=model.layer_sizes,
                          activation=model.activation)
-    state = RpropState.for_model(current)
+    state = rprop_oracle.RpropState.for_arrays(current.parameter_arrays())
     history = []
     best = mse(current, x, targets)
     streak = 0
     reason = "max_epochs"
     for _ in range(max_epochs):
-        current, state = rprop_step(current, state, gradients(current, x, targets))
+        arrays, state = rprop_oracle.rprop_step(
+            current.parameter_arrays(), state, gradients(current, x, targets))
+        current = MlpModel(*arrays, activation=model.activation)
         err = mse(current, x, targets)
         history.append(err)
-        if best - err < plateau_epsilon:
+        if best - err < 1e-7:
             streak += 1
-            if streak >= plateau_epochs:
+            if streak >= 20:
                 reason = "plateau"
                 break
         else:
             streak = 0
         best = min(best, err)
     return current, tuple(history), reason
+
+
+def overlapping_blobs():
+    """Overlapping blobs with a minority that balancing duplicates."""
+    x, labels = blob_dataset(n_per_class=40, spread=4.0, seed=4)
+    keep = np.concatenate([np.arange(40), np.arange(40, 48)])
+    return x[keep], labels[keep]
 
 
 @pytest.mark.parametrize("activation, max_epochs, reason", [
@@ -570,10 +601,7 @@ def _reference_train(model, x, labels, *, max_epochs, seed,
     ("exact", 300, "plateau"),
 ], ids=mode_id)
 def test_train_matches_loop_of_public_steps(activation, max_epochs, reason):
-    # overlapping blobs with a minority that balancing duplicates
-    x, labels = blob_dataset(n_per_class=40, spread=4.0, seed=4)
-    keep = np.concatenate([np.arange(40), np.arange(40, 48)])
-    x, labels = x[keep], labels[keep]
+    x, labels = overlapping_blobs()
     model = init_model(seed=0, activation=activation)
     want_model, want_history, want_reason = _reference_train(
         model, x, labels, max_epochs=max_epochs, seed=2)
@@ -585,6 +613,32 @@ def test_train_matches_loop_of_public_steps(activation, max_epochs, reason):
     assert np.array(report.mse_history).tobytes() == np.array(want_history).tobytes()
     for got, want in zip(got_model.parameter_arrays(), want_model.parameter_arrays()):
         assert got.tobytes() == want.tobytes()
+
+
+def test_train_runs_the_traced_module_functions(monkeypatch):
+    # the benchmark's tracer wraps these module globals; train must call
+    # them through the module so that its spans see every epoch
+    import ecgarr.mlp as mlp
+    calls = {"rprop_step": 0, "balance_classes": 0}
+
+    def counting(name):
+        original = getattr(mlp, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mlp, name, counting(name))
+    x, labels = overlapping_blobs()
+    model, report = train(init_model(seed=0), x, labels, max_epochs=30, seed=2)
+    assert report.stop_reason == "max_epochs"
+    assert calls == {"rprop_step": 30, "balance_classes": 1}
+    arrays = model.parameter_arrays()
+    assert not any(a.flags.writeable for a in arrays)
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 def test_train_rejects_bad_feature_batches():
@@ -622,8 +676,6 @@ def test_train_reports_balanced_counts():
     labels = np.array([0] * 40 + [1] * 4)
     _, report = train(init_model(seed=0), x, labels, max_epochs=1, seed=0)
     assert report.balanced_counts == (40, 14)
-    _, report = train(init_model(seed=0), x, labels, max_epochs=1, seed=0, balance=False)
-    assert report.balanced_counts == (40, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ REMOVED = {
         "HIDDEN_ACTIVATIONS", "OUTPUT_ACTIVATIONS", "FIXED_ACTIVATIONS",
         "MlpModel.hidden_activation", "MlpModel.output_activation",
         "init_model(hidden_activation, output_activation)",
+        "RpropState", "one_hot",
+        "train(balance, plateau_epsilon, plateau_epochs, rprop_hyper)",
+        "balance_classes(floor_ratio)",
     ],
     "ecgarr.selflearn": ["SelfLearnerState.phase", "SelfLearnerState.learn_buffer",
                          "initialize"],
@@ -54,6 +57,9 @@ SIGNATURES = {
     ("ecgarr.metrics", "match_beats"): ["predicted", "annotated", "sampling_frequency"],
     ("ecgarr.experiment", "label_peaks"): ["peaks", "ann_indices", "ann_labels", "fs"],
     ("ecgarr.mlp", "init_model"): ["seed", "layer_sizes", "activation"],
+    ("ecgarr.mlp", "train"): ["model", "x", "labels", "max_epochs", "seed"],
+    ("ecgarr.mlp", "balance_classes"): ["x", "labels"],
+    ("ecgarr.mlp", "rprop_step"): ["params", "steps", "prev_grads", "grads"],
 }
 
 
