@@ -5,7 +5,9 @@ dumps a record, detect writes a peak list, features turns record+peaks
 into a PCA model and a feature table, train fits the classifier on a
 feature table, infer applies a saved model, selflearn runs the rhythm
 monitor, and evaluate / sweep-fraction-bits orchestrate whole
-experiments.  Every command writes a manifest.json describing the
+experiments.  A command returns its artifacts and the text it prints;
+``main`` checks the command's required options, runs it, and writes the
+artifacts into the out dir with a manifest.json describing the
 effective options plus content hashes of what it read and wrote, so a
 run can be reproduced exactly.  A config file (INI, one section per
 command) supplies defaults; command-line flags win.  Each option is one
@@ -211,14 +213,8 @@ def _effective_options(args: argparse.Namespace, command: str) -> dict:
     return out
 
 
-def _require(opts: dict, command: str, *keys: str) -> None:
-    for key in keys:
-        if opts[key] in (None, []):
-            raise UsageError(f"{command} needs {_OPTIONS[key].flag} (flag or config)")
-
-
 # ---------------------------------------------------------------------------
-# manifests
+# artifacts and manifest
 
 
 def _sha256(path: str) -> str:
@@ -229,35 +225,40 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _record_companions(header_path: str) -> list[str]:
-    stem = os.path.splitext(header_path)[0]
-    found = [header_path]
-    for ext in (".dat", ".atr"):
-        if os.path.exists(stem + ext):
-            found.append(stem + ext)
-    return found
+def _input_paths(opts: dict) -> list[str]:
+    """Every file a run reads: each record header with the .dat and .atr
+    beside it that exist, then the peaks, features and model files."""
+    paths = []
+    headers = opts.get("records") or ([opts["record"]] if opts.get("record") else [])
+    for header in headers:
+        stem = os.path.splitext(header)[0]
+        paths += [header] + [p for p in (stem + ".dat", stem + ".atr")
+                             if os.path.exists(p)]
+    return paths + [opts[k] for k in ("peaks", "features", "model") if opts.get(k)]
 
 
-def _write_manifest(out_dir: str, command: str, opts: dict,
-                    input_paths, output_paths) -> str:
+def _write_artifacts(command: str, opts: dict, artifacts: dict) -> None:
+    """Make the out dir, write each artifact (its text, or a function
+    that writes the path) and a manifest.json of the effective options
+    and the hashes of what the run read and wrote."""
+    out_dir = opts["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in artifacts.items():
+        path = os.path.join(out_dir, name)
+        if callable(content):
+            content(path)
+        else:
+            with open(path, "w") as fh:
+                fh.write(content)
     manifest = {
         "command": command,
         "config": {k: v for k, v in sorted(opts.items()) if k != "out_dir"},
-        "inputs": {p: _sha256(p) for p in sorted(set(input_paths))},
-        "outputs": {os.path.basename(p): _sha256(p)
-                    for p in sorted(set(output_paths))},
+        "inputs": {p: _sha256(p) for p in sorted(set(_input_paths(opts)))},
+        "outputs": {name: _sha256(os.path.join(out_dir, name)) for name in artifacts},
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
-
-
-def _ensure_out_dir(opts: dict) -> str:
-    out_dir = opts["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,10 @@ def _beat_positions(record, signal, opts) -> np.ndarray:
     """Peak train from a detect artifact, the annotations, or the detector."""
     if opts.get("peaks"):
         idx = np.loadtxt(opts["peaks"], dtype=np.int64, ndmin=1)
+        outside = idx[(idx < 0) | (idx >= signal.size)]
+        if outside.size:
+            raise ValueError(f"{opts['peaks']}: peak {outside[0]} is outside record "
+                             f"{record.header.record_name}'s {signal.size} samples")
         return PeakTrain(idx, record.header.sampling_frequency).r_indices
     if opts.get("peaks_from_annotations"):
         return annotated_beats(record)[0]
@@ -290,53 +295,37 @@ def _qformat(total_bits: int, fraction_bits: int, layer_sizes=None,
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the effective options and returns its artifacts
+# (out-dir file name -> text, or a function that writes the path) and
+# the text it prints
 
 
-def cmd_ingest(opts) -> int:
-    _require(opts, "ingest", "record", "out_dir")
+def _lines(values) -> str:
+    return "".join(f"{v}\n" for v in values)
+
+
+def cmd_ingest(opts):
     record = ingest_record(opts["record"])
     signal = record_signal(record, opts["channel"])
-    out_dir = _ensure_out_dir(opts)
     name = record.header.record_name
-    signal_path = os.path.join(out_dir, f"{name}-signal.txt")
-    with open(signal_path, "w") as fh:
-        for v in record.samples[opts["channel"]]:
-            fh.write(f"{int(v)}\n")
-    ann_path = os.path.join(out_dir, f"{name}-annotations.txt")
-    with open(ann_path, "w") as fh:
-        fh.write("sample_index,symbol\n")
-        for a in record.annotations:
-            fh.write(f"{a.sample_index},{a.symbol}\n")
-    _write_manifest(out_dir, "ingest", opts,
-                    _record_companions(opts["record"]), [signal_path, ann_path])
-    print(f"{name}: {signal.size} samples, {len(record.annotations)} annotations")
-    return 0
+    annotations = [f"{a.sample_index},{a.symbol}" for a in record.annotations]
+    return ({f"{name}-signal.txt": _lines(record.samples[opts["channel"]].tolist()),
+             f"{name}-annotations.txt": _lines(["sample_index,symbol", *annotations])},
+            f"{name}: {signal.size} samples, {len(record.annotations)} annotations\n")
 
 
-def cmd_detect(opts) -> int:
-    _require(opts, "detect", "record", "out_dir")
+def cmd_detect(opts):
     record = ingest_record(opts["record"])
     signal = record_signal(record, opts["channel"])
-    peaks = detect_r_peaks(signal, record.header.sampling_frequency)
-    out_dir = _ensure_out_dir(opts)
+    peaks = detect_r_peaks(signal, record.header.sampling_frequency).r_indices
     name = record.header.record_name
-    peaks_path = os.path.join(out_dir, f"{name}-peaks.txt")
-    with open(peaks_path, "w") as fh:
-        for r in peaks.r_indices:
-            fh.write(f"{int(r)}\n")
-    _write_manifest(out_dir, "detect", opts,
-                    _record_companions(opts["record"]), [peaks_path])
-    print(f"{name}: {peaks.r_indices.size} peaks")
-    return 0
+    return ({f"{name}-peaks.txt": _lines(peaks.tolist())},
+            f"{name}: {peaks.size} peaks\n")
 
 
-def cmd_features(opts) -> int:
-    _require(opts, "features", "records", "out_dir")
+def cmd_features(opts):
     half_width = (opts["window"] - 1) // 2
-
     per_record = []
-    inputs = []
     for header in opts["records"]:
         record = ingest_record(header)
         signal = record_signal(record, opts["channel"])
@@ -345,9 +334,6 @@ def cmd_features(opts) -> int:
         labels = label_peaks(peaks, *annotated_beats(record), fs)
         per_record.append((record.header.record_name,
                            beat_table(signal, fs, peaks, labels, half_width)))
-        inputs.extend(_record_companions(header))
-        if opts.get("peaks"):
-            inputs.append(opts["peaks"])
     if not sum(len(beats) for _, beats in per_record):
         raise ValueError("no usable labeled beats in the given records")
 
@@ -358,42 +344,25 @@ def cmd_features(opts) -> int:
         for r, features, label in zip(beats.r_index.tolist(), feature_matrix(pca, beats),
                                       beats.labels.tolist())
     ]
-
-    out_dir = _ensure_out_dir(opts)
-    pca_path = os.path.join(out_dir, "pca.txt")
-    features_path = os.path.join(out_dir, "features.txt")
-    save_pca_model(pca_path, pca)
-    save_features(features_path, table)
-    _write_manifest(out_dir, "features", opts, inputs, [pca_path, features_path])
-    print(f"{len(table)} beats from {len(per_record)} record(s)")
-    return 0
+    return ({"pca.txt": lambda path: save_pca_model(path, pca),
+             "features.txt": lambda path: save_features(path, table)},
+            f"{len(table)} beats from {len(per_record)} record(s)\n")
 
 
-def cmd_train(opts) -> int:
-    _require(opts, "train", "features", "seed", "out_dir")
+def cmd_train(opts):
     rows = load_features(opts["features"])
     x = np.stack([r.features for r in rows])
     y = np.array([int(r.label) for r in rows])
     arch = init_model(opts["seed"], (12, opts["hidden"], 2), opts["activation"])
     model, report = train(arch, x, y, max_epochs=opts["max_epochs"],
                           seed=opts["seed"])
-
-    out_dir = _ensure_out_dir(opts)
-    model_path = os.path.join(out_dir, "model.txt")
-    history_path = os.path.join(out_dir, "history.txt")
-    save_model(model_path, model)
-    with open(history_path, "w") as fh:
-        for v in report.mse_history:
-            fh.write(format(v, ".17g") + "\n")
-    _write_manifest(out_dir, "train", opts, [opts["features"]],
-                    [model_path, history_path])
-    print(f"{report.epochs} epochs, stop: {report.stop_reason}, "
-          f"final mse {report.mse_history[-1]:.8f}")
-    return 0
+    return ({"model.txt": lambda path: save_model(path, model),
+             "history.txt": _lines(format(v, ".17g") for v in report.mse_history)},
+            f"{report.epochs} epochs, stop: {report.stop_reason}, "
+            f"final mse {report.mse_history[-1]:.8f}\n")
 
 
-def cmd_infer(opts) -> int:
-    _require(opts, "infer", "features", "model", "out_dir")
+def cmd_infer(opts):
     bits = None
     if opts["total_bits"] is not None or opts["fraction_bits"] is not None:
         bits = [_OPTIONS[k].default if opts[k] is None else opts[k]
@@ -403,39 +372,21 @@ def cmd_infer(opts) -> int:
     if bits is not None:
         model = quantize_model(model, _qformat(*bits, model.layer_sizes))
     rows = load_features(opts["features"])
-    x = np.stack([r.features for r in rows])
-    pred = predict_batch(model, x)
-
-    out_dir = _ensure_out_dir(opts)
-    verdicts_path = os.path.join(out_dir, "verdicts.txt")
-    with open(verdicts_path, "w") as fh:
-        fh.write("record,r_index,label,prediction\n")
-        for row, p in zip(rows, pred):
-            fh.write(f"{row.record_id},{row.r_index},{row.label},{int(p)}\n")
-    _write_manifest(out_dir, "infer", opts,
-                    [opts["features"], opts["model"]], [verdicts_path])
-    flagged = int(np.sum(pred == 1))
-    print(f"{len(rows)} beats, {flagged} flagged")
-    return 0
+    pred = predict_batch(model, np.stack([r.features for r in rows]))
+    verdicts = [f"{row.record_id},{row.r_index},{row.label},{int(p)}"
+                for row, p in zip(rows, pred)]
+    return ({"verdicts.txt": _lines(["record,r_index,label,prediction", *verdicts])},
+            f"{len(rows)} beats, {int(np.sum(pred == 1))} flagged\n")
 
 
-def cmd_selflearn(opts) -> int:
-    _require(opts, "selflearn", "record", "out_dir")
+def cmd_selflearn(opts):
     record = ingest_record(opts["record"])
     signal = record_signal(record, opts["channel"])
     peaks = _beat_positions(record, signal, opts)
     events, state = run_self_learner(peaks, tolerance_fraction=opts["tolerance"])
-
-    out_dir = _ensure_out_dir(opts)
-    log_path = os.path.join(out_dir, "anomalies.csv")
-    save_anomaly_log(log_path, record.header.record_name, events)
-    inputs = _record_companions(opts["record"])
-    if opts.get("peaks"):
-        inputs.append(opts["peaks"])
-    _write_manifest(out_dir, "selflearn", opts, inputs, [log_path])
-    print(f"{record.header.record_name}: {len(events)} anomalies, "
-          f"stable interval {state.st_rr:g} samples")
-    return 0
+    name = record.header.record_name
+    return ({"anomalies.csv": lambda path: save_anomaly_log(path, name, events)},
+            f"{name}: {len(events)} anomalies, stable interval {state.st_rr:g} samples\n")
 
 
 def _pipeline_config(opts) -> PipelineConfig:
@@ -447,93 +398,71 @@ def _pipeline_config(opts) -> PipelineConfig:
     )
 
 
-def cmd_evaluate(opts) -> int:
-    _require(opts, "evaluate", "records", "out_dir")
-    if opts["classifier"] != "self-learner":
-        _require(opts, "evaluate", "seed")
+def cmd_evaluate(opts):
+    if opts["classifier"] != "self-learner" and opts["seed"] is None:
+        raise UsageError("evaluate needs --seed (flag or config)")
     _qformat(opts["total_bits"], opts["fraction_bits"], (12, opts["hidden"], 2))
-    result = run_experiment(_pipeline_config(opts))
-    text = render_experiment(result)
-
-    out_dir = _ensure_out_dir(opts)
-    report_path = os.path.join(out_dir, "report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(text)
-    inputs = [p for h in opts["records"] for p in _record_companions(h)]
-    _write_manifest(out_dir, "evaluate", opts, inputs, [report_path])
-    print(text, end="")
-    return 0
+    text = render_experiment(run_experiment(_pipeline_config(opts)))
+    return {"report.txt": text}, text
 
 
-def cmd_sweep(opts) -> int:
-    _require(opts, "sweep-fraction-bits", "records", "seed", "out_dir")
+def cmd_sweep(opts):
     lo, hi = opts["fraction_bits_min"], opts["fraction_bits_max"]
     _qformat(opts["total_bits"], hi, (12, opts["hidden"], 2), "--fraction-bits-max")
     if not 0 < lo <= hi < opts["total_bits"]:
         raise UsageError("need 0 < fraction-bits-min <= fraction-bits-max < total-bits")
-    points = sweep_fraction_bits(_pipeline_config(opts), tuple(range(lo, hi + 1)))
-    text = render_sweep(points)
-
-    out_dir = _ensure_out_dir(opts)
-    sweep_path = os.path.join(out_dir, "sweep.txt")
-    with open(sweep_path, "w") as fh:
-        fh.write(text)
-    inputs = [p for h in opts["records"] for p in _record_companions(h)]
-    _write_manifest(out_dir, "sweep-fraction-bits", opts, inputs, [sweep_path])
-    print(text, end="")
-    return 0
+    text = render_sweep(sweep_fraction_bits(_pipeline_config(opts),
+                                            tuple(range(lo, hi + 1))))
+    return {"sweep.txt": text}, text
 
 
-def cmd_activation_error(opts) -> int:
+def cmd_activation_error(opts):
     n = int(round(12.0 / opts["grid_step"])) + 1
     grid = np.linspace(-6.0, 6.0, n)
     err = np.abs(platanh(grid) - tanh_exact(grid))
     worst = int(np.argmax(err))
     line = f"max error {err[worst]:.5f} at x = {abs(grid[worst]):g}\n"
-    sys.stdout.write(line)
-    if opts["out_dir"]:
-        out_dir = _ensure_out_dir(opts)
-        path = os.path.join(out_dir, "activation-error.txt")
-        with open(path, "w") as fh:
-            fh.write(line)
-        _write_manifest(out_dir, "activation-error", opts, [], [path])
-    return 0
+    return {"activation-error.txt": line}, line
 
 
 @dataclass(frozen=True)
 class _Command:
-    run: Callable
+    run: Callable  # opts -> (artifacts, stdout text)
     help: str
     options: tuple  # _OPTIONS keys, in --help order
+    required: tuple = ()  # options the command cannot run without, checked in order
     unset: tuple = ()  # options left None unless given
 
 
 _COMMANDS = {
     "ingest": _Command(cmd_ingest, "dump a record's samples and annotations",
-                       ("record", "channel", "out_dir")),
+                       ("record", "channel", "out_dir"), ("record", "out_dir")),
     "detect": _Command(cmd_detect, "write detected R-peak indices",
-                       ("record", "channel", "out_dir")),
+                       ("record", "channel", "out_dir"), ("record", "out_dir")),
     "features": _Command(cmd_features, "build PCA model + beat feature table",
                          ("records", "channel", "peaks", "peaks_from_annotations",
-                          "window", "out_dir")),
+                          "window", "out_dir"), ("records", "out_dir")),
     "train": _Command(cmd_train, "fit the beat classifier on a feature table",
                       ("features", "seed", "hidden", "max_epochs", "activation",
-                       "out_dir")),
+                       "out_dir"), ("features", "seed", "out_dir")),
     "infer": _Command(cmd_infer, "classify a feature table with a saved model, "
                                  "quantized first if a format flag is given",
                       ("features", "model", "total_bits", "fraction_bits", "out_dir"),
+                      ("features", "model", "out_dir"),
                       unset=("total_bits", "fraction_bits")),
     "selflearn": _Command(cmd_selflearn, "run the unsupervised rhythm monitor",
                           ("record", "channel", "tolerance", "peaks",
-                           "peaks_from_annotations", "out_dir")),
+                           "peaks_from_annotations", "out_dir"), ("record", "out_dir")),
+    # evaluate needs --seed only to train a net, which cmd_evaluate checks
     "evaluate": _Command(cmd_evaluate, "train + score a whole experiment",
                          ("records", "channel", "classifier", "detector", "seed",
                           "max_epochs", "hidden", "total_bits", "fraction_bits",
-                          "tolerance", "out_dir")),
+                          "tolerance", "out_dir"), ("records", "out_dir")),
     "sweep-fraction-bits": _Command(
         cmd_sweep, "prediction drift of quantized vs real classifier",
         ("records", "channel", "detector", "seed", "max_epochs", "hidden",
-         "total_bits", "fraction_bits_min", "fraction_bits_max", "out_dir")),
+         "total_bits", "fraction_bits_min", "fraction_bits_max", "out_dir"),
+        ("records", "seed", "out_dir")),
     "activation-error": _Command(
         cmd_activation_error, "largest gap between the PL approximation and tanh",
         ("grid_step", "out_dir")),
@@ -563,9 +492,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    spec = _COMMANDS[args.command]
     try:
         opts = _effective_options(args, args.command)
-        return _COMMANDS[args.command].run(opts)
+        for key in spec.required:
+            if opts[key] in (None, []):
+                raise UsageError(
+                    f"{args.command} needs {_OPTIONS[key].flag} (flag or config)")
+        artifacts, summary = spec.run(opts)
+        if opts["out_dir"]:
+            _write_artifacts(args.command, opts, artifacts)
+        sys.stdout.write(summary)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

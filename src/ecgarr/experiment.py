@@ -134,18 +134,6 @@ class _RecordData:
     ann_labels: np.ndarray     # 0/1 per annotated beat
 
 
-def _check_files_exist(config: PipelineConfig) -> None:
-    missing = []
-    for header in config.record_paths:
-        if not os.path.exists(header):
-            missing.append(header)
-        atr = os.path.splitext(header)[0] + ".atr"
-        if not os.path.exists(atr):
-            missing.append(atr)
-    if missing:
-        raise FileNotFoundError("missing record files: " + ", ".join(missing))
-
-
 def annotated_beats(record):
     """Sample index and label (0 normal, 1 arrhythmia) of each annotated beat."""
     beats = [a for a in record.annotations if a.is_beat]
@@ -200,8 +188,15 @@ def _load_record(header_path, config) -> _RecordData:
 def _load_records(config) -> list:
     """Each record's data, loaded on a thread per CPU (numpy's work releases
     the interpreter lock; memory grows by one record's transient arrays
-    per worker).  The first failing record, in record order, raises."""
+    per worker).  A missing header or annotation file fails before any
+    record is read; after that the first failing record, in record order,
+    raises."""
     paths = config.record_paths
+    missing = [p for header in paths
+               for p in (header, os.path.splitext(header)[0] + ".atr")
+               if not os.path.exists(p)]
+    if missing:
+        raise FileNotFoundError("missing record files: " + ", ".join(missing))
     with ThreadPoolExecutor(min(len(paths), os.cpu_count() or 1)) as pool:
         return list(pool.map(_load_record, paths, [config] * len(paths)))
 
@@ -210,29 +205,30 @@ def _load_records(config) -> list:
 # classifier path
 
 
-def _prepare_classifier_data(records):
-    """PCA and training set from each record's first half; the second
-    halves are the test halves, in record order (names may repeat)."""
-    train, test = [], []
+def _train_classifier(records, config):
+    """PCA and the trained net from each record's first half, and the
+    second halves to test on, in record order (names may repeat).  The
+    fixed classifier and the sweep train the piecewise-linear net they
+    then quantize."""
+    train_halves, test = [], []
     for rec in records:
         half = len(rec.table) // 2
-        train.append(rec.table[:half])
+        train_halves.append(rec.table[:half])
         test.append(rec.table[half:])
-    if not sum(map(len, train)):
+    if not sum(map(len, train_halves)):
         raise ValueError("no trainable beats across the given records")
-    pca = fit_pca(np.vstack([t.windows for t in train]))
-    x_train = np.vstack([feature_matrix(pca, t) for t in train])
-    y_train = np.concatenate([t.labels for t in train])
-    return pca, x_train, y_train, test
+    pca = fit_pca(np.vstack([t.windows for t in train_halves]))
+    x_train = np.vstack([feature_matrix(pca, t) for t in train_halves])
+    y_train = np.concatenate([t.labels for t in train_halves])
+    arch = init_model(config.seed, (12, config.hidden_units, 2),
+                      "exact" if config.classifier == "exact" else "pla")
+    model, report = train(arch, x_train, y_train,
+                          max_epochs=config.max_epochs, seed=config.seed)
+    return pca, model, report, test
 
 
 def _run_classifier(records, config):
-    pca, x_train, y_train, test = _prepare_classifier_data(records)
-    # "fixed" trains the piecewise-linear net it then quantizes
-    arch = init_model(config.seed, (12, config.hidden_units, 2),
-                      "exact" if config.classifier == "exact" else "pla")
-    model, train_report = train(arch, x_train, y_train,
-                                max_epochs=config.max_epochs, seed=config.seed)
+    pca, model, train_report, test = _train_classifier(records, config)
     eval_model = model
     if config.classifier == "fixed":
         eval_model = quantize_model(
@@ -348,7 +344,6 @@ def _run_self_learner_eval(records, config):
 
 
 def run_experiment(config: PipelineConfig) -> ExperimentResult:
-    _check_files_exist(config)
     # self-learner judges raw beat trains; classifiers need labeled rows
     records = _load_records(config)
     if config.classifier == "self-learner":
@@ -362,12 +357,7 @@ def sweep_fraction_bits(config: PipelineConfig,
     piecewise-linear model, over the pooled test beats."""
     if config.classifier not in ("pla", "fixed"):
         raise ValueError("the sweep runs on the piecewise-linear classifier")
-    _check_files_exist(config)
-    records = _load_records(config)
-    pca, x_train, y_train, test = _prepare_classifier_data(records)
-    arch = init_model(config.seed, (12, config.hidden_units, 2), "pla")
-    model, _ = train(arch, x_train, y_train,
-                     max_epochs=config.max_epochs, seed=config.seed)
+    pca, model, _, test = _train_classifier(_load_records(config), config)
     x_test = np.vstack([feature_matrix(pca, table) for table in test])
     reference = predict_batch(model, x_test)
     points = []

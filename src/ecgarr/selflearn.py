@@ -37,7 +37,7 @@ __all__ = [
 EVENT_KINDS = ("interval_deviation", "missing_beat")
 
 
-class NoStableRhythmError(Exception):
+class NoStableRhythmError(ValueError):
     """No run of four consecutive intervals settled within tolerance."""
 
 

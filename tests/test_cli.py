@@ -510,6 +510,32 @@ def test_exclusive_peak_sources(tmp_path, capsys):
     assert "exclusive" in capsys.readouterr().err
 
 
+def test_no_stable_rhythm_is_an_error_line(records, tmp_path, capsys):
+    # three peaks give two intervals, too few to learn a rhythm from
+    few = tmp_path / "few.txt"
+    few.write_text("150\n450\n750\n")
+    out = tmp_path / "o"
+    rc = main(["selflearn", "--record", records["a"], "--peaks", str(few),
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["selflearn", "features"])
+@pytest.mark.parametrize("outside", [99999999, -500])
+def test_peaks_outside_the_record_are_rejected(records, tmp_path, capsys, command,
+                                               outside):
+    peaks = tmp_path / "peaks.txt"
+    peaks.write_text("".join(f"{p}\n" for p in sorted([150, 450, 750, 1050, outside])))
+    rc = main([command, "--record", records["a"], "--peaks", str(peaks),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {peaks}: peak {outside} is outside record recA's "
+                   "12000 samples\n")
+
+
 def test_channel_out_of_range_fails(records, tmp_path, capsys):
     rc = main(["detect", "--record", records["a"], "--channel", "1",
                "--out-dir", str(tmp_path / "o")])
