@@ -210,6 +210,8 @@ def _effective_options(args: argparse.Namespace, command: str) -> dict:
         out[key] = value
     if out.get("peaks") and out.get("peaks_from_annotations"):
         raise UsageError("--peaks and --peaks-from-annotations are exclusive")
+    if out.get("peaks") and len(out.get("records") or ()) > 1:
+        raise UsageError("--peaks holds one record's peaks: give one --record")
     return out
 
 

@@ -64,7 +64,6 @@ class PipelineConfig:
     seed: int = 0
     max_epochs: int = 1000
     hidden_units: int = 6
-    output_dir: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "record_paths",
@@ -167,14 +166,13 @@ def _load_record(header_path, config) -> _RecordData:
     fs, record_id = record.header.sampling_frequency, record.header.record_name
     ann_idx, ann_lab = annotated_beats(record)
     del record  # its samples of every channel, not read again
-    if config.detector == "ann":
-        indices, labels = ann_idx, ann_lab
-    else:
-        indices = detect_r_peaks(signal, fs).r_indices
-        labels = label_peaks(indices, ann_idx, ann_lab, fs)
-    # the self-learner judges the beat train alone and reads no windows
-    table = (None if config.classifier == "self-learner"
-             else beat_table(signal, fs, indices, labels))
+    indices = ann_idx if config.detector == "ann" else detect_r_peaks(signal, fs).r_indices
+    # the self-learner judges the beat train alone: it reads no windows or labels
+    table = None
+    if config.classifier != "self-learner":
+        labels = (ann_lab if config.detector == "ann"
+                  else label_peaks(indices, ann_idx, ann_lab, fs))
+        table = beat_table(signal, fs, indices, labels)
     return _RecordData(
         record_id=record_id,
         sampling_frequency=fs,
@@ -227,34 +225,19 @@ def _train_classifier(records, config):
     return pca, model, report, test
 
 
-def _run_classifier(records, config):
+def _classifier_verdicts(records, config):
+    """Each record's test-half R indices, labels and predictions, and the
+    training mse history."""
     pca, model, train_report, test = _train_classifier(records, config)
-    eval_model = model
     if config.classifier == "fixed":
-        eval_model = quantize_model(
-            model, QFormat(config.total_bits, config.fraction_bits))
-
-    per_record = []
-    verdicts = []
-    pooled = ConfusionCounts()
+        model = quantize_model(model, QFormat(config.total_bits, config.fraction_bits))
+    scored = []
     for rec, table in zip(records, test):
         if not len(table):
             raise ValueError(f"record {rec.record_id}: empty test half")
-        y_pred = predict_batch(eval_model, feature_matrix(pca, table))
-        counts = confusion_from_labels(table.labels, y_pred)
-        pooled = pooled + counts
-        per_record.append(RecordResult(
-            rec.record_id, compute_metrics(counts, config.echo())))
-        verdicts.extend(
-            (rec.record_id, r, t, p) for r, t, p in
-            zip(table.r_index.tolist(), table.labels.tolist(), y_pred.tolist())
-        )
-    return ExperimentResult(
-        per_record=tuple(per_record),
-        pooled=compute_metrics(pooled, config.echo()),
-        mse_history=train_report.mse_history,
-        verdicts=tuple(verdicts),
-    )
+        scored.append((table.r_index, table.labels,
+                       predict_batch(model, feature_matrix(pca, table))))
+    return scored, train_report.mse_history
 
 
 # ---------------------------------------------------------------------------
@@ -262,46 +245,32 @@ def _run_classifier(records, config):
 
 
 def _self_learner_verdicts(rec: _RecordData, config):
-    """Annotation-anchored verdict per annotated beat.
+    """Annotation index, label and flag of each annotated beat the monitor
+    judged.
 
     Beats consumed by the learning window are not judged.  An annotated
-    beat matching a monitored peak inherits that peak's flag; one inside
-    a gap the monitor timed out on counts as flagged; one the monitor
-    silently passed over counts as unflagged.
+    beat matching a monitored peak inherits that peak's flag; an
+    unmatched one is flagged when the peak before it opened a gap the
+    monitor timed out on, and unflagged otherwise.
     """
     events, _ = run_self_learner(
         rec.beat_indices, tolerance_fraction=config.tolerance_fraction)
-    # monitoring starts at the peak that closed the learning window
-    intervals = np.diff(rec.beat_indices)
-    start, _ = find_stable_window(intervals, config.tolerance_fraction)
-    monitor_from = int(rec.beat_indices[start + 4])
-
-    monitored = rec.beat_indices[rec.beat_indices > monitor_from]
-    deviant_peaks = {ev.sample_index for ev in events
-                     if ev.kind == "interval_deviation"}
-    gaps = []
-    for ev in events:
-        if ev.kind == "missing_beat":
-            gap_start = ev.sample_index - int(ev.observed)
-            nxt = np.searchsorted(monitored, ev.sample_index, side="right")
-            gap_end = (int(monitored[nxt]) if nxt < monitored.size
-                       else int(rec.ann_indices[-1]) + 1)
-            gaps.append((gap_start, gap_end))
-
-    judged = rec.ann_indices > monitor_from
+    start, _ = find_stable_window(np.diff(rec.beat_indices), config.tolerance_fraction)
+    # the peak that closed the learning window, then every monitored peak
+    peaks = rec.beat_indices[start + 4:]
+    judged = rec.ann_indices > peaks[0]
     ann_idx, ann_lab = rec.ann_indices[judged], rec.ann_labels[judged]
+    if not ann_idx.size:
+        raise ValueError(f"record {rec.record_id}: nothing to monitor")
+    deviants = [ev.sample_index for ev in events if ev.kind == "interval_deviation"]
+    # a timeout's deadline is its observed wait after the peak that opened the gap
+    gap_starts = [ev.sample_index - int(ev.observed) for ev in events
+                  if ev.kind == "missing_beat"]
     window = MATCH_WINDOW_MS * rec.sampling_frequency / 1000.0
-    nearest = _nearest_within(monitored, ann_idx, window)
-    out = []
-    for idx, label, peak in zip(ann_idx.tolist(), ann_lab.tolist(), nearest.tolist()):
-        if peak >= 0:
-            flagged = 1 if peak in deviant_peaks else 0
-        elif any(gs < idx < ge for gs, ge in gaps):
-            flagged = 1
-        else:
-            flagged = 0
-        out.append((idx, label, flagged))
-    return out
+    nearest = _nearest_within(peaks[1:], ann_idx, window)
+    before = peaks[np.searchsorted(peaks, ann_idx) - 1]
+    flagged = np.where(nearest >= 0, np.isin(nearest, deviants), np.isin(before, gap_starts))
+    return ann_idx, ann_lab, flagged.astype(np.int64)
 
 
 def _nearest_within(peaks, points, window):
@@ -317,38 +286,31 @@ def _nearest_within(peaks, points, window):
     return np.where(np.minimum(dist_before, dist_after) <= window, nearest, -1)
 
 
-def _run_self_learner_eval(records, config):
-    per_record = []
-    verdicts = []
-    pooled = ConfusionCounts()
-    for rec in records:
-        rows = _self_learner_verdicts(rec, config)
-        if not rows:
-            raise ValueError(f"record {rec.record_id}: nothing to monitor")
-        y_true = np.array([t for _, t, _ in rows])
-        y_pred = np.array([p for _, _, p in rows])
-        counts = confusion_from_labels(y_true, y_pred)
-        pooled = pooled + counts
-        per_record.append(RecordResult(
-            rec.record_id, compute_metrics(counts, config.echo())))
-        verdicts.extend((rec.record_id, idx, t, p) for idx, t, p in rows)
-    return ExperimentResult(
-        per_record=tuple(per_record),
-        pooled=compute_metrics(pooled, config.echo()),
-        verdicts=tuple(verdicts),
-    )
-
-
 # ---------------------------------------------------------------------------
 # entry points
 
 
 def run_experiment(config: PipelineConfig) -> ExperimentResult:
-    # self-learner judges raw beat trains; classifiers need labeled rows
+    """Each record's verdicts (R or annotation index, true label and
+    prediction) from the configured mode, scored per record and pooled."""
     records = _load_records(config)
     if config.classifier == "self-learner":
-        return _run_self_learner_eval(records, config)
-    return _run_classifier(records, config)
+        scored, mse_history = [_self_learner_verdicts(rec, config) for rec in records], ()
+    else:
+        scored, mse_history = _classifier_verdicts(records, config)
+    per_record, verdicts, pooled = [], [], ConfusionCounts()
+    for rec, (index, y_true, y_pred) in zip(records, scored):
+        counts = confusion_from_labels(y_true, y_pred)
+        pooled = pooled + counts
+        per_record.append(RecordResult(rec.record_id, compute_metrics(counts, config.echo())))
+        verdicts.extend((rec.record_id, *row) for row in
+                        zip(index.tolist(), y_true.tolist(), y_pred.tolist()))
+    return ExperimentResult(
+        per_record=tuple(per_record),
+        pooled=compute_metrics(pooled, config.echo()),
+        mse_history=mse_history,
+        verdicts=tuple(verdicts),
+    )
 
 
 def sweep_fraction_bits(config: PipelineConfig,

@@ -374,14 +374,13 @@ def parse_annotations(data: bytes, n_samples: int | None = None) -> list[Annotat
 # whole-record ingest
 
 
-def ingest_record(header_path, annotation_path=None) -> EcgRecord:
+def ingest_record(header_path) -> EcgRecord:
     """Read header, samples, and (optionally) annotations for a record.
 
     Sample files are resolved relative to the header's directory.  When
     several signals share one file their samples are interleaved in
-    signal order.  ``annotation_path`` defaults to the header path with
-    an ``.atr`` suffix; a missing default annotation file simply yields
-    an empty annotation list, an explicitly given one must exist.
+    signal order.  Annotations come from the ``.atr`` file beside the
+    header; without one the annotation list is empty.
     """
     header_path = os.fspath(header_path)
     with open(header_path, "rb") as fh:
@@ -404,12 +403,8 @@ def ingest_record(header_path, annotation_path=None) -> EcgRecord:
         samples[indices] = series.reshape(n, len(indices)).T
 
     annotations: list[Annotation] = []
-    if annotation_path is None:
-        stem, _ = os.path.splitext(header_path)
-        candidate = stem + ".atr"
-        if os.path.exists(candidate):
-            annotation_path = candidate
-    if annotation_path is not None:
+    annotation_path = os.path.splitext(header_path)[0] + ".atr"
+    if os.path.exists(annotation_path):
         with open(annotation_path, "rb") as fh:
             annotations = parse_annotations(fh.read(), n_samples=n)
 

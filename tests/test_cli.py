@@ -510,6 +510,25 @@ def test_exclusive_peak_sources(tmp_path, capsys):
     assert "exclusive" in capsys.readouterr().err
 
 
+def test_one_peak_file_for_several_records_is_usage_error(records, tmp_path, capsys):
+    # one detect artifact would label every record from the first one's
+    # peaks; rejected before any record is read
+    peaks = tmp_path / "peaks.txt"
+    peaks.write_text("150\n450\n750\n")
+    out = tmp_path / "o"
+    argv = ["features", "--record", str(tmp_path / "ghost.hea"), "--record", records["b"],
+            "--peaks", str(peaks), "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--peaks" in err and "--record" in err
+    cfg = tmp_path / "records.ini"
+    cfg.write_text(f"[features]\nrecords = {records['a']} {records['b']}\n")
+    assert main(["--config", str(cfg), "features", "--peaks", str(peaks),
+                 "--out-dir", str(out)]) == 2
+    assert "--peaks" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_stable_rhythm_is_an_error_line(records, tmp_path, capsys):
     # three peaks give two intervals, too few to learn a rhythm from
     few = tmp_path / "few.txt"

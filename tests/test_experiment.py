@@ -4,24 +4,31 @@ Two alternating normal/anomalous records drive the classifier paths and
 the quantization sweep; a pulse train with two silently dropped beats
 drives the rhythm-monitor path.  Record files are real header/sample/
 annotation triples written through the same writer the readers are
-tested against.
+tested against.  Seeded random beat trains check the monitor's verdicts
+against the per-beat loop in ``verdict_oracle.py``.
 """
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ecgarr import experiment
 from ecgarr.experiment import (
     PipelineConfig,
     _nearest_within,
+    _RecordData,
+    _self_learner_verdicts,
     record_signal,
     render_experiment,
     render_sweep,
     run_experiment,
     sweep_fraction_bits,
 )
+from ecgarr.selflearn import NoStableRhythmError, run_self_learner
 from ecgarr.wfdb_io import ingest_record
+from verdict_oracle import verdict_rows
 from wfdb_fixtures import (
     DROPPED_BEATS,
     add_pulse,
@@ -152,6 +159,81 @@ def test_self_learner_flags_dropped_beats(records):
     assert res.mse_history == ()
     assert "config.split full-record" in render_experiment(res)
     assert "config.tolerance 0.15" in render_experiment(res)
+
+
+def test_self_learner_on_detected_beats_labels_no_peaks(records, monkeypatch):
+    # the monitor judges the peak train against the annotations; only a
+    # classifier's beat table needs each peak's label
+    calls, label_peaks = [], experiment.label_peaks
+    monkeypatch.setattr(experiment, "label_peaks",
+                        lambda *args: calls.append(args) or label_peaks(*args))
+    run_experiment(PipelineConfig(record_paths=(records["drop"],),
+                                  classifier="self-learner", detector="uni-dwt"))
+    assert calls == []
+
+
+def test_nothing_to_monitor_raises(tmp_path):
+    # five annotated beats: the learning window takes them all
+    beats = [200 + 345 * k for k in range(5)]
+    sig = np.zeros(2000)
+    for c in beats:
+        add_pulse(sig, c, 18, 500.0)
+    samples = np.clip(np.round(sig) + 1024, -2048, 2047).astype(int)
+    five = write_record_files(tmp_path, "five", 360, samples.tolist(),
+                              [(c, "N") for c in beats])
+    cfg = PipelineConfig(record_paths=(five,), classifier="self-learner", detector="ann")
+    with pytest.raises(ValueError, match="record five: nothing to monitor"):
+        run_experiment(cfg)
+
+
+def _random_train(rng):
+    """(peaks, annotation indices, labels, tolerance) of a seeded beat
+    train whose detected peaks drop beats, move early or late (some
+    beyond the match window) and gain spurious ones."""
+    n = int(rng.integers(3, 40))
+    rr = rng.integers(200, 400) * (1 + rng.normal(0, rng.choice([0.01, 0.05, 0.3]), n))
+    beats = np.round(rng.integers(20, 400) + np.cumsum(np.abs(rr))).astype(np.int64)
+    peaks = beats[rng.random(n) >= rng.choice([0.0, 0.05, 0.2])]
+    shift = int(rng.choice([0, 3, 25]))
+    peaks = peaks + rng.integers(-shift, shift + 1, peaks.size)
+    peaks = peaks + (rng.random(peaks.size) < rng.choice([0.0, 0.1])) * 60
+    spurious = rng.integers(0, beats[-1] + 400, rng.integers(0, 4))
+    peaks = np.unique(np.concatenate([peaks, spurious]))
+    labels = (rng.random(n) < 0.3).astype(np.int64)
+    if rng.random() < 0.1:  # the annotations stop early
+        keep = int(rng.integers(0, 8))
+        beats, labels = beats[:keep], labels[:keep]
+    return peaks, beats, labels, float(rng.choice([0.1, 0.15, 0.25]))
+
+
+def test_self_learner_verdicts_equal_the_per_beat_oracle():
+    outcomes = Counter()
+    for seed in range(1500):
+        peaks, ann, labels, tol = _random_train(np.random.default_rng(seed))
+        rec = _RecordData("r", 360.0, None, peaks, ann, labels)
+        cfg = PipelineConfig(record_paths=("r.hea",), classifier="self-learner",
+                             tolerance_fraction=tol)
+        try:
+            expected = verdict_rows(peaks, ann, labels, 360.0, tol)
+        except NoStableRhythmError:
+            with pytest.raises(NoStableRhythmError):
+                _self_learner_verdicts(rec, cfg)
+            outcomes["no stable rhythm"] += 1
+            continue
+        if not expected:
+            with pytest.raises(ValueError, match="record r: nothing to monitor"):
+                _self_learner_verdicts(rec, cfg)
+            outcomes["nothing to monitor"] += 1
+            continue
+        got = _self_learner_verdicts(rec, cfg)
+        assert [a.dtype for a in got] == [np.int64] * 3
+        assert list(zip(*(a.tolist() for a in got))) == expected, seed
+        events, _ = run_self_learner(peaks, tolerance_fraction=tol)
+        outcomes.update(ev.kind for ev in events)
+        outcomes.update(f"flag {flag}" for _, _, flag in expected)
+    assert min(outcomes[k] for k in ("no stable rhythm", "nothing to monitor",
+                                     "missing_beat", "interval_deviation")) >= 50, outcomes
+    assert outcomes["flag 1"] >= 1000 and outcomes["flag 0"] >= 1000, outcomes
 
 
 @pytest.mark.parametrize("n_peaks", [0, 1, 2, 400])

@@ -14,8 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
-def unused_imports(path):
-    """[(line, name)] of the names path imports and never uses."""
+def unused_imports(path, honour_noqa=True):
+    """[(line, name)] of the names path imports and never uses; with
+    honour_noqa False, also those a ``# noqa: F401`` keeps."""
     text = path.read_text()
     lines = text.splitlines()
     tree = ast.parse(text)
@@ -25,7 +26,8 @@ def unused_imports(path):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if any("# noqa: F401" in lines[i - 1] for i in (alias.lineno, node.lineno)):
+                if honour_noqa and any("# noqa: F401" in lines[i - 1]
+                                       for i in (alias.lineno, node.lineno)):
                     continue
                 name = alias.asname or alias.name.split(".")[0]
                 imported.append((alias.lineno, name))

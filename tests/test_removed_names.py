@@ -46,8 +46,9 @@ REMOVED = {
                          "initialize"],
     "ecgarr.experiment": [
         "classifier_activations", "PipelineConfig.split", "PipelineConfig.match_window_ms",
-        "label_peaks(window_ms)",
+        "label_peaks(window_ms)", "PipelineConfig.output_dir",
     ],
+    "ecgarr.wfdb_io": ["ingest_record(annotation_path)"],
     "ecgarr.metrics": ["match_beats(window_ms)"],
 }
 
@@ -56,6 +57,7 @@ SIGNATURES = {
     ("ecgarr.dsp", "detect_r_peaks"): ["signal", "fs"],
     ("ecgarr.metrics", "match_beats"): ["predicted", "annotated", "sampling_frequency"],
     ("ecgarr.experiment", "label_peaks"): ["peaks", "ann_indices", "ann_labels", "fs"],
+    ("ecgarr.wfdb_io", "ingest_record"): ["header_path"],
     ("ecgarr.mlp", "init_model"): ["seed", "layer_sizes", "activation"],
     ("ecgarr.mlp", "train"): ["model", "x", "labels", "max_epochs", "seed"],
     ("ecgarr.mlp", "balance_classes"): ["x", "labels"],

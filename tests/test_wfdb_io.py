@@ -299,12 +299,6 @@ def test_ingest_signals_in_separate_files(tmp_path):
     assert rec.samples[1].tolist() == ch1
 
 
-def test_ingest_explicit_missing_annotation_path_raises(tmp_path):
-    hdr = write_record_files(tmp_path, "x", 250, [0, 1, 2, 3])
-    with pytest.raises(FileNotFoundError):
-        ingest_record(hdr, annotation_path=tmp_path / "nope.atr")
-
-
 def test_annotation_dataclass_is_beat():
     assert Annotation(0, "N", 1).is_beat
     assert not Annotation(0, "+", 28).is_beat
