@@ -1,10 +1,11 @@
 """Wavelet filtering and R-peak detection.
 
-The transform is a hand-rolled orthonormal Daubechies filter bank with
-symmetric boundary extension.  Keeping it explicit (rather than pulling
-in a wavelet package) makes the boundary convention, coefficient
-lengths, and the perfect-reconstruction property fully pinned down by
-this file and its tests.
+The transform is a hand-rolled orthonormal Daubechies-4 filter bank
+with symmetric boundary extension, LEVELS deep: the one bank the
+detector runs.  Keeping it explicit (rather than pulling in a wavelet
+package) makes the boundary convention, coefficient lengths, and the
+perfect-reconstruction property fully pinned down by this file and its
+tests.
 """
 
 from __future__ import annotations
@@ -27,67 +28,27 @@ class SignalTooShortError(ValueError):
     pass
 
 
-# Orthonormal Daubechies scaling (lowpass) filters, natural order.
-# sum(h) = sqrt(2), sum(h^2) = 1, and even shifts are orthogonal.
-_WAVELETS = {
-    "db1": (
-        0.7071067811865476,
-        0.7071067811865476,
-    ),
-    # db2/db3 from their closed forms: ((1 +- sqrt(3)) / 4sqrt(2), ...)
-    # and the sqrt(10)-based radicals, evaluated in float64
-    "db2": (
-        0.4829629131445341,
-        0.8365163037378077,
-        0.2241438680420134,
-        -0.12940952255126034,
-    ),
-    "db3": (
-        0.33267055295008263,
-        0.8068915093110927,
-        0.4598775021184915,
-        -0.1350110200102546,
-        -0.08544127388202666,
-        0.035226291885709554,
-    ),
-    "db4": (
-        0.23037781330885523,
-        0.7148465705525415,
-        0.6308807679295904,
-        -0.02798376941698385,
-        -0.18703481171888114,
-        0.030841381835986965,
-        0.03288301166698295,
-        -0.010597401785069032,
-    ),
-}
-
-
-def _filters(wavelet: str):
-    try:
-        h = np.asarray(_WAVELETS[wavelet], dtype=np.float64)
-    except KeyError:
-        raise ValueError(
-            f"unknown wavelet {wavelet!r}; choose from {sorted(_WAVELETS)}"
-        ) from None
-    # highpass by alternating-sign reversal of the lowpass
-    m = h.size
-    g = ((-1.0) ** np.arange(m)) * h[::-1]
-    return h, g
+# The Daubechies-4 orthonormal scaling (lowpass) filter, natural order:
+# sum(h) = sqrt(2), sum(h^2) = 1, and even shifts are orthogonal.  The
+# highpass is its alternating-sign reversal.
+_H = np.array([
+    0.23037781330885523,
+    0.7148465705525415,
+    0.6308807679295904,
+    -0.02798376941698385,
+    -0.18703481171888114,
+    0.030841381835986965,
+    0.03288301166698295,
+    -0.010597401785069032,
+])
+_G = ((-1.0) ** np.arange(_H.size)) * _H[::-1]
 
 
 @dataclass(frozen=True)
 class DwtCoefficients:
-    wavelet: str
-    levels: int
     details: tuple  # level 1 (finest) first
     approximation: np.ndarray
     level_lengths: tuple  # input length that produced each level
-
-    def detail(self, level: int) -> np.ndarray:
-        if not 1 <= level <= self.levels:
-            raise IndexError(f"detail level {level} outside 1..{self.levels}")
-        return self.details[level - 1]
 
 
 def _analysis_step(x, h, g, approx, detail):
@@ -127,26 +88,14 @@ def _synthesis_blocks(a, d, h, g, n):
             yield r, q, block
 
 
-def _check_signal(x, levels):
+def _check_signal(x):
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d signal, got shape {x.shape}")
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
-    if x.size < 2**levels:
+    if x.size < 2**LEVELS:
         raise SignalTooShortError(
-            f"signal of {x.size} samples too short for {levels} levels "
-            f"(needs at least {2**levels})"
+            f"signal of {x.size} samples too short for {LEVELS} levels "
+            f"(needs at least {2**LEVELS})"
         )
-
-
-def _kept_levels(keep_details, levels):
-    if keep_details is None:
-        return set(range(1, levels + 1))
-    kept = set(keep_details)
-    bad = kept - set(range(1, levels + 1))
-    if bad:
-        raise ValueError(f"no such detail levels: {sorted(bad)}")
-    return kept
 
 
 def _analyze(x, h, g, levels, kept, keep_approx):
@@ -177,50 +126,28 @@ def _synthesize(a, details, lengths, h, g):
     return a
 
 
-def dwt_decompose(signal, wavelet: str = "db4", levels: int = 4) -> DwtCoefficients:
-    """Multi-level analysis filter bank.
-
-    The approximation branch is split repeatedly; detail series are
-    returned finest level first.  Requires len(signal) >= 2**levels.
-    """
+def dwt_decompose(signal) -> DwtCoefficients:
+    """The detector's analysis bank: db4, LEVELS levels, the detail
+    series finest level first.  Requires len(signal) >= 2**LEVELS."""
     x = np.asarray(signal, dtype=np.float64)
-    _check_signal(x, levels)
-    h, g = _filters(wavelet)
-    a, details, lengths = _analyze(x, h, g, levels, range(1, levels + 1), True)
-    return DwtCoefficients(
-        wavelet=wavelet,
-        levels=levels,
-        details=tuple(details),
-        approximation=a,
-        level_lengths=tuple(lengths),
-    )
+    _check_signal(x)
+    a, details, lengths = _analyze(x, _H, _G, LEVELS, range(1, LEVELS + 1), True)
+    return DwtCoefficients(tuple(details), a, tuple(lengths))
 
 
-def dwt_reconstruct(coeffs: DwtCoefficients, keep_details=None, keep_approx: bool = True):
-    """Inverse filter bank, optionally muting branches.
-
-    keep_details selects detail levels (1-based) to retain; None keeps
-    all of them.  With everything kept this inverts dwt_decompose to
-    floating-point accuracy.  Muted branches are skipped, not filtered
-    as zeros; with everything muted the result is zeros.
-    """
-    h, g = _filters(coeffs.wavelet)
-    kept = _kept_levels(keep_details, coeffs.levels)
-    details = [d if level in kept else None
-               for level, d in enumerate(coeffs.details, start=1)]
-    out = _synthesize(coeffs.approximation if keep_approx else None,
-                      details, coeffs.level_lengths, h, g)
-    return np.zeros(coeffs.level_lengths[0]) if out is None else out
+def dwt_reconstruct(coeffs: DwtCoefficients):
+    """The inverse bank: dwt_decompose inverted to floating-point accuracy."""
+    return _synthesize(coeffs.approximation, list(coeffs.details),
+                       coeffs.level_lengths, _H, _G)
 
 
 # ---------------------------------------------------------------------------
 # R-peak detection
 
-# The detector's settings: the wavelet bank, the detail levels its band
-# keeps, the threshold as a fraction of the rolling maximum over
+# The detector's settings: the depth of the db4 bank, the detail levels
+# its band keeps, the threshold as a fraction of the rolling maximum over
 # WINDOW_SECONDS, the energy smoothing width, the refine radius around a
 # trigger, and the refractory gap between kept peaks.
-WAVELET = "db4"
 LEVELS = 4
 DETAIL_LEVELS = (3, 4)
 THRESHOLD_RATIO = 0.4
@@ -283,13 +210,12 @@ def _atrous(x, h, g, depth, kept):
     return details
 
 
-def _band_energy(x, wavelet, levels, detail_levels, phase_average):
-    """Squared reconstruction from detail_levels alone, averaged over
-    every one-sample shift below 2**levels (only shift 0 without
-    phase_average).  Each shift is the decimated transform of the record
-    rotated left, squared and rotated back; the rotation wraps fewer than
-    2**levels samples across the ends, harmless next to the ~2 s
-    threshold window.
+def _band_energy(x):
+    """Squared reconstruction from the DETAIL_LEVELS details alone,
+    averaged over every one-sample shift below 2**LEVELS.  Each shift is
+    the decimated transform of the record rotated left, squared and
+    rotated back; the rotation wraps fewer than 2**LEVELS samples across
+    the ends, harmless next to the ~2 s threshold window.
 
     Away from the rotated record's ends, detail k of level l of shift s
     is the circular a trous detail D_l[2**l k - (2**l - 1) m + s], m taps,
@@ -302,12 +228,8 @@ def _band_energy(x, wavelet, levels, detail_levels, phase_average):
     the usual polyphase synthesis, its last level squared and added into
     the energy a block at a time.
     """
-    _check_signal(x, levels)
-    h, g = _filters(wavelet)
-    kept = _kept_levels(detail_levels, levels)
-    if not kept:
-        return np.zeros_like(x)
-    shifts = 2**levels if phase_average else 1
+    _check_signal(x)
+    h, g, kept, shifts = _H, _G, DETAIL_LEVELS, 2**LEVELS
     n, m, depth = x.size, h.size, max(kept)
     span = 2**depth * (m + 1)
     span = span if 2 * span < n else n
@@ -450,7 +372,7 @@ def detect_r_peaks(signal, fs: float) -> PeakTrain:
         first = int(np.argmin(np.isfinite(x)))
         raise ValueError(f"signal sample {first} is not finite ({x[first]})")
 
-    energy = _band_energy(x, WAVELET, LEVELS, DETAIL_LEVELS, phase_average=True)
+    energy = _band_energy(x)
     smooth = max(1, int(round(INTEGRATE_MS / 1000.0 * fs)) | 1)
     feature = _moving_mean(energy, smooth)
     del energy

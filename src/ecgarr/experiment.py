@@ -4,7 +4,9 @@ A run ingests records, locates beats (from annotations or the wavelet
 detector), builds morphology + spacing features, trains or applies a
 classifier (or the unsupervised rhythm monitor), and scores everything
 against the annotation labels, per record and pooled.  Given the same
-configuration and seed the result is bit-for-bit reproducible.
+configuration and seed the result is bit-for-bit reproducible on one
+numpy/OpenBLAS build: PCA and the training matmuls run in BLAS, whose
+kernels differ by CPU type.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .metrics import (
     match_beats,
 )
 from .mlp import init_model, predict_batch, quantize_model, train
-from .selflearn import find_stable_window, run_self_learner
+from .selflearn import TOLERANCE, find_stable_window, run_self_learner
 from .wfdb_io import BeatLabel, ingest_record, label_beat
 
 __all__ = [
@@ -60,7 +62,7 @@ class PipelineConfig:
     classifier: str = "pla"
     total_bits: int = 24
     fraction_bits: int = 12
-    tolerance_fraction: float = 0.15
+    tolerance_fraction: float = TOLERANCE
     seed: int = 0
     max_epochs: int = 1000
     hidden_units: int = 6

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "BeatFeatureRow",
     "BeatTable",
-    "BeatWindow",
     "EdgeBeatError",
     "FeatureVector",
     "PCAModel",
@@ -50,13 +49,7 @@ class RankDeficiencyWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class BeatWindow:
-    samples: np.ndarray
-    r_index: int
-
-
-def window_beat(signal, r_index: int, half_width: int = WINDOW_HALF_WIDTH) -> BeatWindow:
+def window_beat(signal, r_index: int, half_width: int = WINDOW_HALF_WIDTH) -> np.ndarray:
     """Cut the mean-removed window around one R peak.
 
     Raises EdgeBeatError when the window would stick out of the record;
@@ -70,7 +63,7 @@ def window_beat(signal, r_index: int, half_width: int = WINDOW_HALF_WIDTH) -> Be
             f"but record has {x.size}"
         )
     w = x[r_index - half_width : r_index + half_width + 1]
-    return BeatWindow(samples=w - w.mean(), r_index=int(r_index))
+    return w - w.mean()
 
 
 @dataclass(frozen=True)
@@ -121,20 +114,6 @@ class PCAModel:
     components: np.ndarray  # (k, d), rows orthonormal except zero padding
     explained_variance: np.ndarray  # (k,), nonincreasing, >= 0
 
-    @property
-    def n_components(self) -> int:
-        return int(self.components.shape[0])
-
-    @property
-    def window_length(self) -> int:
-        return int(self.components.shape[1])
-
-
-def _as_matrix(windows) -> np.ndarray:
-    rows = [w.samples if isinstance(w, BeatWindow) else np.asarray(w, dtype=np.float64)
-            for w in windows]
-    return np.stack(rows).astype(np.float64)
-
 
 def fit_pca(windows, k: int = PCA_COMPONENTS) -> PCAModel:
     """Top-k eigendecomposition of the sample covariance of the windows.
@@ -145,7 +124,9 @@ def fit_pca(windows, k: int = PCA_COMPONENTS) -> PCAModel:
     with zero vectors and zero variance and a RankDeficiencyWarning is
     emitted; downstream projections on those rows are identically zero.
     """
-    x = _as_matrix(windows)
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected a 2-d stack of windows, got shape {x.shape}")
     n, d = x.shape
     if n < k:
         raise ValueError(f"need at least k={k} windows to fit, got {n}")
@@ -192,7 +173,7 @@ def project(model: PCAModel, window) -> np.ndarray:
     """Component scores, components @ (window - mean), of one window or of
     each row of a stack (one matrix-vector product per row, so a row's
     scores equal its window's own, bit for bit)."""
-    x = window.samples if isinstance(window, BeatWindow) else np.asarray(window, dtype=np.float64)
+    x = np.asarray(window, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1:] != model.mean.shape:
         raise ValueError(f"window shape {x.shape} does not match model ({model.mean.shape})")
     return (model.components @ (x - model.mean)[..., None])[..., 0]
@@ -211,18 +192,6 @@ class FeatureVector:
         if v.shape != (12,):
             raise ValueError(f"feature vector must have 12 values, got shape {v.shape}")
         object.__setattr__(self, "values", v)
-
-    @property
-    def pca(self) -> np.ndarray:
-        return self.values[:10]
-
-    @property
-    def rr_prev(self) -> float:
-        return float(self.values[10])
-
-    @property
-    def rr_next(self) -> float:
-        return float(self.values[11])
 
 
 def build_feature_vector(model: PCAModel, projection, rr_prev: float, rr_next: float) -> FeatureVector:

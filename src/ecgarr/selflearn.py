@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 EVENT_KINDS = ("interval_deviation", "missing_beat")
+TOLERANCE = 0.15  # default tolerance_fraction: a beat may deviate 15 % from st_rr
 
 
 class NoStableRhythmError(ValueError):
@@ -74,16 +75,16 @@ class SelfLearnerState:
 
 
 def monitoring_state(st_rr: float, anchor_index: int,
-                     tolerance_fraction: float = 0.15) -> SelfLearnerState:
+                     tolerance_fraction: float = TOLERANCE) -> SelfLearnerState:
     return SelfLearnerState(float(st_rr), tolerance_fraction, int(anchor_index))
 
 
-def epsilon_for(st_rr: float, tolerance_fraction: float = 0.15) -> float:
+def epsilon_for(st_rr: float, tolerance_fraction: float = TOLERANCE) -> float:
     """Absolute deviation tolerance for a learned interval."""
     return tolerance_fraction * st_rr
 
 
-def timeout_samples(st_rr: float, tolerance_fraction: float = 0.15) -> int:
+def timeout_samples(st_rr: float, tolerance_fraction: float = TOLERANCE) -> int:
     """How long to wait for the next peak before declaring one missing."""
     return math.ceil(st_rr * (1.0 + tolerance_fraction))
 
@@ -99,7 +100,7 @@ def update(st_rr: float, t_rr: float) -> float:
     return (st_rr + t_rr) / 2.0
 
 
-def find_stable_window(intervals, tolerance_fraction: float = 0.15):
+def find_stable_window(intervals, tolerance_fraction: float = TOLERANCE):
     """First run of 4 consecutive intervals that agree with their mean.
 
     Agreement means every interval is within tolerance_fraction of the
@@ -156,7 +157,7 @@ def monitor(peaks, state: SelfLearnerState):
     return events, replace(state, st_rr=st, last_peak_index=last)
 
 
-def run_self_learner(peaks, *, tolerance_fraction: float = 0.15):
+def run_self_learner(peaks, *, tolerance_fraction: float = TOLERANCE):
     """Learn from the peak train's first stable stretch, then monitor
     the rest.  Returns (events, final state).  Beats before and inside
     the learning window are never judged."""

@@ -1,15 +1,50 @@
 """Zero-stuffed reference for the wavelet filter bank and band energy.
 
-It shares no code with ecgarr: the filter taps come in as an argument,
-each inverse level convolves the upsampled (zero-stuffed) coefficients
-of both branches with the full-length filters, a muted branch is
-filtered as zeros, and the phase-averaged band energy is the plain loop
+It shares no code with ecgarr: the filter taps come in as an argument
+(DAUBECHIES holds db1-db4, of which the package runs db4), each inverse
+level convolves the upsampled (zero-stuffed) coefficients of both
+branches with the full-length filters, a muted branch is filtered as
+zeros, and the phase-averaged band energy is the plain loop
 of np.roll, decompose, reconstruct, square and np.roll back.  It is
 slow and plain on purpose; tests compare the package against it byte
 for byte.
 """
 
 import numpy as np
+
+# Orthonormal Daubechies scaling (lowpass) filters, natural order; db2
+# and db3 from their closed forms ((1 +- sqrt(3)) / 4sqrt(2), ... and the
+# sqrt(10)-based radicals), evaluated in float64.
+DAUBECHIES = {
+    "db1": (
+        0.7071067811865476,
+        0.7071067811865476,
+    ),
+    "db2": (
+        0.4829629131445341,
+        0.8365163037378077,
+        0.2241438680420134,
+        -0.12940952255126034,
+    ),
+    "db3": (
+        0.33267055295008263,
+        0.8068915093110927,
+        0.4598775021184915,
+        -0.1350110200102546,
+        -0.08544127388202666,
+        0.035226291885709554,
+    ),
+    "db4": (
+        0.23037781330885523,
+        0.7148465705525415,
+        0.6308807679295904,
+        -0.02798376941698385,
+        -0.18703481171888114,
+        0.030841381835986965,
+        0.03288301166698295,
+        -0.010597401785069032,
+    ),
+}
 
 
 def filters(taps):

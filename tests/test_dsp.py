@@ -12,7 +12,6 @@ import pytest
 import dwt_oracle
 from ecgarr import dsp
 from ecgarr.dsp import (
-    _WAVELETS,
     PeakTrain,
     SignalTooShortError,
     detect_r_peaks,
@@ -26,14 +25,30 @@ from wfdb_fixtures import classifier_record, dropout_record
 # ---------------------------------------------------------------------------
 # filter table
 
+DB4 = dwt_oracle.DAUBECHIES["db4"]
+
 
 def test_filters_are_orthonormal():
-    for name, taps in _WAVELETS.items():
+    for name, taps in dwt_oracle.DAUBECHIES.items():
         h = np.asarray(taps)
         assert abs(h.sum() - np.sqrt(2.0)) < 1e-12, name
         assert abs((h * h).sum() - 1.0) < 1e-12, name
         for shift in range(2, h.size, 2):
             assert abs(np.dot(h[:-shift], h[shift:])) < 1e-12, (name, shift)
+    # the package's bank is db4
+    h, g = dwt_oracle.filters(DB4)
+    assert dsp._H.tobytes() == h.tobytes() and dsp._G.tobytes() == g.tobytes()
+
+
+def _bank(wavelet):
+    """The lowpass and highpass filters of a wavelet under tests/, for
+    the package's private bank helpers, which take any taps and depth."""
+    return dwt_oracle.filters(dwt_oracle.DAUBECHIES[wavelet])
+
+
+def _decompose(x, wavelet, levels):
+    return dsp._analyze(np.asarray(x, dtype=np.float64), *_bank(wavelet), levels,
+                        range(1, levels + 1), True)
 
 
 # ---------------------------------------------------------------------------
@@ -56,22 +71,24 @@ def test_single_level_matches_direct_convolution(wavelet):
     rng = np.random.default_rng(11)
     for n in (16, 33, 100):
         x = rng.standard_normal(n)
-        coeffs = dwt_decompose(x, wavelet=wavelet, levels=1)
-        a_ref, d_ref = _oracle_level1(x, _WAVELETS[wavelet])
-        assert np.max(np.abs(coeffs.approximation - a_ref)) < 1e-12
-        assert np.max(np.abs(coeffs.detail(1) - d_ref)) < 1e-12
+        a, details, _ = _decompose(x, wavelet, 1)
+        a_ref, d_ref = _oracle_level1(x, dwt_oracle.DAUBECHIES[wavelet])
+        assert np.max(np.abs(a - a_ref)) < 1e-12
+        assert np.max(np.abs(details[0] - d_ref)) < 1e-12
+        if wavelet == "db4":  # the public bank's finest level
+            assert dwt_decompose(x).details[0].tobytes() == details[0].tobytes()
 
 
 def test_impulse_details_are_filter_taps():
     # an interior impulse lands filter taps (alternating-sign reversed
     # lowpass) at the parity-aligned detail positions
-    taps = np.asarray(_WAVELETS["db4"])
+    taps = np.asarray(DB4)
     m = taps.size
     g = ((-1.0) ** np.arange(m)) * taps[::-1]
     n, t = 64, 31
     x = np.zeros(n)
     x[t] = 1.0
-    d = dwt_decompose(x, wavelet="db4", levels=1).detail(1)
+    d = dwt_decompose(x).details[0]
     nonzero = np.flatnonzero(np.abs(d) > 1e-15)
     assert nonzero.size > 0
     for k in nonzero:
@@ -81,9 +98,10 @@ def test_impulse_details_are_filter_taps():
 
 
 def test_constant_signal_has_zero_details():
-    coeffs = dwt_decompose(np.full(256, 3.7), wavelet="db4", levels=4)
-    for level in range(1, 5):
-        assert np.max(np.abs(coeffs.detail(level))) < 1e-9
+    coeffs = dwt_decompose(np.full(256, 3.7))
+    assert len(coeffs.details) == 4
+    for d in coeffs.details:
+        assert np.max(np.abs(d)) < 1e-9
 
 
 def test_perfect_reconstruction_random_signals():
@@ -92,105 +110,97 @@ def test_perfect_reconstruction_random_signals():
         for n in (1024, 777, 100):
             x = rng.standard_normal(n)
             for levels in (1, 3, 4):
-                coeffs = dwt_decompose(x, wavelet=wavelet, levels=levels)
-                x_hat = dwt_reconstruct(coeffs)
+                a, details, lengths = _decompose(x, wavelet, levels)
+                x_hat = dsp._synthesize(a, details, lengths, *_bank(wavelet))
                 assert np.max(np.abs(x_hat - x)) < 1e-9, (wavelet, n, levels)
+            x_hat = dwt_reconstruct(dwt_decompose(x))
+            assert np.max(np.abs(x_hat - x)) < 1e-9, n
 
 
 def test_reconstruction_is_linear_in_branches():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(512)
-    coeffs = dwt_decompose(x, levels=4)
-    parts = dwt_reconstruct(coeffs, keep_details=(), keep_approx=True)
+    a, details, lengths = _decompose(x, "db4", 4)
+    parts = dsp._synthesize(a, [None] * 4, lengths, dsp._H, dsp._G)
     for level in range(1, 5):
-        parts = parts + dwt_reconstruct(coeffs, keep_details=(level,), keep_approx=False)
+        kept = [d if i == level else None for i, d in enumerate(details, start=1)]
+        parts = parts + dsp._synthesize(None, kept, lengths, dsp._H, dsp._G)
     assert np.max(np.abs(parts - x)) < 1e-9
 
 
 def test_level_lengths_follow_halving_rule():
     x = np.zeros(300)
-    coeffs = dwt_decompose(x, wavelet="db4", levels=4)
-    m = len(_WAVELETS["db4"])
+    coeffs = dwt_decompose(x)
+    m = len(DB4)
     expected = 300
     for level in range(1, 5):
         assert coeffs.level_lengths[level - 1] == expected
         expected = (expected + m) // 2 + 1
-        assert coeffs.detail(level).size == expected
+        assert coeffs.details[level - 1].size == expected
     assert coeffs.approximation.size == expected
 
 
 def test_decompose_input_validation():
     with pytest.raises(SignalTooShortError):
-        dwt_decompose(np.zeros(15), levels=4)
-    dwt_decompose(np.zeros(16), levels=4)  # boundary is fine
+        dwt_decompose(np.zeros(15))
+    dwt_decompose(np.zeros(16))  # boundary is fine
     with pytest.raises(ValueError):
         dwt_decompose(np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        dwt_decompose(np.zeros(64), wavelet="haarish")
-    with pytest.raises(ValueError):
-        dwt_decompose(np.zeros(64), levels=0)
-    with pytest.raises(ValueError):
-        dwt_reconstruct(dwt_decompose(np.zeros(64), levels=2), keep_details=(5,))
+    with pytest.raises(SignalTooShortError):
+        dsp._band_energy(np.zeros(15))
 
 
 # ---------------------------------------------------------------------------
 # zero-stuffed reference (tests/dwt_oracle.py)
 
 
-@pytest.mark.parametrize("wavelet", sorted(_WAVELETS))
+@pytest.mark.parametrize("wavelet", sorted(dwt_oracle.DAUBECHIES))
 def test_reconstruct_matches_zero_stuffed_oracle(wavelet):
-    # every subset of kept details x kept approximation, byte for byte
-    taps = _WAVELETS[wavelet]
+    # every subset of kept details x kept approximation, byte for byte,
+    # through the private bank at each depth; db4 at four levels also
+    # through dwt_decompose and dwt_reconstruct
+    taps = dwt_oracle.DAUBECHIES[wavelet]
     rng = np.random.default_rng(17)
     for levels in (1, 2, 3, 4):
         for n in (2**levels, 2**levels + 1, 100, 101):
             x = rng.standard_normal(n) * 100.0
-            coeffs = dwt_decompose(x, wavelet=wavelet, levels=levels)
-            approx, details, lengths = dwt_oracle.decompose(x, taps, levels)
-            assert coeffs.approximation.tobytes() == approx.tobytes()
-            assert [d.tobytes() for d in coeffs.details] == [d.tobytes() for d in details]
+            a, details, lengths = _decompose(x, wavelet, levels)
+            approx, want_details, _ = dwt_oracle.decompose(x, taps, levels)
+            assert a.tobytes() == approx.tobytes()
+            assert [d.tobytes() for d in details] == [d.tobytes() for d in want_details]
             for size in range(levels + 1):
                 for kept in itertools.combinations(range(1, levels + 1), size):
                     for keep_approx in (False, True):
-                        got = dwt_reconstruct(coeffs, keep_details=kept,
-                                              keep_approx=keep_approx)
-                        want = dwt_oracle.reconstruct(approx, details, lengths, taps,
+                        if not (kept or keep_approx):
+                            continue  # nothing to synthesize
+                        got = dsp._synthesize(
+                            a if keep_approx else None,
+                            [d if level in kept else None
+                             for level, d in enumerate(details, start=1)],
+                            lengths, *_bank(wavelet))
+                        want = dwt_oracle.reconstruct(approx, want_details, lengths, taps,
                                                       kept, keep_approx)
                         assert got.shape == want.shape == (n,)
                         assert got.tobytes() == want.tobytes(), (levels, n, kept, keep_approx)
+            if wavelet == "db4" and levels == 4:
+                coeffs = dwt_decompose(x)
+                assert coeffs.approximation.tobytes() == approx.tobytes()
+                assert [d.tobytes() for d in coeffs.details] == \
+                    [d.tobytes() for d in want_details]
+                want = dwt_oracle.reconstruct(approx, want_details, lengths, taps,
+                                              range(1, 5), True)
+                assert dwt_reconstruct(coeffs).tobytes() == want.tobytes(), n
 
 
-def test_reconstruct_everything_muted_gives_zeros():
-    for n in (16, 17, 300):
-        coeffs = dwt_decompose(np.arange(n, dtype=np.float64), levels=4)
-        out = dwt_reconstruct(coeffs, keep_details=(), keep_approx=False)
-        assert out.tobytes() == np.zeros(n).tobytes()
-
-
-@pytest.mark.parametrize("levels", [1, 2, 3, 4])
-def test_detail_levels_outside_range_raise(levels):
-    coeffs = dwt_decompose(np.zeros(64), levels=levels)
-    for bad in ((0,), (levels + 1,), (1, levels + 1)):
-        with pytest.raises(ValueError, match="no such detail levels"):
-            dwt_reconstruct(coeffs, keep_details=bad)
-        with pytest.raises(ValueError, match="no such detail levels"):
-            dsp._band_energy(np.zeros(64), "db4", levels, bad, True)
-
-
-def _oracle_energy(x, wavelet, levels, detail_levels, phase_average):
-    return dwt_oracle.band_energy(x, _WAVELETS[wavelet], levels, detail_levels,
-                                  phase_average)
+def _oracle_energy(x):
+    return dwt_oracle.band_energy(x, DB4, 4, (3, 4), True)
 
 
 def _assert_detector_matches_oracle(x, fs, monkeypatch):
-    """Band energy byte for byte, with and without phase averaging, and
-    the peak list of the detector run on the oracle's energy and the loop
-    filters; returns the peak count."""
+    """Band energy byte for byte, and the peak list of the detector run
+    on the oracle's energy and the loop filters; returns the peak count."""
     x = np.asarray(x, dtype=np.float64)
-    for phase_average in (True, False):
-        got = dsp._band_energy(x, "db4", 4, (3, 4), phase_average)
-        want = _oracle_energy(x, "db4", 4, (3, 4), phase_average)
-        assert got.tobytes() == want.tobytes(), phase_average
+    assert dsp._band_energy(x).tobytes() == _oracle_energy(x).tobytes()
     peaks = detect_r_peaks(x, fs).r_indices
     with monkeypatch.context() as patched:
         patched.setattr(dsp, "_band_energy", _oracle_energy)
@@ -246,10 +256,7 @@ def test_band_energy_matches_oracle_on_full_benchmark_records(record_no, monkeyp
     # the whole 30-minute record, 648,000 samples, as the monitor workload reads it
     samples, _, _ = _benchmark_records(monkeypatch).synthesize(1, record_no)
     x = samples[0].astype(np.float64)
-    for phase_average in (True, False):
-        got = dsp._band_energy(x, "db4", 4, (3, 4), phase_average)
-        want = _oracle_energy(x, "db4", 4, (3, 4), phase_average)
-        assert got.tobytes() == want.tobytes(), phase_average
+    assert dsp._band_energy(x).tobytes() == _oracle_energy(x).tobytes()
 
 
 def test_benchmark_record_memory_stays_within_its_budget(tmp_path, monkeypatch):
@@ -276,44 +283,37 @@ def test_benchmark_record_memory_stays_within_its_budget(tmp_path, monkeypatch):
     assert detect_peak - before <= 4 * x.nbytes, (detect_peak - before) / x.nbytes
 
 
-@pytest.mark.parametrize("wavelet", sorted(_WAVELETS))
+@pytest.mark.parametrize("wavelet", sorted(dwt_oracle.DAUBECHIES))
 @pytest.mark.parametrize("levels", [3, 4, 5])
 def test_band_energy_matches_oracle_around_the_end_patches(wavelet, levels):
     # The shared analysis patches the rotated record's first and last
     # 2**depth * (m + 1) samples; below twice that both patches are the
-    # whole record.  Every length on both sides of that overlap, odd and
-    # even, most of them no multiple of 16.
-    m = len(_WAVELETS[wavelet])
+    # whole record.  Every length on both sides of that overlap for the
+    # m taps of each wavelet and each depth up to levels, odd and even,
+    # most of them no multiple of 16, run through the db4 detector band;
+    # a record shorter than 16 samples is too short for it.
+    m = len(dwt_oracle.DAUBECHIES[wavelet])
     rng = np.random.default_rng(levels * 10 + m)
-    for detail_levels in ((3, 4), (4,), (2,), (1, 2, 3, 4)):
-        if max(detail_levels) > levels:
+    for depth in (4, 4, 2, 4):
+        if depth > levels:
             continue
-        overlap = 2 * 2 ** max(detail_levels) * (m + 1)
+        overlap = 2 * 2**depth * (m + 1)
         lengths = [2**levels, 2**levels + 1, 1001, *range(overlap - 3, overlap + 4)]
         for n in (n for n in lengths if n >= 2**levels):
             x = rng.standard_normal(n) * 100.0
             x[n // 3] += 2000.0
-            for phase_average in (True, False):
-                got = dsp._band_energy(x, wavelet, levels, detail_levels, phase_average)
-                want = _oracle_energy(x, wavelet, levels, detail_levels, phase_average)
-                assert got.tobytes() == want.tobytes(), (detail_levels, n, phase_average)
+            if n < 2**dsp.LEVELS:
+                with pytest.raises(SignalTooShortError):
+                    dsp._band_energy(x)
+                continue
+            assert dsp._band_energy(x).tobytes() == _oracle_energy(x).tobytes(), (depth, n)
 
 
 @pytest.mark.parametrize("n", [600, 700, 1000, 1001, 1003, 4001, 4096, 5000, 5003, 20011])
 def test_band_energy_matches_oracle_at_assorted_lengths(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 100.0
-    for phase_average in (True, False):
-        got = dsp._band_energy(x, "db4", 4, (3, 4), phase_average)
-        want = _oracle_energy(x, "db4", 4, (3, 4), phase_average)
-        assert got.tobytes() == want.tobytes(), phase_average
-
-
-def test_band_energy_with_no_detail_level_is_zero():
-    x = np.random.default_rng(2).standard_normal(300)
-    for phase_average in (True, False):
-        assert dsp._band_energy(x, "db4", 4, (), phase_average).tobytes() == \
-            np.zeros(300).tobytes()
+    assert dsp._band_energy(x).tobytes() == _oracle_energy(x).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,7 @@ def test_detector_filters_match_scipy_on_full_benchmark_records(record_no, monke
     ndimage = pytest.importorskip("scipy.ndimage")
     records = _benchmark_records(monkeypatch)
     samples, _, _ = records.synthesize(1, record_no)
-    energy = dsp._band_energy(samples[0].astype(np.float64), "db4", 4, (3, 4), True)
+    energy = dsp._band_energy(samples[0].astype(np.float64))
     smooth = int(round(dsp.INTEGRATE_MS / 1000.0 * records.FS)) | 1
     win = int(round(dsp.WINDOW_SECONDS * records.FS)) | 1
     feature = dsp._moving_mean(energy, smooth)

@@ -34,10 +34,9 @@ from wfdb_fixtures import classifier_record, dropout_record
 def test_window_exact_fit():
     sig = np.arange(181, dtype=float)
     w = window_beat(sig, 90)
-    assert w.samples.size == 181
-    assert w.r_index == 90
-    assert abs(w.samples.mean()) < 1e-12
-    assert np.allclose(w.samples, sig - sig.mean())
+    assert isinstance(w, np.ndarray) and w.shape == (181,)
+    assert abs(w.mean()) < 1e-12
+    assert np.allclose(w, sig - sig.mean())
 
 
 def test_window_edge_beats_rejected():
@@ -54,14 +53,14 @@ def test_window_edge_beats_rejected():
 
 def test_window_constant_signal_is_zero():
     w = window_beat(np.full(400, 17.5), 200)
-    assert np.max(np.abs(w.samples)) == 0.0
+    assert np.max(np.abs(w)) == 0.0
 
 
 def test_window_mean_removed():
     rng = np.random.default_rng(0)
     sig = rng.standard_normal(1000) + 42.0
     w = window_beat(sig, 500)
-    assert abs(w.samples.mean()) < 1e-12
+    assert abs(w.mean()) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +108,13 @@ def test_components_orthonormal():
     model = fit_pca(list(x), k=10)
     gram = model.components @ model.components.T
     assert np.max(np.abs(gram - np.eye(10))) < 1e-6
+
+
+def test_fit_rejects_what_is_not_a_stack_of_windows():
+    rng = np.random.default_rng(4)
+    for shape in ((30,), (12, 5, 6)):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            fit_pca(rng.standard_normal(shape), k=3)
 
 
 def test_fit_requires_enough_windows():
@@ -172,8 +178,7 @@ def test_pca_on_actual_beat_windows():
     sig = rng.standard_normal(20_000)
     windows = [window_beat(sig, int(r)) for r in rng.integers(90, 19_900, size=40)]
     model = fit_pca(windows, k=10)
-    assert model.window_length == 181
-    assert model.n_components == 10
+    assert model.components.shape == (10, 181)
     p = project(model, windows[0])
     assert p.shape == (10,)
 
@@ -187,9 +192,9 @@ def test_feature_vector_zero_projection():
     model = fit_pca(list(rng.standard_normal((30, 15))), k=10)
     fv = build_feature_vector(model, np.zeros(10), 0.69, 0.69)
     assert fv.values.shape == (12,)
-    assert np.all(fv.pca == 0.0)
-    assert fv.rr_prev == 0.345
-    assert fv.rr_next == 0.345
+    assert np.all(fv.values[:10] == 0.0)
+    assert fv.values[10] == 0.345
+    assert fv.values[11] == 0.345
 
 
 def test_feature_vector_scaling_uses_leading_eigenvalue():
@@ -197,7 +202,7 @@ def test_feature_vector_scaling_uses_leading_eigenvalue():
     # leading eigenvalue = var of first coordinate = 8/4 = 2
     assert abs(model.explained_variance[0] - 2.0) < 1e-9
     fv = build_feature_vector(model, np.asarray([1.0] * 10), 1.0, 1.0)
-    assert np.allclose(fv.pca, 1.0 / (4.0 * np.sqrt(2.0)))
+    assert np.allclose(fv.values[:10], 1.0 / (4.0 * np.sqrt(2.0)))
 
 
 def test_feature_vector_rejects_bad_rr():
@@ -227,7 +232,7 @@ def _per_beat(signal, fs, peaks, labels, half_width=90):
         if labels[i] < 0:
             continue
         try:
-            windows.append(window_beat(signal, int(peaks[i]), half_width).samples)
+            windows.append(window_beat(signal, int(peaks[i]), half_width))
         except EdgeBeatError:
             continue
         kept.append(i)

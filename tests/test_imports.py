@@ -1,4 +1,5 @@
-"""Every imported name is used by its module.
+"""Every imported name is used by its module, and every exported one
+exists.
 
 An import that only re-exports a name, or that keeps a name where
 another tool looks it up, says so with ``# noqa: F401`` on the name's
@@ -6,12 +7,15 @@ line or on the first line of its import statement.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = ["ecgarr" if p.stem == "__init__" else f"ecgarr.{p.stem}"
+           for p in sorted((ROOT / "src" / "ecgarr").glob("*.py"))]
 
 
 def unused_imports(path, honour_noqa=True):
@@ -50,3 +54,10 @@ def test_the_scan_finds_an_unused_import(tmp_path):
     module.write_text("import os\nimport re  # noqa: F401\n"
                       "from json import dumps, loads\n\nprint(loads)\n")
     assert unused_imports(module) == [(1, "os"), (3, "dumps")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    # a module without __all__ exports nothing by name
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -33,6 +33,14 @@ REMOVED = {
         "RRSeries", "extract_rr",
         "detect_r_peaks(wavelet, levels, detail_levels, threshold_ratio, window_seconds, "
         "integrate_ms, refine_ms, refractory_ms, phase_average)",
+        # the one bank: db4, LEVELS deep, everything kept
+        "WAVELET", "DwtCoefficients.wavelet", "DwtCoefficients.levels",
+        "DwtCoefficients.detail", "dwt_decompose(wavelet, levels)",
+        "dwt_reconstruct(keep_details, keep_approx)",
+    ],
+    "ecgarr.features": [
+        "BeatWindow", "FeatureVector.pca", "FeatureVector.rr_prev", "FeatureVector.rr_next",
+        "PCAModel.n_components", "PCAModel.window_length",
     ],
     "ecgarr.mlp": [
         "HIDDEN_ACTIVATIONS", "OUTPUT_ACTIVATIONS", "FIXED_ACTIVATIONS",
@@ -55,6 +63,8 @@ REMOVED = {
 # the whole parameter list of each function that lost parameters
 SIGNATURES = {
     ("ecgarr.dsp", "detect_r_peaks"): ["signal", "fs"],
+    ("ecgarr.dsp", "dwt_decompose"): ["signal"],
+    ("ecgarr.dsp", "dwt_reconstruct"): ["coeffs"],
     ("ecgarr.metrics", "match_beats"): ["predicted", "annotated", "sampling_frequency"],
     ("ecgarr.experiment", "label_peaks"): ["peaks", "ann_indices", "ann_labels", "fs"],
     ("ecgarr.wfdb_io", "ingest_record"): ["header_path"],
