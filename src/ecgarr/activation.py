@@ -7,6 +7,9 @@ neighboring segments; that also places the saturation point exactly where the
 outermost linear piece reaches 1: x = 4096 * (1 - 0.9986376953125) = 5.58.
 
 One segment table drives the real value, its slope and the fixed-point value.
+Over a bounded range of raw values the fixed-point curve is a finite
+function, so for formats of up to LOOKUP_MAX_FRACTION_BITS fraction bits the
+integer kernel reads it, and its normalized form, from one table per format.
 """
 
 from __future__ import annotations
@@ -133,3 +136,42 @@ def platanh_fixed_raw_array(raw, fmt: QFormat):
 def ntanh_fixed_raw_array(raw, fmt: QFormat):
     """Fixed-point normalized tanh: (platanh(x) + 1) / 2 on raw values."""
     return _ntanh_fixed(np.asarray(raw, dtype=np.int64), _fixed_table(fmt))
+
+
+# Up to this many fraction bits the integer kernel looks the fixed-point
+# activations up in a table of about 11.2 * 2**F entries per function:
+# 45,713 at F = 12, 731,383 at F = 16. Above it the segment code runs.
+LOOKUP_MAX_FRACTION_BITS = 16
+
+
+@lru_cache(maxsize=None)
+def _lookup_table(fmt: QFormat):
+    """(edge, platanh, ntanh): both functions as int32 arrays over the raws
+    [-edge, edge], where edge is the first raw of the top constant segment.
+    The borders are symmetric, so -edge is the last raw of the bottom one,
+    and past either end both functions are constant."""
+    table = _fixed_table(fmt)
+    edge = -int(table[0][0])
+    raws = np.arange(-edge, edge + 1, dtype=np.int64)
+    values = [func(raws, table).astype(np.int32) for func in (_platanh_fixed, _ntanh_fixed)]
+    for arr in values:
+        arr.setflags(write=False)
+    return (edge, *values)
+
+
+@lru_cache(maxsize=None)
+def fixed_activations(fmt: QFormat):
+    """The (platanh, ntanh) pair the integer kernel runs in fmt: functions
+    of raw int64 arrays that return raw values, bit-identical to
+    platanh_fixed_raw_array and ntanh_fixed_raw_array.
+
+    Up to LOOKUP_MAX_FRACTION_BITS each is one lookup in a table built on
+    first use; take's clip mode clamps a raw past either end of the table
+    onto that end. Above the rule each runs the segment code.
+    """
+    if fmt.fraction_bits > LOOKUP_MAX_FRACTION_BITS:
+        table = _fixed_table(fmt)
+        return (lambda r: _platanh_fixed(r, table)), (lambda r: _ntanh_fixed(r, table))
+    edge, tanh, ntanh = _lookup_table(fmt)
+    return ((lambda r: tanh.take(r + edge, mode="clip")),
+            (lambda r: ntanh.take(r + edge, mode="clip")))

@@ -4,7 +4,8 @@ Training always runs in real arithmetic (resilient backprop on the full
 batch); deployment optionally quantizes the trained weights to a Q
 format, where the forward pass becomes pure integer work: wide-
 accumulator dot products, one rounding shift per neuron, and the
-shift-and-add piecewise-linear activations.
+piecewise-linear activations, read from one table per format for up to
+16 fraction bits (activation.fixed_activations).
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import numpy as np
 # does not call (rne_shift_array, saturate_array) stay importable from
 # this module, where callers and perfbench's tracer look them up.
 from .activation import (
-    _fixed_table,
-    _ntanh_fixed,
     _platanh_and_slope,
-    _platanh_fixed,
+    fixed_activations,
     ntanh_fixed_raw_array,  # noqa: F401
     platanh,
     platanh_derivative,
@@ -167,11 +166,12 @@ def _forward_real_batch(activation, weights, x):
 class _IntegerKernel:
     """A fixed model's forward pass in int64 arithmetic, built once.
 
-    It holds the raw weights, transposed for a batch of rows, the biases
-    shifted up by F to join each neuron's wide accumulator, the shift
-    back by F with its rounding constants, and the PLA segment table.
-    A shifted accumulator goes to the PLA unsaturated: past the format
-    it lands in a constant end segment, which returns the saturated +-1.
+    It holds the raw parameters as the model file writes them, the
+    weights transposed for a batch of rows, the biases shifted up by F
+    to join each neuron's wide accumulator, the shift back by F with its
+    rounding constants, and the format's (platanh, ntanh) pair.  A
+    shifted accumulator goes to the pair unsaturated: past the format
+    the PLA is constant at the saturated +-1.
     """
 
     def __init__(self, fmt: QFormat, model: MlpModel):
@@ -184,21 +184,21 @@ class _IntegerKernel:
             if raw.min() < fmt.raw_min or raw.max() > fmt.raw_max:
                 raise ValueError(f"{name} outside {fmt} range")
             raws.append(raw.astype(np.int64))
+        self.raws = tuple(raws)
         wh, bh, wo, bo = raws
         f = fmt.fraction_bits
         self.fmt = fmt
         self.w_hidden, self.b_hidden = wh.T.copy(), bh << f
         self.w_out, self.b_out = wo.T.copy(), bo << f
         self.shift_f = (f, *(int(v) for v in rne_constants(f)))
-        self.table = _fixed_table(fmt)
+        self.tanh, self.ntanh = fixed_activations(fmt)
 
     def __call__(self, x):
         """Outputs for a float batch free of NaN, as floats: inputs are
         quantized first, and each accumulator is shifted back by F once."""
         x_raw = _quantize(x, self.fmt)
-        h = _platanh_fixed(rne_shift(x_raw @ self.w_hidden + self.b_hidden, *self.shift_f),
-                           self.table)
-        out = _ntanh_fixed(rne_shift(h @ self.w_out + self.b_out, *self.shift_f), self.table)
+        h = self.tanh(rne_shift(x_raw @ self.w_hidden + self.b_hidden, *self.shift_f))
+        out = self.ntanh(rne_shift(h @ self.w_out + self.b_out, *self.shift_f))
         return out / float(self.fmt.scale)
 
 
@@ -461,19 +461,15 @@ def save_model(path, model: MlpModel) -> None:
         if model.is_fixed:
             fmt = model.q_format
             fh.write(f"mode fixed {fmt.total_bits} {fmt.fraction_bits}\n")
-
-            def fmt_row(row):
-                return " ".join(str(int(v)) for v in np.rint(row * fmt.scale))
+            # a fixed model's rows are the raw integers its kernel holds
+            arrays, fmt_value = model._kernel.raws, str
         else:
             fh.write("mode real\n")
+            arrays, fmt_value = model.parameter_arrays(), lambda v: format(v, ".17g")
 
-            def fmt_row(row):
-                return " ".join(format(v, ".17g") for v in row)
-
-        for tag, arr in (("wh", model.w_hidden), ("bh", model.b_hidden[None, :]),
-                         ("wo", model.w_out), ("bo", model.b_out[None, :])):
-            for row in arr:
-                fh.write(f"{tag} {fmt_row(row)}\n")
+        for tag, arr in zip(("wh", "bh", "wo", "bo"), arrays):
+            for row in np.atleast_2d(arr).tolist():
+                fh.write(f"{tag} {' '.join(map(fmt_value, row))}\n")
 
 
 def load_model(path) -> MlpModel:

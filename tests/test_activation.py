@@ -7,13 +7,16 @@ import pytest
 
 import fixed_oracle as oracle
 from ecgarr.activation import (
+    LOOKUP_MAX_FRACTION_BITS,
     PLA_BORDERS,
     PLA_OFFSETS,
     PLA_SHIFTS,
     PLA_SLOPES,
     SATURATION_BORDER,
+    _lookup_table,
     _pla_segments,
     _platanh_and_slope,
+    fixed_activations,
     ntanh_fixed_raw_array,
     platanh,
     platanh_derivative,
@@ -284,6 +287,36 @@ def test_fixed_every_small_format_against_oracle():
     formats = [QFormat(w, f) for w in range(2, 13) for f in range(w)] + [QFormat(16, 14)]
     for fmt in formats:
         _assert_matches_oracle(np.arange(fmt.raw_min, fmt.raw_max + 1), fmt)
+
+
+@pytest.mark.parametrize("fmt", [Q24_12, QFormat(16, 8)],
+                         ids=lambda f: f"Q{f.total_bits}.{f.fraction_bits}")
+def test_lookup_table_exhaustive_against_oracle(fmt):
+    # the table spans exactly the raws from -5.58 to +5.58; past them the
+    # lookup clamps onto its ends, out to raws far beyond the format
+    edge = oracle.to_fixed(oracle.SATURATION, fmt)
+    probe = list(range(-edge - 2, edge + 3))
+    want = {name: [func(r, fmt) for r in probe]
+            for name, func in (("platanh", oracle.platanh), ("ntanh", oracle.ntanh))}
+    stored_edge, tanh, ntanh = _lookup_table(fmt)
+    assert stored_edge == edge
+    assert tanh.tolist() == want["platanh"][2:-2]
+    assert ntanh.tolist() == want["ntanh"][2:-2]
+    far = [-(1 << 40), 1 << 40]
+    raws = np.array(probe + far, dtype=np.int64)
+    for func, name in zip(fixed_activations(fmt), ("platanh", "ntanh")):
+        oracle_func = getattr(oracle, name)
+        assert func(raws).tolist() == want[name] + [oracle_func(r, fmt) for r in far]
+
+
+def test_no_lookup_table_above_the_rule():
+    fmt = QFormat(30, LOOKUP_MAX_FRACTION_BITS + 4)
+    built = _lookup_table.cache_info().currsize
+    pla, npla = fixed_activations(fmt)
+    assert _lookup_table.cache_info().currsize == built
+    raws = np.array([-(1 << 40), -3 * fmt.scale, 5, 2 * fmt.scale, 1 << 40])
+    assert pla(raws).tolist() == platanh_fixed_raw_array(raws, fmt).tolist()
+    assert npla(raws).tolist() == ntanh_fixed_raw_array(raws, fmt).tolist()
 
 
 # ---------------------------------------------------------------------------

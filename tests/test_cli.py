@@ -50,17 +50,29 @@ def read_manifest(out_dir):
 # start-up
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the one runtime dependency; scipy alone took about 0.3 s
-    # and 23 MB of every command's start-up
+def _cli_import_prints(code):
+    """Standard output of code run after a fresh ``import ecgarr.cli``."""
     src = str(Path(experiment.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, ecgarr.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", "import ecgarr.cli; " + code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy alone took about 0.3 s
+    # and 23 MB of every command's start-up
+    assert _cli_import_prints(
+        "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    ) == "[]\n"
+
+
+def test_cli_import_builds_no_lookup_table():
+    # the first fixed model of a format builds its activation table, so
+    # start-up builds none
+    assert _cli_import_prints("from ecgarr.activation import _lookup_table; "
+                              "print(_lookup_table.cache_info().currsize)") == "0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import fixed_oracle as oracle
 import rprop_oracle
-from ecgarr.activation import platanh, platanh_derivative
+from ecgarr.activation import _lookup_table, platanh, platanh_derivative
 from ecgarr.features import FeatureVector
 from ecgarr.fixedpoint import QFormat, quantize_raw_array
 from ecgarr.mlp import (
@@ -766,8 +766,10 @@ def test_fixed_forward_input_quantization_is_idempotent():
     assert np.array_equal(forward_batch(q, x), forward_batch(q, x_q))
 
 
+# Q24.16 is the largest fraction width the activations run as a table
+# lookup; Q30.20 runs the segment code, and its accumulators still fit.
 ORACLE_FORMATS = [QFormat(24, 12), QFormat(16, 8), QFormat(24, 0), QFormat(24, 3),
-                  QFormat(16, 14), QFormat(28, 14)]
+                  QFormat(16, 14), QFormat(28, 14), QFormat(24, 16), QFormat(30, 20)]
 
 
 @pytest.mark.parametrize("fmt", ORACLE_FORMATS,
@@ -799,6 +801,16 @@ def test_forward_batch_matches_integer_oracle(fmt):
         assert out.tolist() == want
         # one beat at a time, as at the bedside, agrees with the batch
         assert predict(m, row) == label == int(want[1] >= want[0])
+
+
+def test_one_lookup_table_per_format():
+    # a format no other test builds, so its table is made here, once
+    fmt = QFormat(22, 9)
+    built = _lookup_table.cache_info().currsize
+    first = quantize_model(init_model(seed=1), fmt)._kernel
+    second = quantize_model(init_model(seed=2), fmt)._kernel
+    assert _lookup_table.cache_info().currsize == built + 1
+    assert first.tanh is second.tanh and first.ntanh is second.ntanh
 
 
 def test_forward_batch_rounds_once_per_neuron():
