@@ -6,7 +6,8 @@ classifier (or the unsupervised rhythm monitor), and scores everything
 against the annotation labels, per record and pooled.  Given the same
 configuration and seed the result is bit-for-bit reproducible on one
 numpy/OpenBLAS build: PCA and the training matmuls run in BLAS, whose
-kernels differ by CPU type.
+kernels differ by CPU type.  Fixed-point inference does not depend on
+the BLAS kernel: its float64 matrix products are exact integer sums.
 """
 
 from __future__ import annotations

@@ -51,19 +51,26 @@ class QFormat:
 # raw-integer operations (int64 arrays)
 #
 # A neuron's wide accumulator needs 2*(W-1) bits per product plus headroom
-# for its summed terms and its bias shifted up by F. check_accumulator is
-# the one check of a format and a layer shape against int64; the fixed
-# model and the CLI both call it.
+# for its summed terms and its bias shifted up by F. accumulator_bits
+# states that count once. check_accumulator is the one check of a format
+# and a layer shape against int64; the fixed model and the CLI both call
+# it, and the fixed model also reads the count to choose float64 sums.
+
+
+def accumulator_bits(fmt: QFormat, layer_sizes) -> int:
+    """Bits that bound every neuron's accumulator: |acc| < 2**bits.
+
+    layer_sizes is (inputs, hidden, outputs): a neuron sums one product
+    per input of its layer, plus its shifted bias, and no term exceeds
+    2**(2*(W-1)) in magnitude.
+    """
+    terms = int(max(layer_sizes[:-1])) + 1
+    return 2 * (fmt.total_bits - 1) + terms.bit_length()
 
 
 def check_accumulator(fmt: QFormat, layer_sizes) -> None:
-    """Raise ValueError unless every neuron's accumulator fits an int64.
-
-    layer_sizes is (inputs, hidden, outputs): a neuron sums one product
-    per input of its layer, plus its shifted bias.
-    """
-    terms = int(max(layer_sizes[:-1])) + 1
-    if 2 * (fmt.total_bits - 1) + terms.bit_length() >= 63:
+    """Raise ValueError unless every neuron's accumulator fits an int64."""
+    if accumulator_bits(fmt, layer_sizes) >= 63:
         raise ValueError(f"{fmt} accumulators would overflow int64 "
                          f"for layer sizes {tuple(int(n) for n in layer_sizes)}")
 

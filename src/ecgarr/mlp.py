@@ -5,7 +5,10 @@ batch); deployment optionally quantizes the trained weights to a Q
 format, where the forward pass becomes pure integer work: wide-
 accumulator dot products, one rounding shift per neuron, and the
 piecewise-linear activations, read from one table per format for up to
-16 fraction bits (activation.fixed_activations).
+16 fraction bits (activation.fixed_activations).  While an accumulator
+fits the 53 bits a float64 holds exactly (W <= 25 on 12-6-2), those
+integer sums run as float64 matrix products and one np.rint per layer,
+with the same bytes on every BLAS kernel; wider formats run in int64.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .activation import (
     platanh_derivative,
     platanh_fixed_raw_array,  # noqa: F401
 )
-from .fixedpoint import (QFormat, _quantize, check_accumulator,
+from .fixedpoint import (QFormat, accumulator_bits, check_accumulator,
                          quantize_raw_array, rne_constants, rne_shift)
 from .fixedpoint import rne_shift_array, saturate_array  # noqa: F401
 
@@ -52,6 +55,8 @@ __all__ = [
 ]
 
 NORMAL, ARRHYTHMIA = 0, 1  # output neuron convention
+# A float64 holds every integer of up to 53 bits exactly.
+FLOAT64_EXACT_BITS = 53
 
 
 class QuantizationWarning(UserWarning):
@@ -164,14 +169,24 @@ def _forward_real_batch(activation, weights, x):
 
 
 class _IntegerKernel:
-    """A fixed model's forward pass in int64 arithmetic, built once.
+    """A fixed model's forward pass in integer arithmetic, built once.
 
-    It holds the raw parameters as the model file writes them, the
-    weights transposed for a batch of rows, the biases shifted up by F
-    to join each neuron's wide accumulator, the shift back by F with its
-    rounding constants, and the format's (platanh, ntanh) pair.  A
-    shifted accumulator goes to the pair unsaturated: past the format
-    the PLA is constant at the saturated +-1.
+    Each neuron sums its raw products and its bias shifted up by F in one
+    wide accumulator, rounds that back by F once (half to even) and hands
+    it unsaturated to the format's (platanh, ntanh) pair: past the format
+    the PLA is constant at the saturated +-1.  raws holds the raw
+    parameters, as the model file writes them.
+
+    While every accumulator has at most FLOAT64_EXACT_BITS bits
+    (fixedpoint.accumulator_bits), a layer runs as a float64 matrix
+    product: raw inputs times the model's own weights (raw * 2**-F
+    exactly) plus the raw biases is acc * 2**-F, and every operand and
+    partial sum on the way is k * 2**-F with |k| < 2**53, which a
+    float64 holds exactly.  So no summation order or fused multiply-add
+    of any BLAS kernel can change a bit, and one np.rint is the rounding
+    shift.
+    Wider formats, which only an int64 holds, run in int64 with
+    rne_shift.
     """
 
     def __init__(self, fmt: QFormat, model: MlpModel):
@@ -185,39 +200,55 @@ class _IntegerKernel:
                 raise ValueError(f"{name} outside {fmt} range")
             raws.append(raw.astype(np.int64))
         self.raws = tuple(raws)
-        wh, bh, wo, bo = raws
-        f = fmt.fraction_bits
-        self.fmt = fmt
-        self.w_hidden, self.b_hidden = wh.T.copy(), bh << f
-        self.w_out, self.b_out = wo.T.copy(), bo << f
-        self.shift_f = (f, *(int(v) for v in rne_constants(f)))
+        # fixedpoint._quantize's scale and bounds, as floats
+        self.scale, self.raw_min, self.raw_max = (
+            float(v) for v in (fmt.scale, fmt.raw_min, fmt.raw_max))
         self.tanh, self.ntanh = fixed_activations(fmt)
+        self.in_float = accumulator_bits(fmt, model.layer_sizes) <= FLOAT64_EXACT_BITS
+        wh, bh, wo, bo = raws
+        if self.in_float:
+            self.w_hidden, self.b_hidden = model.w_hidden.T.copy(), bh.astype(np.float64)
+            self.w_out, self.b_out = model.w_out.T.copy(), bo.astype(np.float64)
+        else:
+            f = fmt.fraction_bits
+            self.w_hidden, self.b_hidden = wh.T.copy(), bh << f
+            self.w_out, self.b_out = wo.T.copy(), bo << f
+            self.shift_f = (f, *(int(v) for v in rne_constants(f)))
 
     def __call__(self, x):
         """Outputs for a float batch free of NaN, as floats: inputs are
-        quantized first, and each accumulator is shifted back by F once."""
-        x_raw = _quantize(x, self.fmt)
-        h = self.tanh(rne_shift(x_raw @ self.w_hidden + self.b_hidden, *self.shift_f))
-        out = self.ntanh(rne_shift(h @ self.w_out + self.b_out, *self.shift_f))
-        return out / float(self.fmt.scale)
+        quantized first, and each accumulator is rounded back by F once."""
+        x_raw = np.minimum(np.maximum(np.rint(x * self.scale), self.raw_min), self.raw_max)
+        if self.in_float:
+            h = self.tanh(np.rint(x_raw @ self.w_hidden + self.b_hidden).astype(np.int64))
+            out = self.ntanh(np.rint(h @ self.w_out + self.b_out).astype(np.int64))
+        else:
+            x_raw = x_raw.astype(np.int64)
+            h = self.tanh(rne_shift(x_raw @ self.w_hidden + self.b_hidden, *self.shift_f))
+            out = self.ntanh(rne_shift(h @ self.w_out + self.b_out, *self.shift_f))
+        return out / self.scale
 
 
 def _check_batch(model, x):
-    if x.ndim != 2 or x.shape[1] != model.layer_sizes[0]:
-        raise ValueError(
-            f"batch shape {x.shape} does not match input size {model.layer_sizes[0]}"
-        )
+    n_in = model.w_hidden.shape[1]
+    if x.ndim != 2 or x.shape[1] != n_in:
+        raise ValueError(f"batch shape {x.shape} does not match input size {n_in}")
     if np.count_nonzero(np.isnan(x)):
         raise ValueError("cannot classify NaN features")
 
 
-def forward_batch(model: MlpModel, x) -> np.ndarray:
-    """Outputs for a batch of feature rows, shape (n, n_out)."""
-    x = np.asarray(x, dtype=np.float64)
+def _forward_rows(model, x):
+    """forward_batch of a float64 array: its shape and NaN checks, then
+    the pass."""
     _check_batch(model, x)
     if model.is_fixed:
         return model._kernel(x)
     return _forward_real_batch(model.activation, model.parameter_arrays(), x)[2]
+
+
+def forward_batch(model: MlpModel, x) -> np.ndarray:
+    """Outputs for a batch of feature rows, shape (n, n_out)."""
+    return _forward_rows(model, np.asarray(x, dtype=np.float64))
 
 
 def forward(model: MlpModel, feature) -> np.ndarray:
@@ -227,9 +258,10 @@ def forward(model: MlpModel, feature) -> np.ndarray:
     quantization is applied anyway (it is idempotent on such values).
     """
     x = _as_features(feature)
-    if x.shape != (model.layer_sizes[0],):
-        raise ValueError(f"feature shape {x.shape}, expected ({model.layer_sizes[0]},)")
-    return forward_batch(model, x[None, :])[0]
+    n_in = model.w_hidden.shape[1]
+    if x.shape != (n_in,):
+        raise ValueError(f"feature shape {x.shape}, expected ({n_in},)")
+    return _forward_rows(model, x[None, :])[0]
 
 
 def predict(model: MlpModel, feature) -> int:

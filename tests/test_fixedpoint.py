@@ -6,6 +6,8 @@ import pytest
 import fixed_oracle as oracle
 from ecgarr.fixedpoint import (
     QFormat,
+    accumulator_bits,
+    check_accumulator,
     quantize_raw_array,
     rne_shift_array,
     saturate_array,
@@ -114,6 +116,18 @@ def test_saturation_idempotent():
         assert top == fmt.raw_max
         top = saturate_array(rne_shift_array(top * 48, 4), fmt)  # * 3.0
         assert top == fmt.raw_max
+
+
+@pytest.mark.parametrize("total_bits, bits", [(25, 52), (26, 54), (30, 62), (31, 64)])
+def test_accumulator_bits_on_the_12_6_2_net(total_bits, bits):
+    # 2 (W - 1) bits per product, 4 more for 12 products and the bias
+    fmt = QFormat(total_bits, 12)
+    assert accumulator_bits(fmt, (12, 6, 2)) == bits
+    if bits < 63:
+        check_accumulator(fmt, (12, 6, 2))
+    else:
+        with pytest.raises(ValueError, match="overflow int64"):
+            check_accumulator(fmt, (12, 6, 2))
 
 
 def test_commutativity():

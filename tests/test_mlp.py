@@ -1,11 +1,16 @@
 """Classifier network: forward passes, gradients, rprop, quantization."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecgarr
 import fixed_oracle as oracle
 import rprop_oracle
 from ecgarr.activation import _lookup_table, platanh, platanh_derivative
@@ -768,6 +773,7 @@ def test_fixed_forward_input_quantization_is_idempotent():
 
 # Q24.16 is the largest fraction width the activations run as a table
 # lookup; Q30.20 runs the segment code, and its accumulators still fit.
+# Q28.14 and Q30.20 sum in int64, the others in float64.
 ORACLE_FORMATS = [QFormat(24, 12), QFormat(16, 8), QFormat(24, 0), QFormat(24, 3),
                   QFormat(16, 14), QFormat(28, 14), QFormat(24, 16), QFormat(30, 20)]
 
@@ -825,6 +831,53 @@ def test_forward_batch_rounds_once_per_neuron():
     assert oracle.forward([[1, 1, 1]], [0], [[4096]], [0], [2048] * 3, fmt) == [2049]
 
 
+# The kernel sums in float64 while every accumulator has at most 53 bits:
+# on 12-6-2 that is 2 (W - 1) + 4 <= 53, so W <= 25.  Q26 and Q27 run in
+# int64.  A one- or two-bit slack in the rule changes no output byte (a
+# float64 partial sum can only lose a bit past 2**53, and what is left to
+# add cannot bring it back inside the PLA's unsaturated range), so the
+# path is asserted; Q27 is where a float64 sum would change a byte.
+@pytest.mark.parametrize("fmt, in_float", [
+    pytest.param(QFormat(25, 24), True, id="Q25.24-float64"),
+    pytest.param(QFormat(26, 25), False, id="Q26.25-int64"),
+    pytest.param(QFormat(27, 26), False, id="Q27.26-int64")])
+def test_both_sides_of_the_float64_rule_match_the_oracle(fmt, in_float):
+    f, lo, hi = fmt.fraction_bits, fmt.raw_min, fmt.raw_max  # lo = -2**f
+    extremes = [lo, lo + 1, -1, 0, 1, hi - 1, hi]
+    rng = np.random.default_rng(fmt.total_bits)
+    w_hidden = rng.choice(extremes, size=(6, 12))
+    b_hidden = rng.choice(extremes, size=6)
+    w_out = rng.choice(extremes, size=(2, 6))
+    # Hidden neuron 0 sums, in input order as BLAS gemm does, lo * lo
+    # twice (2**(2f + 1), which is 2**53 at Q27.26), then 2**(f - 1) + 1;
+    # at Q27.26 a float64 sum rounds that odd total to even and loses 1.
+    # Two lo * hi products bring the sum back to 2**(f + 1) + 2**(f - 1)
+    # + 1, so the neuron's rounding by F is one unit past a tie: 3
+    # exactly, 2 when the unit is lost.  Output neuron 0 reads only that
+    # neuron.
+    w_hidden[0] = [lo, lo, 1, hi, hi] + [0] * 7
+    b_hidden[0] = 0
+    w_out[0] = [hi] + [0] * 5
+    # neuron 1's accumulator needs every bit: 12 products lo * lo and the
+    # bias hi * 2**f on the all-lo row, about 13 * 2**(2f)
+    w_hidden[1], b_hidden[1] = lo, hi
+    m = MlpModel(w_hidden=w_hidden / fmt.scale, b_hidden=b_hidden / fmt.scale,
+                 w_out=w_out / fmt.scale, b_out=np.array([0, lo]) / fmt.scale, q_format=fmt)
+    assert m._kernel.in_float is in_float
+    x = rng.choice([*(np.array(extremes) / fmt.scale), np.inf, -np.inf, 1e30, -1e30],
+                   size=(40, 12))
+    x[0] = np.array([lo, lo, 2 ** (f - 1) + 1, lo, lo] + [0] * 7) / fmt.scale
+    x[1] = lo / fmt.scale
+
+    def raw(values):
+        return [oracle.to_fixed(float(v), fmt) for v in values]
+
+    want = [oracle.forward(w_hidden.tolist(), b_hidden.tolist(), w_out.tolist(), [0, lo],
+                           raw(row), fmt) for row in x]
+    assert want[0][0] == oracle.ntanh(3, fmt) != oracle.ntanh(2, fmt)
+    assert (forward_batch(m, x) * fmt.scale).tolist() == want
+
+
 def test_accumulator_guard_rejects_oversized_formats():
     with pytest.raises(ValueError, match="int64"):
         MlpModel(
@@ -834,6 +887,55 @@ def test_accumulator_guard_rejects_oversized_formats():
             b_out=np.zeros(2),
             q_format=QFormat(32, 16),
         )
+
+
+# Fixed-point outputs of one batch and of its first rows one at a time
+# (BLAS gemm and gemv), in formats that run in float64 and in int64, with
+# parameters that saturate and inputs that do too, +-inf among them.
+_FIXED_DIGEST = """
+import hashlib
+import numpy as np
+from ecgarr.fixedpoint import QFormat, quantize_raw_array
+from ecgarr.mlp import MlpModel, forward, forward_batch
+
+rng = np.random.default_rng(29)
+x = rng.uniform(-8, 8, size=(600, 12)) * rng.choice([0.05, 1.0, 10.0], size=(600, 1))
+x[rng.integers(600, size=80), rng.integers(12, size=80)] = rng.choice(
+    [np.inf, -np.inf, 1e30, -1e30], size=80)
+digest = hashlib.sha256()
+for fmt in (QFormat(24, 12), QFormat(25, 24), QFormat(16, 14), QFormat(28, 14)):
+    def param(*shape):
+        size = rng.choice([0.01, 1.0, 60.0], size=shape)
+        return quantize_raw_array(rng.uniform(-1, 1, size=shape) * size, fmt) / fmt.scale
+    m = MlpModel(w_hidden=param(6, 12), b_hidden=param(6), w_out=param(2, 6),
+                 b_out=param(2), q_format=fmt)
+    digest.update(forward_batch(m, x).tobytes())
+    digest.update(np.array([forward(m, row) for row in x[:100]]).tobytes())
+# Q28.14 runs in int64.  Summed in float64 in input order, hidden neuron
+# 0 would round 2**54 + 2**13 + 1 to even before the third product takes
+# 2**54 back off; gemv sums that row in another order on some kernels,
+# and the lost unit would change output 1.
+fmt = QFormat(28, 14)
+lo, hi = fmt.raw_min, fmt.raw_max
+w_hidden, b_hidden, w_out = np.zeros((6, 12)), np.zeros(6), np.zeros((2, 6))
+w_hidden[0, :3], b_hidden[0], w_out[1, 0] = [lo, 1, hi], -4096, fmt.scale
+m = MlpModel(w_hidden=w_hidden / fmt.scale, b_hidden=b_hidden / fmt.scale,
+             w_out=w_out / fmt.scale, b_out=np.array([0, 1]) / fmt.scale, q_format=fmt)
+digest.update(forward(m, np.array([lo, 2 ** 13 + 1, lo] + [0] * 9) / fmt.scale).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fixed_outputs_do_not_depend_on_the_blas_kernel():
+    src = str(Path(ecgarr.__file__).resolve().parents[1])
+    digests = {}
+    for core in ("Prescott", "Haswell", "SkylakeX"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _FIXED_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests[core] = run.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
 
 
 # ---------------------------------------------------------------------------
