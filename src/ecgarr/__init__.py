@@ -9,8 +9,8 @@ re-exports only the handful of names used most.
 
 from .fixedpoint import QFormat
 from .activation import platanh, tanh_exact
-from .dsp import PeakTrain, detect_r_peaks, dwt_decompose, dwt_reconstruct
-from .features import PCAModel, build_feature_vector, fit_pca, project, window_beat
+from .dsp import PeakTrain, detect_r_peaks
+from .features import PCAModel, fit_pca
 from .mlp import (
     MlpModel,
     init_model,
@@ -36,11 +36,8 @@ __all__ = [
     "PeakTrain",
     "PipelineConfig",
     "QFormat",
-    "build_feature_vector",
     "compute_metrics",
     "detect_r_peaks",
-    "dwt_decompose",
-    "dwt_reconstruct",
     "fit_pca",
     "ingest_record",
     "init_model",
@@ -49,7 +46,6 @@ __all__ = [
     "platanh",
     "predict",
     "predict_batch",
-    "project",
     "quantize_model",
     "run_experiment",
     "run_self_learner",
@@ -57,7 +53,6 @@ __all__ = [
     "sweep_fraction_bits",
     "tanh_exact",
     "train",
-    "window_beat",
 ]
 
 __version__ = "0.1.0"

@@ -38,6 +38,7 @@ from .experiment import (
     PipelineConfig,
     annotated_beats,
     label_peaks,
+    map_records,
     record_signal,
     render_experiment,
     render_sweep,
@@ -326,16 +327,16 @@ def cmd_detect(opts):
 
 
 def cmd_features(opts):
-    half_width = (opts["window"] - 1) // 2
-    per_record = []
-    for header in opts["records"]:
+    def record_table(header):
         record = ingest_record(header)
         signal = record_signal(record, opts["channel"])
         fs = record.header.sampling_frequency
         peaks = _beat_positions(record, signal, opts)
         labels = label_peaks(peaks, *annotated_beats(record), fs)
-        per_record.append((record.header.record_name,
-                           beat_table(signal, fs, peaks, labels, half_width)))
+        return record.header.record_name, beat_table(signal, fs, peaks, labels,
+                                                     (opts["window"] - 1) // 2)
+
+    per_record = map_records(record_table, opts["records"])
     if not sum(len(beats) for _, beats in per_record):
         raise ValueError("no usable labeled beats in the given records")
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .dsp import detect_r_peaks
-from .features import BeatTable, beat_table, feature_matrix, fit_pca
+from .features import beat_table, feature_matrix, fit_pca
 # the benchmark's tracer wraps these per-beat names in this module
 from .features import build_feature_vector, project, window_beat  # noqa: F401
 from .fixedpoint import QFormat
@@ -43,6 +44,7 @@ __all__ = [
     "SweepPoint",
     "annotated_beats",
     "label_peaks",
+    "map_records",
     "record_signal",
     "render_experiment",
     "render_sweep",
@@ -123,17 +125,27 @@ class SweepPoint:
 
 
 # ---------------------------------------------------------------------------
-# record loading and beat assembly
+# record loading
 
 
-@dataclass(frozen=True)
-class _RecordData:
-    record_id: str
-    sampling_frequency: float
-    table: BeatTable | None    # labeled interior beats; None for the self-learner
-    beat_indices: np.ndarray   # the train driving windows and monitoring
-    ann_indices: np.ndarray    # every annotated beat, ground truth anchor
-    ann_labels: np.ndarray     # 0/1 per annotated beat
+@lru_cache(maxsize=1)
+def _pool(pid):
+    """The record-loading pool of process pid, a thread per CPU; a forked
+    child, which has none of its parent's workers, gets a pool of its own."""
+    return ThreadPoolExecutor(os.cpu_count() or 1)
+
+
+def map_records(load, paths) -> list:
+    """load(header) of each record, in record order, on the process's one
+    loading pool (numpy's work releases the interpreter lock).  A missing
+    header or annotation file fails before any record is read; after that
+    the first failing record, in record order, raises."""
+    missing = [p for header in paths
+               for p in (header, os.path.splitext(header)[0] + ".atr")
+               if not os.path.exists(p)]
+    if missing:
+        raise FileNotFoundError("missing record files: " + ", ".join(missing))
+    return list(_pool(os.getpid()).map(load, paths))
 
 
 def annotated_beats(record):
@@ -163,59 +175,38 @@ def record_signal(record, channel: int) -> np.ndarray:
     return record.samples[channel].astype(np.float64)
 
 
-def _load_record(header_path, config) -> _RecordData:
-    record = ingest_record(header_path)
+def _read_beats(config, header):
+    """A record's id, signal, fs, beat train and annotated indices and labels."""
+    record = ingest_record(header)
     signal = record_signal(record, config.channel)
-    fs, record_id = record.header.sampling_frequency, record.header.record_name
+    record_id, fs = record.header.record_name, record.header.sampling_frequency
     ann_idx, ann_lab = annotated_beats(record)
     del record  # its samples of every channel, not read again
-    indices = ann_idx if config.detector == "ann" else detect_r_peaks(signal, fs).r_indices
-    # the self-learner judges the beat train alone: it reads no windows or labels
-    table = None
-    if config.classifier != "self-learner":
-        labels = (ann_lab if config.detector == "ann"
-                  else label_peaks(indices, ann_idx, ann_lab, fs))
-        table = beat_table(signal, fs, indices, labels)
-    return _RecordData(
-        record_id=record_id,
-        sampling_frequency=fs,
-        table=table,
-        beat_indices=indices,
-        ann_indices=ann_idx,
-        ann_labels=ann_lab,
-    )
-
-
-def _load_records(config) -> list:
-    """Each record's data, loaded on a thread per CPU (numpy's work releases
-    the interpreter lock; memory grows by one record's transient arrays
-    per worker).  A missing header or annotation file fails before any
-    record is read; after that the first failing record, in record order,
-    raises."""
-    paths = config.record_paths
-    missing = [p for header in paths
-               for p in (header, os.path.splitext(header)[0] + ".atr")
-               if not os.path.exists(p)]
-    if missing:
-        raise FileNotFoundError("missing record files: " + ", ".join(missing))
-    with ThreadPoolExecutor(min(len(paths), os.cpu_count() or 1)) as pool:
-        return list(pool.map(_load_record, paths, [config] * len(paths)))
+    peaks = ann_idx if config.detector == "ann" else detect_r_peaks(signal, fs).r_indices
+    return record_id, signal, fs, peaks, ann_idx, ann_lab
 
 
 # ---------------------------------------------------------------------------
 # classifier path
 
 
-def _train_classifier(records, config):
-    """PCA and the trained net from each record's first half, and the
-    second halves to test on, in record order (names may repeat).  The
-    fixed classifier and the sweep train the piecewise-linear net they
-    then quantize."""
+def _record_table(config, header):
+    """A record's id and its labeled interior beats."""
+    record_id, signal, fs, peaks, ann_idx, ann_lab = _read_beats(config, header)
+    labels = ann_lab if config.detector == "ann" else label_peaks(peaks, ann_idx, ann_lab, fs)
+    return record_id, beat_table(signal, fs, peaks, labels)
+
+
+def _train_classifier(config):
+    """PCA and the trained net from each record's first half, and each
+    record's id and second half to test on, in record order (names may
+    repeat).  The fixed classifier and the sweep train the
+    piecewise-linear net they then quantize."""
     train_halves, test = [], []
-    for rec in records:
-        half = len(rec.table) // 2
-        train_halves.append(rec.table[:half])
-        test.append(rec.table[half:])
+    for record_id, table in map_records(partial(_record_table, config), config.record_paths):
+        half = len(table) // 2
+        train_halves.append(table[:half])
+        test.append((record_id, table[half:]))
     if not sum(map(len, train_halves)):
         raise ValueError("no trainable beats across the given records")
     pca = fit_pca(np.vstack([t.windows for t in train_halves]))
@@ -228,17 +219,17 @@ def _train_classifier(records, config):
     return pca, model, report, test
 
 
-def _classifier_verdicts(records, config):
-    """Each record's test-half R indices, labels and predictions, and the
-    training mse history."""
-    pca, model, train_report, test = _train_classifier(records, config)
+def _classifier_verdicts(config):
+    """Each record's id, test-half R indices, labels and predictions, and
+    the training mse history."""
+    pca, model, train_report, test = _train_classifier(config)
     if config.classifier == "fixed":
         model = quantize_model(model, QFormat(config.total_bits, config.fraction_bits))
     scored = []
-    for rec, table in zip(records, test):
+    for record_id, table in test:
         if not len(table):
-            raise ValueError(f"record {rec.record_id}: empty test half")
-        scored.append((table.r_index, table.labels,
+            raise ValueError(f"record {record_id}: empty test half")
+        scored.append((record_id, table.r_index, table.labels,
                        predict_batch(model, feature_matrix(pca, table))))
     return scored, train_report.mse_history
 
@@ -247,7 +238,15 @@ def _classifier_verdicts(records, config):
 # self-learner path
 
 
-def _self_learner_verdicts(rec: _RecordData, config):
+def _record_verdicts(config, header):
+    """A record's id and verdicts: the monitor reads no windows or labels."""
+    record_id, signal, fs, peaks, ann_idx, ann_lab = _read_beats(config, header)
+    del signal  # freed before judging: kept, it raised a two-worker run's peak by ~15 MB
+    return (record_id, *_self_learner_verdicts(record_id, peaks, ann_idx, ann_lab, fs,
+                                               config.tolerance_fraction))
+
+
+def _self_learner_verdicts(record_id, peaks, ann_indices, ann_labels, fs, tolerance):
     """Annotation index, label and flag of each annotated beat the monitor
     judged.
 
@@ -256,20 +255,19 @@ def _self_learner_verdicts(rec: _RecordData, config):
     unmatched one is flagged when the peak before it opened a gap the
     monitor timed out on, and unflagged otherwise.
     """
-    events, _ = run_self_learner(
-        rec.beat_indices, tolerance_fraction=config.tolerance_fraction)
-    start, _ = find_stable_window(np.diff(rec.beat_indices), config.tolerance_fraction)
+    events, _ = run_self_learner(peaks, tolerance_fraction=tolerance)
+    start, _ = find_stable_window(np.diff(peaks), tolerance)
     # the peak that closed the learning window, then every monitored peak
-    peaks = rec.beat_indices[start + 4:]
-    judged = rec.ann_indices > peaks[0]
-    ann_idx, ann_lab = rec.ann_indices[judged], rec.ann_labels[judged]
+    peaks = peaks[start + 4:]
+    judged = ann_indices > peaks[0]
+    ann_idx, ann_lab = ann_indices[judged], ann_labels[judged]
     if not ann_idx.size:
-        raise ValueError(f"record {rec.record_id}: nothing to monitor")
+        raise ValueError(f"record {record_id}: nothing to monitor")
     deviants = [ev.sample_index for ev in events if ev.kind == "interval_deviation"]
     # a timeout's deadline is its observed wait after the peak that opened the gap
     gap_starts = [ev.sample_index - int(ev.observed) for ev in events
                   if ev.kind == "missing_beat"]
-    window = MATCH_WINDOW_MS * rec.sampling_frequency / 1000.0
+    window = MATCH_WINDOW_MS * fs / 1000.0
     nearest = _nearest_within(peaks[1:], ann_idx, window)
     before = peaks[np.searchsorted(peaks, ann_idx) - 1]
     flagged = np.where(nearest >= 0, np.isin(nearest, deviants), np.isin(before, gap_starts))
@@ -296,17 +294,17 @@ def _nearest_within(peaks, points, window):
 def run_experiment(config: PipelineConfig) -> ExperimentResult:
     """Each record's verdicts (R or annotation index, true label and
     prediction) from the configured mode, scored per record and pooled."""
-    records = _load_records(config)
     if config.classifier == "self-learner":
-        scored, mse_history = [_self_learner_verdicts(rec, config) for rec in records], ()
+        scored = map_records(partial(_record_verdicts, config), config.record_paths)
+        mse_history = ()
     else:
-        scored, mse_history = _classifier_verdicts(records, config)
+        scored, mse_history = _classifier_verdicts(config)
     per_record, verdicts, pooled = [], [], ConfusionCounts()
-    for rec, (index, y_true, y_pred) in zip(records, scored):
+    for record_id, index, y_true, y_pred in scored:
         counts = confusion_from_labels(y_true, y_pred)
         pooled = pooled + counts
-        per_record.append(RecordResult(rec.record_id, compute_metrics(counts, config.echo())))
-        verdicts.extend((rec.record_id, *row) for row in
+        per_record.append(RecordResult(record_id, compute_metrics(counts, config.echo())))
+        verdicts.extend((record_id, *row) for row in
                         zip(index.tolist(), y_true.tolist(), y_pred.tolist()))
     return ExperimentResult(
         per_record=tuple(per_record),
@@ -322,8 +320,8 @@ def sweep_fraction_bits(config: PipelineConfig,
     piecewise-linear model, over the pooled test beats."""
     if config.classifier not in ("pla", "fixed"):
         raise ValueError("the sweep runs on the piecewise-linear classifier")
-    pca, model, _, test = _train_classifier(_load_records(config), config)
-    x_test = np.vstack([feature_matrix(pca, table) for table in test])
+    pca, model, _, test = _train_classifier(config)
+    x_test = np.vstack([feature_matrix(pca, table) for _, table in test])
     reference = predict_batch(model, x_test)
     points = []
     for f in fraction_bits_values:

@@ -118,10 +118,5 @@ def quantize_raw_array(x, fmt: QFormat = QFormat()):
     x = np.asarray(x, dtype=np.float64)
     if np.count_nonzero(np.isnan(x)):
         raise ValueError("cannot quantize NaN")
-    return _quantize(x, fmt)
-
-
-def _quantize(x, fmt: QFormat):
-    """quantize_raw_array for a float64 array its caller has checked for NaN."""
     scaled = np.rint(x * fmt.scale)  # rint is round-half-even, like round()
     return np.minimum(np.maximum(scaled, fmt.raw_min), fmt.raw_max).astype(np.int64)

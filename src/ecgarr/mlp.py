@@ -200,7 +200,7 @@ class _IntegerKernel:
                 raise ValueError(f"{name} outside {fmt} range")
             raws.append(raw.astype(np.int64))
         self.raws = tuple(raws)
-        # fixedpoint._quantize's scale and bounds, as floats
+        # fixedpoint.quantize_raw_array's scale and bounds, as floats
         self.scale, self.raw_min, self.raw_max = (
             float(v) for v in (fmt.scale, fmt.raw_min, fmt.raw_max))
         self.tanh, self.ntanh = fixed_activations(fmt)

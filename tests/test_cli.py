@@ -329,25 +329,24 @@ def test_evaluate_command(records, tmp_path, capsys):
 
 @pytest.mark.parametrize("classifier", ["pla", "self-learner"])
 def test_evaluate_on_the_pool_writes_the_serial_report(records, tmp_path, monkeypatch,
-                                                       classifier):
+                                                       pool_workers, classifier):
     # three records on three workers against one record loaded at a time
     third = classifier_record(tmp_path, "recD", seed=2)
     argv = ["evaluate", "--record", records["a"], "--record", records["b"],
             "--record", third, "--classifier", classifier, "--detector", "uni-dwt",
             "--seed", "3", "--max-epochs", "50"]
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pool_workers(3)
     assert main([*argv, "--out-dir", str(tmp_path / "pool")]) == 0
-    monkeypatch.setattr(experiment, "_load_records", lambda config: [
-        experiment._load_record(path, config) for path in config.record_paths])
+    monkeypatch.setattr(experiment, "map_records", lambda load, paths: list(map(load, paths)))
     assert main([*argv, "--out-dir", str(tmp_path / "serial")]) == 0
     report = (tmp_path / "pool" / "report.txt").read_bytes()
     assert report.startswith(b"records 3\n")
     assert report == (tmp_path / "serial" / "report.txt").read_bytes()
 
 
-def test_evaluate_with_a_bad_second_record_is_an_error_line(records, tmp_path, monkeypatch,
+def test_evaluate_with_a_bad_second_record_is_an_error_line(records, tmp_path, pool_workers,
                                                             capsys):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pool_workers(2)
     bad = classifier_record(tmp_path, "recBad", seed=2)
     dat = tmp_path / "recBad.dat"
     dat.write_bytes(dat.read_bytes()[:-100])
@@ -501,6 +500,16 @@ def test_infer_truncated_model_is_an_error_line(records, tmp_path, capsys, keep_
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {cut}: the file ends before its ")
+
+
+def test_features_without_annotations_fails_before_reading(records, tmp_path, capsys):
+    # the labels come from the .atr; without it no record is read
+    bare = classifier_record(tmp_path, "bare", seed=2)
+    (tmp_path / "bare.atr").unlink()
+    rc = main(["features", "--record", records["a"], "--record", bare,
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: missing record files: {tmp_path / 'bare.atr'}\n"
 
 
 def test_even_window_rejected(records, tmp_path, capsys):

@@ -8,7 +8,8 @@ tested against.  Seeded random beat trains check the monitor's verdicts
 against the per-beat loop in ``verdict_oracle.py``.
 """
 
-import os
+import multiprocessing
+import sys
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,6 @@ from ecgarr import experiment
 from ecgarr.experiment import (
     PipelineConfig,
     _nearest_within,
-    _RecordData,
     _self_learner_verdicts,
     record_signal,
     render_experiment,
@@ -210,22 +210,19 @@ def test_self_learner_verdicts_equal_the_per_beat_oracle():
     outcomes = Counter()
     for seed in range(1500):
         peaks, ann, labels, tol = _random_train(np.random.default_rng(seed))
-        rec = _RecordData("r", 360.0, None, peaks, ann, labels)
-        cfg = PipelineConfig(record_paths=("r.hea",), classifier="self-learner",
-                             tolerance_fraction=tol)
         try:
             expected = verdict_rows(peaks, ann, labels, 360.0, tol)
         except NoStableRhythmError:
             with pytest.raises(NoStableRhythmError):
-                _self_learner_verdicts(rec, cfg)
+                _self_learner_verdicts("r", peaks, ann, labels, 360.0, tol)
             outcomes["no stable rhythm"] += 1
             continue
         if not expected:
             with pytest.raises(ValueError, match="record r: nothing to monitor"):
-                _self_learner_verdicts(rec, cfg)
+                _self_learner_verdicts("r", peaks, ann, labels, 360.0, tol)
             outcomes["nothing to monitor"] += 1
             continue
-        got = _self_learner_verdicts(rec, cfg)
+        got = _self_learner_verdicts("r", peaks, ann, labels, 360.0, tol)
         assert [a.dtype for a in got] == [np.int64] * 3
         assert list(zip(*(a.tolist() for a in got))) == expected, seed
         events, _ = run_self_learner(peaks, tolerance_fraction=tol)
@@ -288,12 +285,12 @@ def test_sweep_rejects_non_pla_reference(records):
 
 
 @pytest.mark.parametrize("late_first", [True, False])
-def test_first_failing_record_in_argument_order_raises(tmp_path, monkeypatch, late_first):
+def test_first_failing_record_in_argument_order_raises(tmp_path, pool_workers, late_first):
     # Records load on a pool.  "late" fails once its samples are decoded
     # (its annotation stream lost its terminator word), "early" at once
     # (its signal count is no number); either way round, the error is
     # that of the first record given.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any host
+    pool_workers(2)  # two workers on any host
     late = classifier_record(tmp_path, "late", seed=0)
     atr = tmp_path / "late.atr"
     atr.write_bytes(atr.read_bytes()[:-2])
@@ -304,6 +301,27 @@ def test_first_failing_record_in_argument_order_raises(tmp_path, monkeypatch, la
     for detector in ("ann", "uni-dwt"):
         with pytest.raises(ValueError, match=message):
             run_experiment(PipelineConfig(record_paths=paths, detector=detector))
+
+
+def _exit_on_report(config, expected):
+    sys.exit(0 if render_experiment(run_experiment(config)) == expected else 1)
+
+
+def test_a_forked_child_loads_on_a_pool_of_its_own(records, pool_workers):
+    # the parent's pool has started its workers; a child that took that
+    # pool for its own would wait forever on workers it does not have
+    pool_workers(2)
+    cfg = PipelineConfig(record_paths=(records["drop"], records["drop"]),
+                         classifier="self-learner")
+    expected = render_experiment(run_experiment(cfg))
+    child = multiprocessing.get_context("fork").Process(target=_exit_on_report,
+                                                        args=(cfg, expected))
+    child.start()
+    child.join(timeout=60)
+    if child.exitcode is None:
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 def test_missing_files_listed(records, tmp_path):

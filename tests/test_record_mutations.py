@@ -44,9 +44,9 @@ def originals(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("suffix", SUFFIXES)
-def test_mutated_record_exits_with_an_error_line(originals, tmp_path, monkeypatch, capsys,
+def test_mutated_record_exits_with_an_error_line(originals, tmp_path, pool_workers, capsys,
                                                  suffix, kind):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any host
+    pool_workers(2)  # two workers on any host
     intact, template = originals
     rng = np.random.default_rng([SUFFIXES.index(suffix), KINDS.index(kind)])
     for trial in range(TRIALS):

@@ -20,6 +20,8 @@ REMOVED = {
         # the scalar fixed-point API
         "FixedPoint", "to_fixed", "from_fixed", "platanh_fixed",
         "softmax", "ntanh",
+        # kept in their submodules
+        "dwt_decompose", "dwt_reconstruct", "build_feature_vector", "project", "window_beat",
     ],
     "ecgarr.fixedpoint": [
         "FixedPoint", "to_fixed", "from_fixed", "fx_add", "fx_mul", "fx_shr", "fx_dot",
