@@ -286,7 +286,7 @@ def _beat_positions(record, signal, opts) -> np.ndarray:
 def _qformat(total_bits: int, fraction_bits: int, layer_sizes=None,
              fraction_flag: str = "--fraction-bits") -> QFormat:
     """The Q format, checked on its own and, given the layer sizes, against
-    the net's int64 accumulators."""
+    the 53 accumulator bits of the fixed-point kernel (check_accumulator)."""
     try:
         fmt = QFormat(total_bits, fraction_bits)
         if layer_sizes is not None:
@@ -404,7 +404,9 @@ def _pipeline_config(opts) -> PipelineConfig:
 def cmd_evaluate(opts):
     if opts["classifier"] != "self-learner" and opts["seed"] is None:
         raise UsageError("evaluate needs --seed (flag or config)")
-    _qformat(opts["total_bits"], opts["fraction_bits"], (12, opts["hidden"], 2))
+    # every mode parses the format; only the fixed classifier quantizes
+    sizes = (12, opts["hidden"], 2) if opts["classifier"] == "fixed" else None
+    _qformat(opts["total_bits"], opts["fraction_bits"], sizes)
     text = render_experiment(run_experiment(_pipeline_config(opts)))
     return {"report.txt": text}, text
 

@@ -2,8 +2,8 @@
 
 Values are stored as raw integers scaled by 2**fraction_bits. All rounding is
 round-to-nearest-even; all overflow saturates to the representable range.
-Whether a format's dot products fit an int64 accumulator depends on the layer
-shape too; check_accumulator is the one guard for that.
+Whether a format's dot products fit the 53 bits a float64 holds exactly
+depends on the layer shape too; check_accumulator is the one guard for that.
 """
 
 from __future__ import annotations
@@ -52,9 +52,11 @@ class QFormat:
 #
 # A neuron's wide accumulator needs 2*(W-1) bits per product plus headroom
 # for its summed terms and its bias shifted up by F. accumulator_bits
-# states that count once. check_accumulator is the one check of a format
-# and a layer shape against int64; the fixed model and the CLI both call
-# it, and the fixed model also reads the count to choose float64 sums.
+# states that count once. The fixed model sums in float64, so
+# check_accumulator holds a format and a layer shape to the 53 bits a
+# float64 holds exactly; the fixed model and the CLI both call it.
+
+FLOAT64_EXACT_BITS = 53
 
 
 def accumulator_bits(fmt: QFormat, layer_sizes) -> int:
@@ -69,10 +71,13 @@ def accumulator_bits(fmt: QFormat, layer_sizes) -> int:
 
 
 def check_accumulator(fmt: QFormat, layer_sizes) -> None:
-    """Raise ValueError unless every neuron's accumulator fits an int64."""
-    if accumulator_bits(fmt, layer_sizes) >= 63:
-        raise ValueError(f"{fmt} accumulators would overflow int64 "
-                         f"for layer sizes {tuple(int(n) for n in layer_sizes)}")
+    """Raise ValueError unless every neuron's accumulator has at most
+    FLOAT64_EXACT_BITS bits."""
+    bits = accumulator_bits(fmt, layer_sizes)
+    if bits > FLOAT64_EXACT_BITS:
+        raise ValueError(f"{fmt} accumulators need {bits} bits for layer sizes "
+                         f"{tuple(int(n) for n in layer_sizes)}, past the "
+                         f"{FLOAT64_EXACT_BITS} bits a float64 holds exactly")
 
 
 def rne_constants(k):

@@ -5,10 +5,10 @@ batch); deployment optionally quantizes the trained weights to a Q
 format, where the forward pass becomes pure integer work: wide-
 accumulator dot products, one rounding shift per neuron, and the
 piecewise-linear activations, read from one table per format for up to
-16 fraction bits (activation.fixed_activations).  While an accumulator
-fits the 53 bits a float64 holds exactly (W <= 25 on 12-6-2), those
-integer sums run as float64 matrix products and one np.rint per layer,
-with the same bytes on every BLAS kernel; wider formats run in int64.
+16 fraction bits (activation.fixed_activations).  Every accumulator must
+fit the 53 bits a float64 holds exactly (fixedpoint.check_accumulator;
+W <= 25 on 12-6-2), so those integer sums run as float64 matrix products
+and one np.rint per layer, with the same bytes on every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .activation import (
     platanh_derivative,
     platanh_fixed_raw_array,  # noqa: F401
 )
-from .fixedpoint import (QFormat, accumulator_bits, check_accumulator,
-                         quantize_raw_array, rne_constants, rne_shift)
+from .fixedpoint import QFormat, check_accumulator, quantize_raw_array
 from .fixedpoint import rne_shift_array, saturate_array  # noqa: F401
 
 __all__ = [
@@ -55,8 +54,6 @@ __all__ = [
 ]
 
 NORMAL, ARRHYTHMIA = 0, 1  # output neuron convention
-# A float64 holds every integer of up to 53 bits exactly.
-FLOAT64_EXACT_BITS = 53
 
 
 class QuantizationWarning(UserWarning):
@@ -177,16 +174,13 @@ class _IntegerKernel:
     the PLA is constant at the saturated +-1.  raws holds the raw
     parameters, as the model file writes them.
 
-    While every accumulator has at most FLOAT64_EXACT_BITS bits
-    (fixedpoint.accumulator_bits), a layer runs as a float64 matrix
-    product: raw inputs times the model's own weights (raw * 2**-F
-    exactly) plus the raw biases is acc * 2**-F, and every operand and
-    partial sum on the way is k * 2**-F with |k| < 2**53, which a
-    float64 holds exactly.  So no summation order or fused multiply-add
-    of any BLAS kernel can change a bit, and one np.rint is the rounding
-    shift.
-    Wider formats, which only an int64 holds, run in int64 with
-    rne_shift.
+    Every accumulator has at most fixedpoint.FLOAT64_EXACT_BITS bits
+    (check_accumulator), so a layer runs as a float64 matrix product: raw
+    inputs times the model's own weights (raw * 2**-F exactly) plus the
+    raw biases is acc * 2**-F, and every operand and partial sum on the
+    way is k * 2**-F with |k| < 2**53, which a float64 holds exactly.  So
+    no summation order or fused multiply-add of any BLAS kernel can
+    change a bit, and one np.rint is the rounding shift.
     """
 
     def __init__(self, fmt: QFormat, model: MlpModel):
@@ -204,28 +198,15 @@ class _IntegerKernel:
         self.scale, self.raw_min, self.raw_max = (
             float(v) for v in (fmt.scale, fmt.raw_min, fmt.raw_max))
         self.tanh, self.ntanh = fixed_activations(fmt)
-        self.in_float = accumulator_bits(fmt, model.layer_sizes) <= FLOAT64_EXACT_BITS
-        wh, bh, wo, bo = raws
-        if self.in_float:
-            self.w_hidden, self.b_hidden = model.w_hidden.T.copy(), bh.astype(np.float64)
-            self.w_out, self.b_out = model.w_out.T.copy(), bo.astype(np.float64)
-        else:
-            f = fmt.fraction_bits
-            self.w_hidden, self.b_hidden = wh.T.copy(), bh << f
-            self.w_out, self.b_out = wo.T.copy(), bo << f
-            self.shift_f = (f, *(int(v) for v in rne_constants(f)))
+        self.w_hidden, self.b_hidden = model.w_hidden.T.copy(), raws[1].astype(np.float64)
+        self.w_out, self.b_out = model.w_out.T.copy(), raws[3].astype(np.float64)
 
     def __call__(self, x):
         """Outputs for a float batch free of NaN, as floats: inputs are
         quantized first, and each accumulator is rounded back by F once."""
         x_raw = np.minimum(np.maximum(np.rint(x * self.scale), self.raw_min), self.raw_max)
-        if self.in_float:
-            h = self.tanh(np.rint(x_raw @ self.w_hidden + self.b_hidden).astype(np.int64))
-            out = self.ntanh(np.rint(h @ self.w_out + self.b_out).astype(np.int64))
-        else:
-            x_raw = x_raw.astype(np.int64)
-            h = self.tanh(rne_shift(x_raw @ self.w_hidden + self.b_hidden, *self.shift_f))
-            out = self.ntanh(rne_shift(h @ self.w_out + self.b_out, *self.shift_f))
+        h = self.tanh(np.rint(x_raw @ self.w_hidden + self.b_hidden).astype(np.int64))
+        out = self.ntanh(np.rint(h @ self.w_out + self.b_out).astype(np.int64))
         return out / self.scale
 
 
@@ -456,7 +437,9 @@ def quantize_model(model: MlpModel, fmt: QFormat = QFormat()) -> MlpModel:
     """Round every parameter to the Q format and switch to fixed mode.
 
     The activation becomes the piecewise-linear tanh.  Parameters outside
-    the representable range saturate with a QuantizationWarning.
+    the representable range saturate with a QuantizationWarning.  A
+    format whose accumulators on this model's layer sizes would pass
+    fixedpoint.FLOAT64_EXACT_BITS raises ValueError (check_accumulator).
     """
     if model.is_fixed:
         raise ValueError("model is already fixed-point")

@@ -204,14 +204,26 @@ BAD_VALUES = [("evaluate", "max_epochs", "0"), ("evaluate", "max_epochs", "-3"),
               ("selflearn", "tolerance", "1.5"),
               *[(c, "channel", "-1") for c in ("ingest", "detect", "features", "selflearn")]]
 
-# valid Q formats whose dot products overflow an int64 accumulator on the
-# net's layer sizes; infer reads its model for those, never its features
+# valid Q formats whose accumulators on the net's layer sizes need more
+# than the 53 bits of the fixed-point kernel; infer reads its model for
+# those, never its features
 OVERFLOWS = [["infer", "--total-bits", "40", "--fraction-bits", "20"],
              ["infer", "--total-bits", "31"],
              ["evaluate", "--classifier", "fixed", "--total-bits", "40", "--fraction-bits", "20"],
              ["evaluate", "--classifier", "fixed", "--total-bits", "31"],
              ["evaluate", "--classifier", "fixed", "--hidden", "65535"],
-             ["sweep-fraction-bits", "--total-bits", "40", "--fraction-bits-max", "20"]]
+             ["sweep-fraction-bits", "--total-bits", "40", "--fraction-bits-max", "20"],
+             ["evaluate", "--classifier", "fixed", "--total-bits", "26"],
+             ["evaluate", "--classifier", "fixed", "--hidden", "127"],
+             ["infer", "--total-bits", "26", "--fraction-bits", "12"],
+             ["sweep-fraction-bits", "--total-bits", "26"]]
+
+# layer sizes and formats past that rule, in modes that never quantize:
+# no accumulator is checked, and the run goes on to look for its records
+UNQUANTIZED = [["evaluate", "--classifier", "pla", "--hidden", "65535"],
+               ["evaluate", "--classifier", "exact", "--hidden", "65535"],
+               ["evaluate", "--classifier", "self-learner", "--total-bits", "31"],
+               ["evaluate", "--classifier", "pla", "--hidden", "127"]]
 
 
 @pytest.mark.parametrize("flags", [["infer", *f] for f in BAD_FORMATS]
@@ -223,7 +235,7 @@ OVERFLOWS = [["infer", "--total-bits", "40", "--fraction-bits", "20"],
                          # a config line, then the command whose section holds it
                          + [["--config", f"{k} = {v}", c] for c, k, v in
                             [*BAD_VALUES, ("evaluate", "classifier", "bogus")]]
-                         + OVERFLOWS)
+                         + OVERFLOWS + UNQUANTIZED)
 def test_infer_rejects_bad_format(tmp_path, capsys, flags):
     # a bad value is checked before any input file is read
     missing = str(tmp_path / "missing.txt")
@@ -249,20 +261,26 @@ def test_infer_rejects_bad_format(tmp_path, capsys, flags):
         argv = ["--config", str(cfg), command, *sum(given.items(), ())]
     else:
         argv = [flags[0], *sum(inputs[flags[0]].items(), ()), *flags[1:]]
-    assert main([*argv, "--out-dir", out]) == 2
+    rc = main([*argv, "--out-dir", out])
     err = capsys.readouterr().err
+    assert not os.path.exists(out)
+    if flags in UNQUANTIZED:
+        assert rc == 1
+        assert err == f"error: missing record files: {missing}, {missing[:-4]}.atr\n"
+        return
+    assert rc == 2
     if flags[0] == "--config":
         assert err.startswith(f"error: config value {key} = ")
     elif flags in OVERFLOWS:
         assert err.startswith("error: --total-bits ") and "--fraction-bits" in err
-        assert "int64" in err and f"(12, {6 if '--hidden' not in flags else 65535}, 2)" in err
+        hidden = flags[flags.index("--hidden") + 1] if "--hidden" in flags else "6"
+        assert "past the 53 bits" in err and f"(12, {hidden}, 2)" in err
     elif "--window" in flags:
         assert err.startswith("error: --window ") and "PCA" in err
     elif "--total-bits" in flags or "--fraction-bits" in flags:
         assert err.startswith("error: --total-bits ") and "--fraction-bits" in err
     else:
         assert err.startswith(f"error: {flags[1]} ")
-    assert not os.path.exists(out)
 
 
 def test_train_is_deterministic(records, tmp_path):
@@ -500,6 +518,23 @@ def test_infer_truncated_model_is_an_error_line(records, tmp_path, capsys, keep_
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {cut}: the file ends before its ")
+
+
+def test_infer_model_past_the_accumulator_rule_is_an_error_line(tmp_path, capsys):
+    # a Q24.12 model file relabelled Q26.12: its raw weights parse, but its
+    # accumulators on 12-6-2 would need 54 bits
+    saved = tmp_path / "q24.txt"
+    save_model(saved, quantize_model(init_model(seed=0)))
+    text = saved.read_text()
+    assert "\nmode fixed 24 12\n" in text
+    wide = tmp_path / "q26.txt"
+    wide.write_text(text.replace("\nmode fixed 24 12\n", "\nmode fixed 26 12\n"))
+    rc = main(["infer", "--features", str(tmp_path / "missing.txt"), "--model", str(wide),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {wide}: QFormat(total_bits=26, fraction_bits=12) ")
+    assert "need 54 bits for layer sizes (12, 6, 2), past the 53 bits" in err
 
 
 def test_features_without_annotations_fails_before_reading(records, tmp_path, capsys):

@@ -118,16 +118,24 @@ def test_saturation_idempotent():
         assert top == fmt.raw_max
 
 
-@pytest.mark.parametrize("total_bits, bits", [(25, 52), (26, 54), (30, 62), (31, 64)])
-def test_accumulator_bits_on_the_12_6_2_net(total_bits, bits):
-    # 2 (W - 1) bits per product, 4 more for 12 products and the bias
+# 2 (W - 1) bits per product, and the bit length of the largest fan-in
+# plus one for its products and the bias: 4 more on 12-6-2, 7 for up to
+# 126 hidden units.  The kernel takes up to 53 bits.
+@pytest.mark.parametrize("layer_sizes, total_bits, bits", [
+    pytest.param((12, 6, 2), 25, 52, id="25-52"),
+    pytest.param((12, 6, 2), 26, 54, id="26-54"),
+    pytest.param((12, 6, 2), 30, 62, id="30-62"),
+    pytest.param((12, 6, 2), 31, 64, id="31-64"),
+    pytest.param((12, 126, 2), 24, 53, id="126-hidden-53"),
+    pytest.param((12, 127, 2), 24, 54, id="127-hidden-54")])
+def test_accumulator_bits_on_the_12_6_2_net(layer_sizes, total_bits, bits):
     fmt = QFormat(total_bits, 12)
-    assert accumulator_bits(fmt, (12, 6, 2)) == bits
-    if bits < 63:
-        check_accumulator(fmt, (12, 6, 2))
+    assert accumulator_bits(fmt, layer_sizes) == bits
+    if bits <= 53:
+        check_accumulator(fmt, layer_sizes)
     else:
-        with pytest.raises(ValueError, match="overflow int64"):
-            check_accumulator(fmt, (12, 6, 2))
+        with pytest.raises(ValueError, match=f"need {bits} bits .* past the 53 bits"):
+            check_accumulator(fmt, layer_sizes)
 
 
 def test_commutativity():

@@ -772,10 +772,10 @@ def test_fixed_forward_input_quantization_is_idempotent():
 
 
 # Q24.16 is the largest fraction width the activations run as a table
-# lookup; Q30.20 runs the segment code, and its accumulators still fit.
-# Q28.14 and Q30.20 sum in int64, the others in float64.
+# lookup; Q25.20 runs the segment code.  Q25 is the widest format whose
+# accumulators on 12-6-2 fit the kernel's 53 bits (52).
 ORACLE_FORMATS = [QFormat(24, 12), QFormat(16, 8), QFormat(24, 0), QFormat(24, 3),
-                  QFormat(16, 14), QFormat(28, 14), QFormat(24, 16), QFormat(30, 20)]
+                  QFormat(16, 14), QFormat(25, 14), QFormat(24, 16), QFormat(25, 20)]
 
 
 @pytest.mark.parametrize("fmt", ORACLE_FORMATS,
@@ -831,17 +831,16 @@ def test_forward_batch_rounds_once_per_neuron():
     assert oracle.forward([[1, 1, 1]], [0], [[4096]], [0], [2048] * 3, fmt) == [2049]
 
 
-# The kernel sums in float64 while every accumulator has at most 53 bits:
-# on 12-6-2 that is 2 (W - 1) + 4 <= 53, so W <= 25.  Q26 and Q27 run in
-# int64.  A one- or two-bit slack in the rule changes no output byte (a
-# float64 partial sum can only lose a bit past 2**53, and what is left to
-# add cannot bring it back inside the PLA's unsaturated range), so the
-# path is asserted; Q27 is where a float64 sum would change a byte.
-@pytest.mark.parametrize("fmt, in_float", [
+# The kernel sums in float64, so every accumulator must have at most 53
+# bits: on 12-6-2 that is 2 (W - 1) + 4 <= 53, so W <= 25.  Q25.24 sits at
+# the rule's edge and must match the oracle; Q26 and Q27 are rejected
+# when the model is built.  Q27.26 is where a float64 sum would change a
+# byte.
+@pytest.mark.parametrize("fmt, accepted", [
     pytest.param(QFormat(25, 24), True, id="Q25.24-float64"),
-    pytest.param(QFormat(26, 25), False, id="Q26.25-int64"),
-    pytest.param(QFormat(27, 26), False, id="Q27.26-int64")])
-def test_both_sides_of_the_float64_rule_match_the_oracle(fmt, in_float):
+    pytest.param(QFormat(26, 25), False, id="Q26.25-rejected"),
+    pytest.param(QFormat(27, 26), False, id="Q27.26-rejected")])
+def test_both_sides_of_the_float64_rule_match_the_oracle(fmt, accepted):
     f, lo, hi = fmt.fraction_bits, fmt.raw_min, fmt.raw_max  # lo = -2**f
     extremes = [lo, lo + 1, -1, 0, 1, hi - 1, hi]
     rng = np.random.default_rng(fmt.total_bits)
@@ -861,9 +860,13 @@ def test_both_sides_of_the_float64_rule_match_the_oracle(fmt, in_float):
     # neuron 1's accumulator needs every bit: 12 products lo * lo and the
     # bias hi * 2**f on the all-lo row, about 13 * 2**(2f)
     w_hidden[1], b_hidden[1] = lo, hi
-    m = MlpModel(w_hidden=w_hidden / fmt.scale, b_hidden=b_hidden / fmt.scale,
-                 w_out=w_out / fmt.scale, b_out=np.array([0, lo]) / fmt.scale, q_format=fmt)
-    assert m._kernel.in_float is in_float
+    params = dict(w_hidden=w_hidden / fmt.scale, b_hidden=b_hidden / fmt.scale,
+                  w_out=w_out / fmt.scale, b_out=np.array([0, lo]) / fmt.scale, q_format=fmt)
+    if not accepted:
+        with pytest.raises(ValueError, match="past the 53 bits"):
+            MlpModel(**params)
+        return
+    m = MlpModel(**params)
     x = rng.choice([*(np.array(extremes) / fmt.scale), np.inf, -np.inf, 1e30, -1e30],
                    size=(40, 12))
     x[0] = np.array([lo, lo, 2 ** (f - 1) + 1, lo, lo] + [0] * 7) / fmt.scale
@@ -879,7 +882,7 @@ def test_both_sides_of_the_float64_rule_match_the_oracle(fmt, in_float):
 
 
 def test_accumulator_guard_rejects_oversized_formats():
-    with pytest.raises(ValueError, match="int64"):
+    with pytest.raises(ValueError, match="need 66 bits .* past the 53 bits"):
         MlpModel(
             w_hidden=np.zeros((6, 12)),
             b_hidden=np.zeros(6),
@@ -890,8 +893,8 @@ def test_accumulator_guard_rejects_oversized_formats():
 
 
 # Fixed-point outputs of one batch and of its first rows one at a time
-# (BLAS gemm and gemv), in formats that run in float64 and in int64, with
-# parameters that saturate and inputs that do too, +-inf among them.
+# (BLAS gemm and gemv), with parameters that saturate and inputs that do
+# too, +-inf among them; Q25.24 runs the activations' segment code.
 _FIXED_DIGEST = """
 import hashlib
 import numpy as np
@@ -903,7 +906,7 @@ x = rng.uniform(-8, 8, size=(600, 12)) * rng.choice([0.05, 1.0, 10.0], size=(600
 x[rng.integers(600, size=80), rng.integers(12, size=80)] = rng.choice(
     [np.inf, -np.inf, 1e30, -1e30], size=80)
 digest = hashlib.sha256()
-for fmt in (QFormat(24, 12), QFormat(25, 24), QFormat(16, 14), QFormat(28, 14)):
+for fmt in (QFormat(24, 12), QFormat(25, 24), QFormat(16, 14)):
     def param(*shape):
         size = rng.choice([0.01, 1.0, 60.0], size=shape)
         return quantize_raw_array(rng.uniform(-1, 1, size=shape) * size, fmt) / fmt.scale
@@ -911,17 +914,6 @@ for fmt in (QFormat(24, 12), QFormat(25, 24), QFormat(16, 14), QFormat(28, 14)):
                  b_out=param(2), q_format=fmt)
     digest.update(forward_batch(m, x).tobytes())
     digest.update(np.array([forward(m, row) for row in x[:100]]).tobytes())
-# Q28.14 runs in int64.  Summed in float64 in input order, hidden neuron
-# 0 would round 2**54 + 2**13 + 1 to even before the third product takes
-# 2**54 back off; gemv sums that row in another order on some kernels,
-# and the lost unit would change output 1.
-fmt = QFormat(28, 14)
-lo, hi = fmt.raw_min, fmt.raw_max
-w_hidden, b_hidden, w_out = np.zeros((6, 12)), np.zeros(6), np.zeros((2, 6))
-w_hidden[0, :3], b_hidden[0], w_out[1, 0] = [lo, 1, hi], -4096, fmt.scale
-m = MlpModel(w_hidden=w_hidden / fmt.scale, b_hidden=b_hidden / fmt.scale,
-             w_out=w_out / fmt.scale, b_out=np.array([0, 1]) / fmt.scale, q_format=fmt)
-digest.update(forward(m, np.array([lo, 2 ** 13 + 1, lo] + [0] * 9) / fmt.scale).tobytes())
 print(digest.hexdigest())
 """
 

@@ -51,6 +51,8 @@ REMOVED = {
         "RpropState", "one_hot",
         "train(balance, plateau_epsilon, plateau_epochs, rprop_hyper)",
         "balance_classes(floor_ratio)",
+        # moved to ecgarr.fixedpoint, beside check_accumulator
+        "FLOAT64_EXACT_BITS",
     ],
     "ecgarr.selflearn": ["SelfLearnerState.phase", "SelfLearnerState.learn_buffer",
                          "initialize"],
