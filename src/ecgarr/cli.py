@@ -25,21 +25,21 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .activation import platanh, tanh_exact
-from .dsp import PeakTrain, detect_r_peaks
 from .experiment import (
     CLASSIFIER_MODES,
     DETECTOR_MODES,
     SWEEP_FRACTION_BITS,
     PipelineConfig,
-    annotated_beats,
-    label_peaks,
     map_records,
+    read_beats,
     record_signal,
+    record_table,
     render_experiment,
     render_sweep,
     run_experiment,
@@ -49,7 +49,6 @@ from .features import (
     PCA_COMPONENTS,
     WINDOW_HALF_WIDTH,
     BeatFeatureRow,
-    beat_table,
     feature_matrix,
     fit_pca,
     load_features,
@@ -60,7 +59,7 @@ from .fixedpoint import QFormat, check_accumulator
 from .mlp import (ACTIVATIONS, init_model, load_model, predict_batch, quantize_model,
                   save_model, train)
 from .selflearn import run_self_learner, save_anomaly_log
-from .wfdb_io import ingest_record
+from .wfdb_io import ingest_record, read_header, record_files
 
 __all__ = ["main"]
 
@@ -165,8 +164,9 @@ _OPTIONS = {
     "tolerance": _Option("--tolerance", "relative rhythm tolerance", float,
                          field="tolerance_fraction",
                          valid=lambda v: 0 < v < 1, rule="in (0, 1)"),
+    # the error curve takes about 50 bytes a grid point: 12e6 points, 0.6 GB, at 1e-6
     "grid_step": _Option("--grid-step", "grid spacing", float, 1e-4,
-                         valid=lambda v: 0 < v <= 1, rule="in (0, 1]"),
+                         valid=lambda v: 1e-6 <= v <= 1, rule="in [1e-6, 1]"),
     "out_dir": _Option("--out-dir", "directory for artifacts + manifest"),
 }
 
@@ -229,14 +229,11 @@ def _sha256(path: str) -> str:
 
 
 def _input_paths(opts: dict) -> list[str]:
-    """Every file a run reads: each record header with the .dat and .atr
-    beside it that exist, then the peaks, features and model files."""
-    paths = []
+    """Every file a run reads: each record's files (record_files) that
+    exist, then the peaks, features and model files."""
     headers = opts.get("records") or ([opts["record"]] if opts.get("record") else [])
-    for header in headers:
-        stem = os.path.splitext(header)[0]
-        paths += [header] + [p for p in (stem + ".dat", stem + ".atr")
-                             if os.path.exists(p)]
+    paths = [p for header in headers for p in record_files(header, read_header(header))
+             if os.path.exists(p)]
     return paths + [opts[k] for k in ("peaks", "features", "model") if opts.get(k)]
 
 
@@ -265,22 +262,7 @@ def _write_artifacts(command: str, opts: dict, artifacts: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared record plumbing
-
-
-def _beat_positions(record, signal, opts) -> np.ndarray:
-    """Peak train from a detect artifact, the annotations, or the detector."""
-    if opts.get("peaks"):
-        idx = np.loadtxt(opts["peaks"], dtype=np.int64, ndmin=1)
-        outside = idx[(idx < 0) | (idx >= signal.size)]
-        if outside.size:
-            raise ValueError(f"{opts['peaks']}: peak {outside[0]} is outside record "
-                             f"{record.header.record_name}'s {signal.size} samples")
-        return PeakTrain(idx, record.header.sampling_frequency).r_indices
-    if opts.get("peaks_from_annotations"):
-        return annotated_beats(record)[0]
-    peaks = detect_r_peaks(signal, record.header.sampling_frequency)
-    return peaks.r_indices
+# the fixed-point format check
 
 
 def _qformat(total_bits: int, fraction_bits: int, layer_sizes=None,
@@ -318,25 +300,16 @@ def cmd_ingest(opts):
 
 
 def cmd_detect(opts):
-    record = ingest_record(opts["record"])
-    signal = record_signal(record, opts["channel"])
-    peaks = detect_r_peaks(signal, record.header.sampling_frequency).r_indices
-    name = record.header.record_name
+    name, _, _, peaks, _, _ = read_beats(opts["record"], opts["channel"], "uni-dwt")
     return ({f"{name}-peaks.txt": _lines(peaks.tolist())},
             f"{name}: {peaks.size} peaks\n")
 
 
 def cmd_features(opts):
-    def record_table(header):
-        record = ingest_record(header)
-        signal = record_signal(record, opts["channel"])
-        fs = record.header.sampling_frequency
-        peaks = _beat_positions(record, signal, opts)
-        labels = label_peaks(peaks, *annotated_beats(record), fs)
-        return record.header.record_name, beat_table(signal, fs, peaks, labels,
-                                                     (opts["window"] - 1) // 2)
-
-    per_record = map_records(record_table, opts["records"])
+    detector = "ann" if opts["peaks_from_annotations"] else "uni-dwt"
+    load = partial(record_table, channel=opts["channel"], detector=detector,
+                   half_width=(opts["window"] - 1) // 2, peaks_file=opts["peaks"])
+    per_record = map_records(load, opts["records"])
     if not sum(len(beats) for _, beats in per_record):
         raise ValueError("no usable labeled beats in the given records")
 
@@ -383,11 +356,10 @@ def cmd_infer(opts):
 
 
 def cmd_selflearn(opts):
-    record = ingest_record(opts["record"])
-    signal = record_signal(record, opts["channel"])
-    peaks = _beat_positions(record, signal, opts)
+    detector = "ann" if opts["peaks_from_annotations"] else "uni-dwt"
+    name, _, _, peaks, _, _ = read_beats(opts["record"], opts["channel"], detector,
+                                         opts["peaks"])
     events, state = run_self_learner(peaks, tolerance_fraction=opts["tolerance"])
-    name = record.header.record_name
     return ({"anomalies.csv": lambda path: save_anomaly_log(path, name, events)},
             f"{name}: {len(events)} anomalies, stable interval {state.st_rr:g} samples\n")
 

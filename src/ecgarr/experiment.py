@@ -1,13 +1,15 @@
 """End-to-end evaluation runs over one or more ECG records.
 
 A run ingests records, locates beats (from annotations or the wavelet
-detector), builds morphology + spacing features, trains or applies a
-classifier (or the unsupervised rhythm monitor), and scores everything
-against the annotation labels, per record and pooled.  Given the same
-configuration and seed the result is bit-for-bit reproducible on one
-numpy/OpenBLAS build: PCA and the training matmuls run in BLAS, whose
-kernels differ by CPU type.  Fixed-point inference does not depend on
-the BLAS kernel: its float64 matrix products are exact integer sums.
+detector; read_beats, which also takes a peaks file, is the one beat
+reader of every command), builds morphology + spacing features, trains
+or applies a classifier (or the unsupervised rhythm monitor), and scores
+everything against the annotation labels, per record and pooled.
+Given the same configuration and seed the result is bit-for-bit
+reproducible on one numpy/OpenBLAS build: PCA and the training matmuls
+run in BLAS, whose kernels differ by CPU type.  Fixed-point inference
+does not depend on the BLAS kernel: its float64 matrix products are
+exact integer sums.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dsp import detect_r_peaks
-from .features import beat_table, feature_matrix, fit_pca
+from .dsp import PeakTrain, detect_r_peaks
+from .features import WINDOW_HALF_WIDTH, beat_table, feature_matrix, fit_pca
 # the benchmark's tracer wraps these per-beat names in this module
 from .features import build_feature_vector, project, window_beat  # noqa: F401
 from .fixedpoint import QFormat
@@ -35,7 +37,7 @@ from .metrics import (
 )
 from .mlp import init_model, predict_batch, quantize_model, train
 from .selflearn import TOLERANCE, find_stable_window, run_self_learner
-from .wfdb_io import BeatLabel, ingest_record, label_beat
+from .wfdb_io import BeatLabel, ingest_record, label_beat, record_files
 
 __all__ = [
     "ExperimentResult",
@@ -45,7 +47,9 @@ __all__ = [
     "annotated_beats",
     "label_peaks",
     "map_records",
+    "read_beats",
     "record_signal",
+    "record_table",
     "render_experiment",
     "render_sweep",
     "run_experiment",
@@ -138,10 +142,9 @@ def _pool(pid):
 def map_records(load, paths) -> list:
     """load(header) of each record, in record order, on the process's one
     loading pool (numpy's work releases the interpreter lock).  A missing
-    header or annotation file fails before any record is read; after that
-    the first failing record, in record order, raises."""
-    missing = [p for header in paths
-               for p in (header, os.path.splitext(header)[0] + ".atr")
+    header or annotation file (record_files) fails before any record is
+    read; after that the first failing record, in record order, raises."""
+    missing = [p for header in paths for p in record_files(header)
                if not os.path.exists(p)]
     if missing:
         raise FileNotFoundError("missing record files: " + ", ".join(missing))
@@ -175,26 +178,42 @@ def record_signal(record, channel: int) -> np.ndarray:
     return record.samples[channel].astype(np.float64)
 
 
-def _read_beats(config, header):
-    """A record's id, signal, fs, beat train and annotated indices and labels."""
+def read_beats(header, channel: int, detector: str, peaks_file=None):
+    """A record's id, signal, fs, beat indices and annotated indices and
+    labels.  The beats are peaks_file's (a detect artifact) if given, else
+    the annotated beats (detector "ann") or the wavelet detector's."""
     record = ingest_record(header)
-    signal = record_signal(record, config.channel)
+    signal = record_signal(record, channel)
     record_id, fs = record.header.record_name, record.header.sampling_frequency
     ann_idx, ann_lab = annotated_beats(record)
     del record  # its samples of every channel, not read again
-    peaks = ann_idx if config.detector == "ann" else detect_r_peaks(signal, fs).r_indices
+    if peaks_file:
+        peaks = np.loadtxt(peaks_file, dtype=np.int64, ndmin=1)
+        outside = peaks[(peaks < 0) | (peaks >= signal.size)]
+        if outside.size:
+            raise ValueError(f"{peaks_file}: peak {outside[0]} is outside record "
+                             f"{record_id}'s {signal.size} samples")
+        peaks = PeakTrain(peaks, fs).r_indices
+    elif detector == "ann":
+        peaks = ann_idx
+    else:
+        peaks = detect_r_peaks(signal, fs).r_indices
     return record_id, signal, fs, peaks, ann_idx, ann_lab
+
+
+def record_table(header, channel: int, detector: str,
+                 half_width: int = WINDOW_HALF_WIDTH, peaks_file=None):
+    """A record's id and its labeled interior beats, read_beats' beats
+    cut half_width samples either side.  Annotated beats carry their own
+    labels; any other beat takes the label of the annotation it matched."""
+    record_id, signal, fs, peaks, ann_idx, ann_lab = read_beats(header, channel, detector,
+                                                                peaks_file)
+    labels = ann_lab if peaks is ann_idx else label_peaks(peaks, ann_idx, ann_lab, fs)
+    return record_id, beat_table(signal, fs, peaks, labels, half_width)
 
 
 # ---------------------------------------------------------------------------
 # classifier path
-
-
-def _record_table(config, header):
-    """A record's id and its labeled interior beats."""
-    record_id, signal, fs, peaks, ann_idx, ann_lab = _read_beats(config, header)
-    labels = ann_lab if config.detector == "ann" else label_peaks(peaks, ann_idx, ann_lab, fs)
-    return record_id, beat_table(signal, fs, peaks, labels)
 
 
 def _train_classifier(config):
@@ -203,7 +222,8 @@ def _train_classifier(config):
     repeat).  The fixed classifier and the sweep train the
     piecewise-linear net they then quantize."""
     train_halves, test = [], []
-    for record_id, table in map_records(partial(_record_table, config), config.record_paths):
+    load = partial(record_table, channel=config.channel, detector=config.detector)
+    for record_id, table in map_records(load, config.record_paths):
         half = len(table) // 2
         train_halves.append(table[:half])
         test.append((record_id, table[half:]))
@@ -240,7 +260,8 @@ def _classifier_verdicts(config):
 
 def _record_verdicts(config, header):
     """A record's id and verdicts: the monitor reads no windows or labels."""
-    record_id, signal, fs, peaks, ann_idx, ann_lab = _read_beats(config, header)
+    record_id, signal, fs, peaks, ann_idx, ann_lab = read_beats(header, config.channel,
+                                                                config.detector)
     del signal  # freed before judging: kept, it raised a two-worker run's peak by ~15 MB
     return (record_id, *_self_learner_verdicts(record_id, peaks, ann_idx, ann_lab, fs,
                                                config.tolerance_fraction))

@@ -1,15 +1,13 @@
 """Confusion counts, the four ratio metrics, and beat matching.
 
-The arrhythmia class is the positive one throughout.  Ratios are formed
-in exact rational arithmetic and only converted to floats at the edge,
-so a metric is either the exactly-rounded quotient or None when its
-denominator is empty.
+The arrhythmia class is the positive one throughout.  A metric is the
+quotient of two integer counts, which Python's int / int rounds
+correctly, or None when its denominator is empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -68,7 +66,7 @@ class MetricsReport:
 def _ratio(num: int, den: int):
     if den == 0:
         return None
-    return float(Fraction(num, den))
+    return num / den
 
 
 def compute_metrics(counts: ConfusionCounts, config: dict | None = None) -> MetricsReport:

@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsp import PeakTrain
-
 __all__ = [
     "AnomalyEvent",
     "NoStableRhythmError",
@@ -121,8 +119,6 @@ def find_stable_window(intervals, tolerance_fraction: float = TOLERANCE):
 
 
 def _peak_indices(peaks):
-    if isinstance(peaks, PeakTrain):
-        return peaks.r_indices
     return np.asarray(list(peaks), dtype=np.int64)
 
 

@@ -29,6 +29,8 @@ __all__ = [
     "label_beat",
     "parse_annotations",
     "parse_header",
+    "read_header",
+    "record_files",
 ]
 
 
@@ -98,8 +100,6 @@ class SignalSpec:
     file_name: str
     fmt: int
     gain: float = 200.0
-    adc_zero: int = 0
-    baseline: int | None = None
     description: str = ""
 
 
@@ -158,22 +158,22 @@ def _header_number(kind, text: str, lineno: int, what: str, token: str | None = 
         raise HeaderError(f"line {lineno}: bad {what} {token or text!r}") from None
 
 
-def _parse_gain_field(token: str, lineno: int):
-    """Split a gain token like ``200``, ``200(1024)`` or ``200(1024)/mV``.
+def _parse_gain_field(token: str, lineno: int) -> float:
+    """The gain of a token like ``200``, ``200(1024)`` or ``200(1024)/mV``.
 
-    Returns (gain, baseline-or-None); the unit suffix is dropped.
+    The baseline in parentheses must be an integer; it and the unit suffix
+    are dropped.
     """
     body = token.split("/", 1)[0]
-    baseline = None
     if "(" in body:
         if not body.endswith(")"):
             raise HeaderError(f"line {lineno}: malformed gain field {token!r}")
         body, base_str = body[:-1].split("(", 1)
-        baseline = _header_number(int, base_str, lineno, "baseline in gain field", token)
+        _header_number(int, base_str, lineno, "baseline in gain field", token)
     gain = _header_number(float, body, lineno, "gain", token)
     if gain == 0.0:
         gain = 200.0  # standard default when the field is written as 0
-    return gain, baseline
+    return gain
 
 
 def parse_header(text) -> RecordHeader:
@@ -231,19 +231,12 @@ def parse_header(text) -> RecordHeader:
             raise FormatUnsupportedError(
                 f"line {lineno}: sample format {fmt} unsupported (only 212)"
             )
-        gain, baseline = (200.0, None)
-        if len(fields) >= 3:
-            gain, baseline = _parse_gain_field(fields[2], lineno)
-        adc_zero = _header_number(int, fields[4], lineno, "adc zero") if len(fields) >= 5 else 0
+        gain = _parse_gain_field(fields[2], lineno) if len(fields) >= 3 else 200.0
+        if len(fields) >= 5:
+            _header_number(int, fields[4], lineno, "adc zero")  # checked, not kept
         description = " ".join(fields[9:]) if len(fields) > 9 else ""
-        specs.append(SignalSpec(
-            file_name=file_name,
-            fmt=fmt,
-            gain=gain,
-            adc_zero=adc_zero,
-            baseline=baseline if baseline is not None else adc_zero,
-            description=description,
-        ))
+        specs.append(SignalSpec(file_name=file_name, fmt=fmt, gain=gain,
+                                description=description))
 
     return RecordHeader(
         record_name=record_name,
@@ -374,20 +367,35 @@ def parse_annotations(data: bytes, n_samples: int | None = None) -> list[Annotat
 # whole-record ingest
 
 
-def ingest_record(header_path) -> EcgRecord:
-    """Read header, samples, and (optionally) annotations for a record.
-
-    Sample files are resolved relative to the header's directory.  When
-    several signals share one file their samples are interleaved in
-    signal order.  Annotations come from the ``.atr`` file beside the
-    header; without one the annotation list is empty.
-    """
-    header_path = os.fspath(header_path)
+def read_header(header_path) -> RecordHeader:
+    """The header file at header_path, parsed."""
     with open(header_path, "rb") as fh:
-        header = parse_header(fh.read())
-    base_dir = os.path.dirname(header_path)
+        return parse_header(fh.read())
 
-    # group signal indices by their backing file, keeping declaration order
+
+def record_files(header_path, header: RecordHeader | None = None) -> tuple[str, ...]:
+    """The files the record at header_path is read from: the header; each
+    sample file that header, the parsed header, names (beside header_path,
+    in the order first named; none when header is not given); and the
+    ``.atr`` beside header_path, which may be absent."""
+    header_path = os.fspath(header_path)
+    names = dict.fromkeys(s.file_name for s in header.signals) if header else ()
+    base_dir = os.path.dirname(header_path)
+    return (header_path, *(os.path.join(base_dir, name) for name in names),
+            os.path.splitext(header_path)[0] + ".atr")
+
+
+def ingest_record(header_path) -> EcgRecord:
+    """Read header, samples, and (optionally) annotations for a record,
+    from the files record_files names.
+
+    When several signals share one file their samples are interleaved in
+    signal order.  Without an ``.atr`` the annotation list is empty.
+    """
+    header = read_header(header_path)
+    _, *sample_paths, annotation_path = record_files(header_path, header)
+
+    # group signal indices by their backing file, in record_files' order
     groups: dict[str, list[int]] = {}
     for idx, spec in enumerate(header.signals):
         groups.setdefault(spec.file_name, []).append(idx)
@@ -395,15 +403,14 @@ def ingest_record(header_path) -> EcgRecord:
     # decoding checks that each file holds the samples the header claims
     n = header.n_samples
     decoded = []
-    for file_name, indices in groups.items():
-        with open(os.path.join(base_dir, file_name), "rb") as fh:
+    for path, indices in zip(sample_paths, groups.values()):
+        with open(path, "rb") as fh:
             decoded.append((indices, decode_format212(fh.read(), len(indices) * n)))
     samples = np.empty((header.n_signals, n), dtype=np.int32)
     for indices, series in decoded:
         samples[indices] = series.reshape(n, len(indices)).T
 
     annotations: list[Annotation] = []
-    annotation_path = os.path.splitext(header_path)[0] + ".atr"
     if os.path.exists(annotation_path):
         with open(annotation_path, "rb") as fh:
             annotations = parse_annotations(fh.read(), n_samples=n)

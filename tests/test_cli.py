@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecgarr import experiment
+from ecgarr import cli, experiment
 from ecgarr.cli import main
 from ecgarr.experiment import SWEEP_FRACTION_BITS, PipelineConfig
 from ecgarr.features import WINDOW_HALF_WIDTH, load_features
@@ -88,6 +88,31 @@ def test_activation_error_prints_claim(capsys):
 def test_activation_error_coarse_grid(capsys):
     assert main(["activation-error", "--grid-step", "0.001"]) == 0
     assert "at x = 0.5" in capsys.readouterr().out
+
+
+class _GridBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_grid_step_below_a_millionth_is_usage_error(tmp_path, capsys, monkeypatch, via_config):
+    # the error curve takes about 50 bytes a grid point, so 1e-7 would ask
+    # for about 6 GB; no grid is ever built here
+    def no_grid(*args, **kwargs):
+        raise _GridBuilt
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text("[activation-error]\ngrid_step = 1e-7\n")
+    argv = (["--config", str(cfg), "activation-error"] if via_config
+            else ["activation-error", "--grid-step", "1e-7"])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config value grid_step = 1e-07" if via_config
+                          else "error: --grid-step 1e-07")
+    assert "in [1e-6, 1]" in err
+    with pytest.raises(_GridBuilt):  # the bound itself is accepted
+        main(["activation-error", "--grid-step", "1e-6"])
 
 
 def test_activation_error_artifact(tmp_path, capsys):
@@ -545,6 +570,44 @@ def test_features_without_annotations_fails_before_reading(records, tmp_path, ca
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: missing record files: {tmp_path / 'bare.atr'}\n"
+
+
+def test_detect_and_selflearn_read_a_record_without_annotations(tmp_path, capsys):
+    # one record, no labels: neither command needs the .atr
+    bare = classifier_record(tmp_path, "bare", seed=2)
+    (tmp_path / "bare.atr").unlink()
+    out = tmp_path / "detect"
+    assert main(["detect", "--record", bare, "--out-dir", str(out)]) == 0
+    assert np.loadtxt(out / "bare-peaks.txt", dtype=int).size == 40
+    assert set(read_manifest(out)["inputs"]) == {bare, str(tmp_path / "bare.dat")}
+    assert main(["selflearn", "--record", bare, "--out-dir", str(tmp_path / "sl")]) == 0
+    assert capsys.readouterr().out.startswith("bare: 40 peaks\nbare: 0 anomalies")
+
+
+def test_annotation_peaks_take_their_own_labels(records, tmp_path, monkeypatch, capsys):
+    # an annotated beat is labelled by its own symbol, never matched to itself
+    def no_matching(*args, **kwargs):
+        raise AssertionError("annotation peaks went through beat matching")
+
+    monkeypatch.setattr(experiment, "match_beats", no_matching)
+    out = tmp_path / "f"
+    assert main(["features", "--record", records["a"], "--peaks-from-annotations",
+                 "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == "38 beats from 1 record(s)\n"
+    labels = [row.label for row in load_features(out / "features.txt")]
+    assert "0" in labels and "1" in labels
+
+
+def test_manifest_hashes_the_sample_file_the_header_names(tmp_path):
+    # r1.hea names samples_r1.dat; an r1.dat beside it is never read
+    header = Path(classifier_record(tmp_path, "r1", seed=0))
+    header.write_text(header.read_text().replace("r1.dat", "samples_r1.dat"))
+    (tmp_path / "r1.dat").rename(tmp_path / "samples_r1.dat")
+    (tmp_path / "r1.dat").write_bytes(b"stale")
+    out = tmp_path / "o"
+    assert main(["detect", "--record", str(header), "--out-dir", str(out)]) == 0
+    read = [str(header), str(tmp_path / "samples_r1.dat"), str(tmp_path / "r1.atr")]
+    assert read_manifest(out)["inputs"] == {p: sha256(p) for p in read}
 
 
 def test_even_window_rejected(records, tmp_path, capsys):

@@ -76,6 +76,22 @@ def test_randomized_against_fraction_oracle():
         checked += 1
 
 
+def test_counts_past_2_53_against_fraction_oracle():
+    # past 2**53 a count is no longer exact as a float: dividing the float
+    # counts rounds three times, the integer quotient once
+    rng = np.random.default_rng(53)
+    float_quotient_differs = 0
+    for _ in range(500):
+        tp, tn, fp, fn = (int(v) for v in rng.integers(2**53, 2**62, size=4))
+        r = compute_metrics(ConfusionCounts(tp, tn, fp, fn))
+        for got, num, den in [(r.accuracy, tp + tn, tp + tn + fp + fn),
+                              (r.sensitivity, tp, tp + fn), (r.specificity, tn, tn + fp),
+                              (r.ppv, tp, tp + fp)]:
+            assert got == float(Fraction(num, den))
+            float_quotient_differs += got != float(num) / float(den)
+    assert float_quotient_differs
+
+
 def test_report_range_validation():
     with pytest.raises(ValueError, match="accuracy"):
         MetricsReport(1.2, None, None, None, ConfusionCounts(tp=1))

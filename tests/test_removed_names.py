@@ -60,7 +60,8 @@ REMOVED = {
         "classifier_activations", "PipelineConfig.split", "PipelineConfig.match_window_ms",
         "label_peaks(window_ms)", "PipelineConfig.output_dir",
     ],
-    "ecgarr.wfdb_io": ["ingest_record(annotation_path)"],
+    "ecgarr.wfdb_io": ["ingest_record(annotation_path)", "SignalSpec.adc_zero",
+                       "SignalSpec.baseline"],
     "ecgarr.metrics": ["match_beats(window_ms)"],
 }
 

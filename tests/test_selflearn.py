@@ -221,7 +221,7 @@ def test_monitor_requires_advancing_peaks():
 
 
 def test_monitor_accepts_peak_train():
-    train = PeakTrain(np.array([345, 690, 1035]), 500.0)
+    train = PeakTrain(np.array([345, 690, 1035]), 500.0).r_indices
     events, final = monitor(train, monitoring_state(345.0, anchor_index=0))
     assert events == []
     assert final.st_rr == 345.0
@@ -265,7 +265,7 @@ def test_run_needs_five_peaks():
 
 
 def test_run_accepts_peak_train():
-    train = PeakTrain(np.arange(0, 345 * 8, 345), 500.0)
+    train = PeakTrain(np.arange(0, 345 * 8, 345), 500.0).r_indices
     events, final = run_self_learner(train)
     assert events == []
     assert final == SelfLearnerState(345.0, 0.15, 345 * 7)

@@ -42,7 +42,8 @@ def test_parse_header_basic():
     assert all(s.fmt == 212 for s in hdr.signals)
     assert hdr.signals[0].file_name == "rec1.dat"
     assert hdr.signals[0].gain == 200.0
-    assert hdr.signals[0].adc_zero == 1024
+    with pytest.raises(HeaderError, match="line 2: bad adc zero '1O24'"):
+        parse_header(text.replace(" 1024 ", " 1O24 ", 1))
 
 
 def test_parse_header_accepts_bytes():
@@ -54,7 +55,8 @@ def test_parse_header_gain_with_baseline_and_units():
     text = "x 1 250 100\nx.dat 212 200(512)/mV 11 0 0 0 0 lead\n"
     hdr = parse_header(text)
     assert hdr.signals[0].gain == 200.0
-    assert hdr.signals[0].baseline == 512
+    with pytest.raises(HeaderError, match=r"line 2: bad baseline in gain field '200\(5x2\)/mV'"):
+        parse_header(text.replace("(512)", "(5x2)"))
 
 
 def test_parse_header_counter_frequency_suffix():
