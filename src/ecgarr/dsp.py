@@ -176,36 +176,43 @@ class PeakTrain:
         return int(self.r_indices.size)
 
 
-def _wrap(a, left, right):
-    """a extended circularly by left samples before it and right after,
-    with no temporary the size of a."""
-    n = a.size
-    return np.concatenate((np.take(a, np.arange(n - left, n), mode="wrap"), a,
-                           np.take(a, np.arange(n, n + right), mode="wrap")))
+def _gather(phases, n, start, step, out):
+    """Fill out[k] with A[(start + step k) mod n], where the n-long series
+    A is held as its D = len(phases) phases, A[i] = phases[i % D][i // D],
+    and D divides step: a stride-(step // D) view of one phase up to the
+    record's end, then the same from where the run wraps round."""
+    dilation, k = len(phases), 0
+    while k < out.size:
+        start %= n
+        run = min(out.size - k, -(-(n - start) // step))
+        out[k : k + run] = phases[start % dilation][start // dilation :: step // dilation][:run]
+        k, start = k + run, start + step * run
+    return out
 
 
 def _atrous(x, h, g, depth, kept):
-    """Circular undecimated (a trous) details {level: D} for the kept
+    """Circular undecimated (a trous) details {level: phases} for the kept
     levels: with A_0 = x, A_l[p] = sum_j A_(l-1)[(p + 2**(l-1) j) mod n] h[j]
-    and D_l the same with g.  A dilated level runs as 2**(l-1) phase
-    correlations, each the np.convolve call _analysis_step makes, so each
-    coefficient is the same dot product of the same taps in the same
-    order.  An approximation is dropped once the next level is built."""
-    n = x.size
-    a, details = x, {}
+    and D_l the same with g.  Level l, at dilation D = 2**(l-1), is held as
+    its D phases, phase p the series A_l[p], A_l[p + D], ...: the
+    np.convolve output of the correlation _analysis_step makes, run over
+    a stride-2 view of one phase of the level above and the few samples
+    that wrap round the end, so each coefficient is the same dot product
+    of the same taps in the same order.  An approximation is dropped once
+    the next level is built."""
+    n, m = x.size, h.size
+    a, details = [x], {}
     for level in range(1, depth + 1):
         dilation = 2 ** (level - 1)
-        ext = _wrap(a, 0, dilation * (h.size - 1))
-        a = np.empty(n) if level < depth else None
-        d = np.empty(n) if level in kept else None
+        above, a, d = a, [], []
         for phase in range(dilation):
-            seq = np.ascontiguousarray(ext[phase::dilation])
-            for out, filt in ((a, h), (d, g)):
-                if out is not None:
-                    out[phase::dilation] = np.convolve(seq, filt[::-1], mode="valid")
-            del seq
-        del ext
-        if d is not None:
+            seq = _gather(above, n, phase, dilation, np.empty(-(-(n - phase) // dilation) + m - 1))
+            if level < depth:
+                a.append(np.convolve(seq, h[::-1], mode="valid"))
+            if level in kept:
+                d.append(np.convolve(seq, g[::-1], mode="valid"))
+            del seq  # freed before the next is made: the heap stays compact
+        if level in kept:
             details[level] = d
     return details
 
@@ -219,14 +226,18 @@ def _band_energy(x):
 
     Away from the rotated record's ends, detail k of level l of shift s
     is the circular a trous detail D_l[2**l k - (2**l - 1) m + s], m taps,
-    so one shared analysis serves every shift as strided views.  The few
-    coefficients whose taps reach the symmetric padding come from the
-    decimated bank run on the rotated record's first and last
-    2**depth * (m + 1) samples (the tail starting on a multiple of
-    2**depth, where its coefficients line up with the record's); a record
-    shorter than twice that takes both segments whole.  The band is then
-    the usual polyphase synthesis, its last level squared and added into
-    the energy a block at a time.
+    so one shared analysis serves every shift: its interior coefficients
+    are a stride-2 view of one of D_l's phases (_gather), copied straight
+    into the shift's detail.  The few coefficients whose taps reach the
+    symmetric padding come from the decimated bank run on the rotated
+    record's first and last 2**depth * (m + 1) samples (the tail starting
+    on a multiple of 2**depth, where its coefficients line up with the
+    record's); a record shorter than twice that takes both segments
+    whole.  The band is then the usual polyphase synthesis, its last
+    level squared a block at a time and added into two parity planes of
+    the energy, even and odd samples, each block contiguous in one plane
+    (or two, where it wraps round an odd-length record's end).  The
+    planes are interleaved once, after the shared details are freed.
     """
     _check_signal(x)
     h, g, kept, shifts = _H, _G, DETAIL_LEVELS, 2**LEVELS
@@ -237,44 +248,42 @@ def _band_energy(x):
 
     # Per level: the coefficient count and the interior [lo, stop), whose
     # taps read no padding, directly or through the levels above; per
-    # kept level also the shared details, padded circularly, with the
-    # offset of shift 0's first interior coefficient.
+    # kept level also where shift 0's first interior coefficient sits in
+    # the shared details.
     shared = _atrous(x, h, g, depth, kept)
     lengths, views, lo, hi = [n], {}, 0, n - 1
     for level in range(1, depth + 1):
         lengths.append((lengths[-1] + m) // 2 + 1)
         lo, hi = (lo + m + 1) // 2, (hi + 1) // 2
         if level in shared:
-            stop, step = max(lo, hi + 1), 2**level
-            first = step * lo - (step - 1) * m
-            left = max(0, -first)
-            right = max(0, first + step * (stop - lo - 1) + shifts - n)
-            views[level] = lo, stop, left + first, _wrap(shared.pop(level), left, right)
+            views[level] = lo, max(lo, hi + 1), 2**level * lo - (2**level - 1) * m
 
-    energy = np.zeros_like(x)
+    planes = np.zeros(n - n // 2), np.zeros(n // 2)  # energy[0::2], energy[1::2]
     for s in range(shifts):
         _, head, _ = _analyze(np.take(x, np.arange(s, s + span), mode="wrap"),
                               h, g, depth, kept, keep_approx=False)
         _, end, _ = _analyze(np.take(x, np.arange(s + tail, s + n), mode="wrap"),
                              h, g, depth, kept, keep_approx=False)
         details = [None] * depth
-        for level, (lo, stop, first, padded) in views.items():
-            step = 2**level
+        for level, (lo, stop, first) in views.items():
             details[level - 1] = d = np.empty(lengths[level])
             d[:lo] = head[level - 1][:lo]
-            d[lo:stop] = padded[first + s : first + s + step * (stop - lo) : step]
+            _gather(shared[level], n, first + s, 2**level, d[lo:stop])
             d[stop:] = end[level - 1][stop - (tail >> level) :]
         del d  # only the list holds the details, so each is freed once used
         finest = details.pop(0)
         a = _synthesize(None, details, lengths[1:depth], h, g)
         for r, q, block in _synthesis_blocks(a, finest, h, g, n):
             block *= block
-            start = (2 * q + r + s) % n  # where band sample 2q + r belongs
-            into = energy[start::2][: block.size]
-            into += block[: into.size]
-            # the rest, if any, wraps round to the record's start
-            energy[start + 2 * into.size - n :: 2][: block.size - into.size] += block[into.size :]
+            e = 2 * q + r + s  # where band sample 2q + r belongs: energy[e mod n]
+            while block.size:  # the rest wraps round to the record's start
+                into = planes[e % 2][e // 2 :][: block.size]
+                into += block[: into.size]
+                block, e = block[into.size :], e + 2 * into.size - n
         del a, finest, block
+    del shared
+    energy = np.empty(n)
+    energy[0::2], energy[1::2] = planes
     energy /= shifts
     return energy
 
@@ -390,8 +399,6 @@ def detect_r_peaks(signal, fs: float) -> PeakTrain:
     kept: list[int] = []
     for c in candidates:
         if kept and c - kept[-1] < min_gap:
-            continue
-        if kept and c == kept[-1]:
             continue
         kept.append(c)
 

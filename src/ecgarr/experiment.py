@@ -188,7 +188,11 @@ def read_beats(header, channel: int, detector: str, peaks_file=None):
     ann_idx, ann_lab = annotated_beats(record)
     del record  # its samples of every channel, not read again
     if peaks_file:
-        peaks = np.loadtxt(peaks_file, dtype=np.int64, ndmin=1)
+        with open(peaks_file) as fh:
+            lines = fh.read().splitlines()
+        if not any(line.split("#")[0].strip() for line in lines):  # loadtxt would warn
+            raise ValueError(f"{peaks_file}: no peaks")
+        peaks = np.loadtxt(lines, dtype=np.int64, ndmin=1)
         outside = peaks[(peaks < 0) | (peaks >= signal.size)]
         if outside.size:
             raise ValueError(f"{peaks_file}: peak {outside[0]} is outside record "

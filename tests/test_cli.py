@@ -50,14 +50,18 @@ def read_manifest(out_dir):
 # start-up
 
 
-def _cli_import_prints(code):
-    """Standard output of code run after a fresh ``import ecgarr.cli``."""
+def _run_python(*args, check=True):
+    """A fresh interpreter with this package importable, run on args."""
     src = str(Path(experiment.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", "import ecgarr.cli; " + code], env=env,
-                          capture_output=True, text=True, check=True)
-    return done.stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=check)
+
+
+def _cli_import_prints(code):
+    """Standard output of code run after a fresh ``import ecgarr.cli``."""
+    return _run_python("-c", "import ecgarr.cli; " + code).stdout
 
 
 def test_cli_import_loads_no_scipy():
@@ -672,6 +676,19 @@ def test_peaks_outside_the_record_are_rejected(records, tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err == (f"error: {peaks}: peak {outside} is outside record recA's "
                    "12000 samples\n")
+
+
+@pytest.mark.parametrize("command", ["selflearn", "features"])
+def test_an_empty_peaks_file_is_one_error_line(records, tmp_path, command):
+    # in a fresh process, where numpy's "input contained no data" warning
+    # would reach stderr ahead of the error line
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    done = _run_python("-m", "ecgarr.cli", command, "--record", records["a"],
+                       "--peaks", str(empty), "--out-dir", str(tmp_path / "o"), check=False)
+    assert done.returncode == 1
+    assert done.stderr == f"error: {empty}: no peaks\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_channel_out_of_range_fails(records, tmp_path, capsys):

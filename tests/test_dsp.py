@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,23 @@ def test_band_energy_matches_oracle_on_full_benchmark_records(record_no, monkeyp
     assert dsp._band_energy(x).tobytes() == _oracle_energy(x).tobytes()
 
 
+def test_detector_on_two_threads_gives_the_serial_peaks(monkeypatch):
+    # as map_records runs it: both benchmark records at once, one per
+    # pool thread, so the shared analysis must be each call's own
+    records = _benchmark_records(monkeypatch)
+    signals = [records.synthesize(1, k)[0][0].astype(np.float64) for k in (0, 1)]
+    serial = [detect_r_peaks(x, records.FS).r_indices.tobytes() for x in signals]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' Python steps too
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            for _ in range(2):
+                assert [p.r_indices.tobytes() for p in pool.map(
+                    detect_r_peaks, signals, [records.FS] * 2, timeout=60)] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_benchmark_record_memory_stays_within_its_budget(tmp_path, monkeypatch):
     # A run loads its records on one thread per CPU, so its memory grows
     # by one record's transient arrays per worker.  Traced peaks on a
@@ -281,6 +299,25 @@ def test_benchmark_record_memory_stays_within_its_budget(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert ingest_peak <= 3 * samples_bytes, ingest_peak / samples_bytes
     assert detect_peak - before <= 4 * x.nbytes, (detect_peak - before) / x.nbytes
+
+
+@pytest.mark.parametrize("n", [16, 17, 30, 33, 101])
+def test_gather_matches_the_circular_strided_read(n):
+    # a series held as D phases, A[i] = phases[i % D][i // D], read from
+    # every start with a step D divides, runs wrapping past the end once
+    # or more, each into a slice of a larger buffer
+    a = np.arange(n, dtype=np.float64) * 1.5 - 7.0
+    for dilation in (1, 2, 4, 8):
+        phases = [a[p::dilation].copy() for p in range(dilation)]
+        for step in (dilation, 2 * dilation):
+            for start in range(-step, n + step):
+                for count in {0, 1, 5, n // step, n // step + 1, 3 * n // step + 7}:
+                    buffer = np.full(count + 2, np.nan)
+                    got = dsp._gather(phases, n, start, step, buffer[1:-1])
+                    want = a[(start + step * np.arange(count)) % n]
+                    assert got.base is buffer
+                    assert got.tobytes() == want.tobytes(), (dilation, step, start, count)
+                    assert np.isnan(buffer[[0, -1]]).all()
 
 
 @pytest.mark.parametrize("wavelet", sorted(dwt_oracle.DAUBECHIES))
