@@ -6,10 +6,10 @@ reader of every command), builds morphology + spacing features, trains
 or applies a classifier (or the unsupervised rhythm monitor), and scores
 everything against the annotation labels, per record and pooled.
 Given the same configuration and seed the result is bit-for-bit
-reproducible on one numpy/OpenBLAS build: PCA and the training matmuls
-run in BLAS, whose kernels differ by CPU type.  Fixed-point inference
-does not depend on the BLAS kernel: its float64 matrix products are
-exact integer sums.
+reproducible on one numpy/OpenBLAS build: PCA and training's five
+products per epoch run in BLAS, whose kernels differ by CPU type, and
+its bias gradients are einsum column sums in sum(axis=0)'s row order.
+Fixed-point inference is exact integer sums in float64 on every kernel.
 """
 
 from __future__ import annotations

@@ -149,19 +149,17 @@ def init_model(seed: int = 0, layer_sizes=(12, 6, 2), activation: str = "pla") -
 # forward passes
 
 
-def _as_features(x) -> np.ndarray:
-    values = getattr(x, "values", x)
-    return np.asarray(values, dtype=np.float64)
-
-
 def _forward_real_batch(activation, weights, x):
     """(hidden outputs, their slopes, outputs, their slopes) for a batch,
     from an activation mode and (w_hidden, b_hidden, w_out, b_out); the
     output layer maps the mode's tanh to [0, 1], halving its slope."""
     act = ACTIVATIONS[activation][0]
     w_hidden, b_hidden, w_out, b_out = weights
-    h, h_slope = act(x @ w_hidden.T + b_hidden)
-    y, y_slope = act(h @ w_out.T + b_out)
+    # each bias is added in place, in F order: the inner loop runs a column
+    z = x @ w_hidden.T
+    h, h_slope = act(np.add(z, b_hidden, out=z, order="F"))
+    z = h @ w_out.T
+    y, y_slope = act(np.add(z, b_out, out=z, order="F"))
     return h, h_slope, (y + 1.0) / 2.0, y_slope / 2.0
 
 
@@ -238,7 +236,7 @@ def forward(model: MlpModel, feature) -> np.ndarray:
     Fixed-mode inputs are expected pre-quantized to the model's format;
     quantization is applied anyway (it is idempotent on such values).
     """
-    x = _as_features(feature)
+    x = np.asarray(getattr(feature, "values", feature), dtype=np.float64)
     n_in = model.w_hidden.shape[1]
     if x.shape != (n_in,):
         raise ValueError(f"feature shape {x.shape}, expected ({n_in},)")
@@ -290,14 +288,18 @@ def _backprop(weights, x, targets, forward):
     """Gradients from the forward pass of these weights on x."""
     h, h_slope, out, out_slope = forward
     # d(mean((out-t)^2)) / d(out): mean over n rows * n_out entries
-    d_out = 2.0 * (out - targets) / targets.size
-    delta_o = d_out * out_slope
+    delta_o = 2.0 * (out - targets) / targets.size * out_slope
     gw_o = delta_o.T @ h
-    gb_o = delta_o.sum(axis=0)
-    delta_h = (delta_o @ weights[2]) * h_slope
+    delta_h = delta_o @ weights[2]
+    delta_h *= h_slope
     gw_h = delta_h.T @ x
-    gb_h = delta_h.sum(axis=0)
-    return gw_h, gb_h, gw_o, gb_o
+    return gw_h, _column_sums(delta_h), gw_o, _column_sums(delta_o)
+
+
+def _column_sums(a):
+    """a.sum(axis=0), byte for byte: past one column both add the rows in
+    order, einsum a few times faster; one column, sum adds pairwise."""
+    return np.einsum("ij->j", a) if a.shape[1] > 1 else a.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -362,15 +362,29 @@ def test_fused_lookup_matches_searchsorted():
     wide[::17, 2] = np.nan
     arrays = [edges, edges.reshape(-1, 1), wide, rng.uniform(-8, 8, size=(40, 7, 3)),
               np.array(0.5), np.array(math.nan), np.zeros((0, 6))]
-    for x in arrays:
+    read_only = wide.copy()
+    read_only.setflags(write=False)
+    for x in arrays + [read_only]:
+        before = x.tobytes()
         seg, value, slope = _searchsorted_pla(x)
-        assert np.array_equal(_pla_segments(x), seg)
+        got_seg = _pla_segments(x)
+        # intp is the documented dtype: take reads it without converting
+        assert got_seg.dtype == np.intp and got_seg.shape == np.shape(x)
+        assert np.array_equal(got_seg, seg)
         got_value, got_slope = _platanh_and_slope(x)
         # tobytes compares NaN payloads and the sign of zero too
         assert got_value.tobytes() == value.tobytes()
         assert got_slope.tobytes() == slope.tobytes()
         assert np.asarray(platanh(x)).tobytes() == value.tobytes()
         assert np.asarray(platanh_derivative(x)).tobytes() == slope.tobytes()
+        # the lookup only reads its input, read-only or not
+        assert x.tobytes() == before
+    # a 0-d input gives a 0-d value, and the public functions a Python float
+    value, slope = _platanh_and_slope(np.array(0.5))
+    assert np.shape(value) == np.shape(slope) == ()
+    assert (float(value), float(slope)) == (0.5, 1.0)
+    assert type(platanh(0.5)) is float and platanh(0.5) == 0.5
+    assert type(platanh_derivative(0.5)) is float and platanh_derivative(0.5) == 1.0
 
 
 def test_fused_lookup_against_oracle():

@@ -1,5 +1,6 @@
 """Classifier network: forward passes, gradients, rprop, quantization."""
 
+import functools
 import math
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 import ecgarr
 import fixed_oracle as oracle
 import rprop_oracle
+import train_oracle
 from ecgarr.activation import _lookup_table, platanh, platanh_derivative
 from ecgarr.features import FeatureVector
 from ecgarr.fixedpoint import QFormat, quantize_raw_array
@@ -34,6 +36,7 @@ from ecgarr.mlp import (
     save_model,
     train,
 )
+from ecgarr.mlp import _column_sums
 
 PLA_BORDERS = (0.5, 1.125, 1.475, 2.02, 3.02, 5.58)
 
@@ -561,35 +564,15 @@ def test_train_plateau_stop():
     assert max(tail) - min(tail) < 1e-5
 
 
-def _reference_train(model, x, labels, *, max_epochs, seed):
-    """The training loop built from the per-array Rprop oracle and the
-    public balance_classes, gradients and mse: one mse, then gradients,
-    an oracle step and mse again on every epoch, stopping once the best
-    MSE has failed to improve by 1e-7 for 20 epochs in a row."""
+def _oracle_train(model, x, labels, *, max_epochs, seed):
+    """train_oracle's training from the public balance_classes and
+    init_model: (final model, MSE history, stop reason)."""
     x, labels = balance_classes(x, labels)
-    targets = np.eye(2)[labels]
-    current = init_model(seed=seed, layer_sizes=model.layer_sizes,
-                         activation=model.activation)
-    state = rprop_oracle.RpropState.for_arrays(current.parameter_arrays())
-    history = []
-    best = mse(current, x, targets)
-    streak = 0
-    reason = "max_epochs"
-    for _ in range(max_epochs):
-        arrays, state = rprop_oracle.rprop_step(
-            current.parameter_arrays(), state, gradients(current, x, targets))
-        current = MlpModel(*arrays, activation=model.activation)
-        err = mse(current, x, targets)
-        history.append(err)
-        if best - err < 1e-7:
-            streak += 1
-            if streak >= 20:
-                reason = "plateau"
-                break
-        else:
-            streak = 0
-        best = min(best, err)
-    return current, tuple(history), reason
+    first = init_model(seed=seed, layer_sizes=model.layer_sizes,
+                       activation=model.activation).parameter_arrays()
+    weights, history, reason = train_oracle.train(
+        first, x, np.eye(2)[labels], model.activation, max_epochs)
+    return MlpModel(*weights, activation=model.activation), history, reason
 
 
 def overlapping_blobs():
@@ -606,9 +589,11 @@ def overlapping_blobs():
     ("exact", 300, "plateau"),
 ], ids=mode_id)
 def test_train_matches_loop_of_public_steps(activation, max_epochs, reason):
+    # the loop is train_oracle's, whose forward pass and backprop share no
+    # code with the package's, so a change in their bytes shows here
     x, labels = overlapping_blobs()
     model = init_model(seed=0, activation=activation)
-    want_model, want_history, want_reason = _reference_train(
+    want_model, want_history, want_reason = _oracle_train(
         model, x, labels, max_epochs=max_epochs, seed=2)
     got_model, report = train(model, x, labels, max_epochs=max_epochs, seed=2)
     assert want_reason == reason
@@ -618,6 +603,52 @@ def test_train_matches_loop_of_public_steps(activation, max_epochs, reason):
     assert np.array(report.mse_history).tobytes() == np.array(want_history).tobytes()
     for got, want in zip(got_model.parameter_arrays(), want_model.parameter_arrays()):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["pla", "exact"], ids=mode_id)
+def test_train_matches_the_oracle_on_a_classify_shaped_set(activation):
+    # 2,600 balanced rows, a repeated minority and inputs from 1e-2 to 1e3:
+    # long column sums, and hidden units deep in both constant ends
+    x, labels = train_oracle.classify_shaped()
+    model = init_model(seed=0, activation=activation)
+    want_model, want_history, want_reason = _oracle_train(
+        model, x, labels, max_epochs=300, seed=7)
+    got_model, report = train(model, x, labels, max_epochs=300, seed=7)
+    assert report.balanced_counts == (1950, 650)
+    assert (report.stop_reason, report.epochs) == (want_reason, len(want_history))
+    assert np.array(report.mse_history).tobytes() == np.array(want_history).tobytes()
+    for got, want in zip(got_model.parameter_arrays(), want_model.parameter_arrays()):
+        assert got.tobytes() == want.tobytes()
+    # Rprop reads only each gradient's sign, so a sum that changes a last
+    # bit can leave the history alone: compare the gradients themselves,
+    # from the passes train runs
+    bx, bl = balance_classes(x, labels)
+    targets = np.eye(2)[bl]
+    weights = got_model.parameter_arrays()
+    passed = train_oracle.forward(train_oracle.ACTIVATIONS[activation], weights, bx)
+    want_grads = train_oracle.gradients(weights, bx, targets, passed)
+    for got, want in zip(gradients(got_model, bx, targets), want_grads):
+        assert got.tobytes() == want.tobytes()
+    assert mse(got_model, bx, targets) == train_oracle.mse(passed[2], targets)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 12])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 2555])
+def test_column_sums_keep_the_row_order(n, k):
+    # the bias gradients' bytes rest on this: a numpy that reorders either
+    # sum fails here before it moves a training history
+    rng = np.random.default_rng(n * 100 + k)
+    signs = rng.choice([-1.0, 1.0], size=(n, k))
+    for a in (signs * np.exp(rng.uniform(-20.0, 20.0, size=(n, k))),
+              signs * 10.0 ** rng.uniform(-300.0, 300.0, size=(n, k)),
+              np.zeros((n, k)), np.full((n, k), -0.0), signs * 0.0):
+        want = a.sum(axis=0).tobytes()
+        assert _column_sums(a).tobytes() == want
+        if k > 1:
+            # row by row from +0.0; a one-wide array is one contiguous
+            # column, which sum adds pairwise and einsum unrolled
+            assert np.einsum("ij->j", a).tobytes() == want
+            assert functools.reduce(np.add, a, np.zeros(k)).tobytes() == want
 
 
 def test_train_runs_the_traced_module_functions(monkeypatch):
@@ -928,6 +959,49 @@ def test_fixed_outputs_do_not_depend_on_the_blas_kernel():
                              capture_output=True, text=True, check=True)
         digests[core] = run.stdout.strip()
     assert len(set(digests.values())) == 1, digests
+
+
+# Training on the classify-shaped set by ecgarr.mlp.train and by
+# train_oracle: one digest each of the MSE history, the final weights and
+# the gradients at those weights.
+_TRAIN_DIGESTS = """
+import hashlib
+import numpy as np
+import train_oracle
+from ecgarr.mlp import balance_classes, gradients, init_model, train
+
+def digest(history, *arrays):
+    h = hashlib.sha256(np.array(history).tobytes())
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+x, labels = train_oracle.classify_shaped()
+model, report = train(init_model(0), x, labels, max_epochs=100, seed=7)
+bx, bl = balance_classes(x, labels)
+targets = np.eye(2)[bl]
+weights, history, _ = train_oracle.train(
+    init_model(7).parameter_arrays(), bx, targets, "pla", 100)
+passed = train_oracle.forward(train_oracle.pla, weights, bx)
+print(digest(report.mse_history, *model.parameter_arrays(), *gradients(model, bx, targets)),
+      digest(history, *weights, *train_oracle.gradients(weights, bx, targets, passed)))
+"""
+
+
+def test_training_matches_the_oracle_on_every_blas_kernel():
+    # each kernel may sum a product in its own order, so train and the
+    # oracle are compared under one kernel at a time: equal bytes on each
+    # show that training makes the oracle's BLAS calls on its operands
+    src = str(Path(ecgarr.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    for core in ("Prescott", "Haswell", "SkylakeX"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, tests, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _TRAIN_DIGESTS], env=env,
+                             capture_output=True, text=True, check=True)
+        got, want = run.stdout.split()
+        assert got == want, core
 
 
 # ---------------------------------------------------------------------------
