@@ -56,18 +56,14 @@ def tanh_exact(x):
 
 
 def _pla_segments(x: np.ndarray) -> np.ndarray:
-    """Segment index of each x as intp, equal to np.searchsorted(PLA_BORDERS, x).
-
-    Counting borders at or above x, in one bool buffer viewed as int8, is
-    a few times cheaper than searchsorted here, and take reads intp as is.
-    NaN is at or below no border, so it lands in the last segment, as there.
-    """
-    seg = np.full(np.shape(x), len(PLA_BORDERS), dtype=np.int8)
-    at_or_above = np.empty(np.shape(x), dtype=bool)
-    for border in PLA_BORDERS.tolist():
-        np.less_equal(x, border, out=at_or_above)
-        seg -= at_or_above.view(np.int8)
-    return seg.astype(np.intp)
+    """Segment index of each x as intp, equal to np.searchsorted(PLA_BORDERS, x):
+    one broadcast comparison of x with all 12 borders, then one int8 reduction,
+    12 less one for each border at or above x. No border is at or above NaN, so
+    NaN lands in the last segment, as there; a 0-d x keeps a 0-d index."""
+    at_or_above = np.less_equal(x, PLA_BORDERS.reshape((-1,) + (1,) * np.ndim(x)))
+    seg = np.subtract.reduce(at_or_above.view(np.int8), axis=0, dtype=np.int8,
+                             keepdims=True, initial=len(PLA_BORDERS))
+    return seg.astype(np.intp).reshape(np.shape(x))
 
 
 def _platanh_and_slope(x: np.ndarray):

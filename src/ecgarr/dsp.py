@@ -157,13 +157,24 @@ REFINE_MS = 50.0
 REFRACTORY_MS = 200.0
 
 
+def peak_indices(values) -> np.ndarray:
+    """values as int64 sample indices; ValueError names the first float with
+    a fractional part, NaN or inf.  An int64 array passes through as is."""
+    idx = np.asarray(values)
+    if idx.dtype.kind == "f":
+        bad = idx[~(np.isfinite(idx) & (idx == np.trunc(idx)))]
+        if bad.size:
+            raise ValueError(f"peak index {bad[0]} is not an integer")
+    return idx.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class PeakTrain:
     r_indices: np.ndarray
     sampling_frequency: float
 
     def __post_init__(self):
-        idx = np.asarray(self.r_indices, dtype=np.int64)
+        idx = peak_indices(self.r_indices)
         if idx.ndim != 1:
             raise ValueError("peak indices must be a flat series")
         if idx.size > 1 and not np.all(np.diff(idx) > 0):
@@ -398,9 +409,8 @@ def detect_r_peaks(signal, fs: float) -> PeakTrain:
     min_gap = REFRACTORY_MS / 1000.0 * fs
     kept: list[int] = []
     for c in candidates:
-        if kept and c - kept[-1] < min_gap:
-            continue
-        kept.append(c)
+        if not kept or c - kept[-1] >= min_gap:
+            kept.append(c)
 
     return PeakTrain(r_indices=np.asarray(kept, dtype=np.int64), sampling_frequency=fs)
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dsp import peak_indices
+
 __all__ = [
     "AnomalyEvent",
     "NoStableRhythmError",
@@ -118,10 +120,6 @@ def find_stable_window(intervals, tolerance_fraction: float = TOLERANCE):
     )
 
 
-def _peak_indices(peaks):
-    return np.asarray(list(peaks), dtype=np.int64)
-
-
 def monitor(peaks, state: SelfLearnerState):
     """Judge each arriving peak against the learned interval.
 
@@ -135,17 +133,14 @@ def monitor(peaks, state: SelfLearnerState):
     tol = state.tolerance_fraction
     last = state.last_peak_index
     events = []
-    for p in _peak_indices(peaks):
-        p = int(p)
+    for p in peak_indices(peaks).tolist():
         if p <= last:
             raise ValueError(f"peak index {p} does not advance past {last}")
         wait = timeout_samples(st, tol)
-        if p - last > wait:
-            events.append(AnomalyEvent(last + wait, "missing_beat", float(wait), st))
-            last = p
-            continue
         t_rr = p - last
-        if check_beat(st, t_rr, epsilon_for(st, tol)):
+        if t_rr > wait:
+            events.append(AnomalyEvent(last + wait, "missing_beat", float(wait), st))
+        elif check_beat(st, t_rr, epsilon_for(st, tol)):
             events.append(AnomalyEvent(p, "interval_deviation", float(t_rr), st))
         else:
             st = update(st, t_rr)
@@ -157,11 +152,10 @@ def run_self_learner(peaks, *, tolerance_fraction: float = TOLERANCE):
     """Learn from the peak train's first stable stretch, then monitor
     the rest.  Returns (events, final state).  Beats before and inside
     the learning window are never judged."""
-    indices = _peak_indices(peaks)
+    indices = peak_indices(peaks)
     if indices.size < 5:
-        raise NoStableRhythmError(
-            f"need at least 5 peaks to learn a rhythm, got {indices.size}"
-        )
+        raise NoStableRhythmError(f"need at least 5 peaks to learn a rhythm, "
+                                  f"got {indices.size}")
     intervals = np.diff(indices)
     start, st = find_stable_window(intervals, tolerance_fraction)
     state = monitoring_state(st, indices[start + 4], tolerance_fraction)

@@ -361,7 +361,9 @@ def test_fused_lookup_matches_searchsorted():
     wide = rng.normal(0.0, 3.0, size=(300, 6))
     wide[::17, 2] = np.nan
     arrays = [edges, edges.reshape(-1, 1), wide, rng.uniform(-8, 8, size=(40, 7, 3)),
-              np.array(0.5), np.array(math.nan), np.zeros((0, 6))]
+              np.array(0.5), np.array(math.nan), np.zeros((0, 6)),
+              # the borders broadcast over any layout: Fortran order, a strided view, one row
+              np.asfortranarray(wide), wide[:, ::2], wide[:1]]
     read_only = wide.copy()
     read_only.setflags(write=False)
     for x in arrays + [read_only]:

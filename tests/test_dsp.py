@@ -2,6 +2,8 @@
 
 import importlib.util
 import itertools
+import math
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -534,6 +536,21 @@ def test_peak_train_invariants():
     with pytest.raises(ValueError):
         PeakTrain(np.asarray([1, 2]), 0.0)
     assert len(PeakTrain(np.asarray([], dtype=np.int64), 360.0)) == 0
+
+
+@pytest.mark.parametrize("bad, shown", [(1.5, "1.5"), (math.nan, "nan"), (math.inf, "inf"),
+                                        (-math.inf, "-inf")])
+def test_peak_train_rejects_a_peak_that_is_not_an_integer(bad, shown):
+    # the first such value is named; none is truncated to an index
+    with pytest.raises(ValueError, match=rf"^peak index {re.escape(shown)} is not an integer$"):
+        PeakTrain([1.0, bad, 9.5], 360.0)
+    # integral floats and any integer dtype become int64 indices
+    for ok in ([1.0, 2.0], np.array([1, 2], dtype=np.int32), np.array([1.0, 2.0])):
+        idx = PeakTrain(ok, 360.0).r_indices
+        assert idx.dtype == np.int64 and idx.tolist() == [1, 2]
+    # an int64 array is taken as is, with no copy or check
+    idx = np.array([1, 2], dtype=np.int64)
+    assert PeakTrain(idx, 360.0).r_indices is idx
 
 
 # ---------------------------------------------------------------------------

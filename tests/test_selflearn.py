@@ -220,6 +220,17 @@ def test_monitor_requires_advancing_peaks():
         monitor([499], state)
 
 
+@pytest.mark.parametrize("bad", [1300.7, math.nan, math.inf])
+def test_monitor_rejects_a_peak_that_is_not_an_integer(bad):
+    state = monitoring_state(300.0, anchor_index=1000)
+    with pytest.raises(ValueError, match=r"^peak index .+ is not an integer$"):
+        monitor([bad], state)
+    # an integral float is a peak index, and the state keeps a Python int
+    events, final = monitor([1300.0], state)
+    assert events == [] and final.last_peak_index == 1300
+    assert type(final.last_peak_index) is int
+
+
 def test_monitor_accepts_peak_train():
     train = PeakTrain(np.array([345, 690, 1035]), 500.0).r_indices
     events, final = monitor(train, monitoring_state(345.0, anchor_index=0))
@@ -262,6 +273,15 @@ def test_run_slides_past_irregular_prefix():
 def test_run_needs_five_peaks():
     with pytest.raises(NoStableRhythmError, match="5 peaks"):
         run_self_learner([0, 345, 690, 1035])
+
+
+def test_run_rejects_a_peak_that_is_not_an_integer():
+    peaks = np.arange(0, 345 * 8, 345, dtype=np.float64)
+    assert run_self_learner(peaks) == run_self_learner(peaks.astype(np.int64))
+    peaks[6] += 0.5
+    peaks[7] = math.nan
+    with pytest.raises(ValueError, match=r"^peak index 2070\.5 is not an integer$"):
+        run_self_learner(peaks)
 
 
 def test_run_accepts_peak_train():
