@@ -291,7 +291,7 @@ def _lines(values) -> str:
 
 def cmd_ingest(opts):
     record = ingest_record(opts["record"])
-    signal = record_signal(record, opts["channel"])
+    signal = record_signal(record.header, record.samples, opts["channel"])
     name = record.header.record_name
     annotations = [f"{a.sample_index},{a.symbol}" for a in record.annotations]
     return ({f"{name}-signal.txt": _lines(record.samples[opts["channel"]].tolist()),

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import peak_indices
+
 __all__ = [
     "BeatFeatureRow",
     "BeatTable",
@@ -88,7 +90,7 @@ def beat_table(signal, fs: float, peaks, labels,
     """Every interior peak whose label is >= 0 (-1: no annotation matched)
     and whose window fits the record; each window equals window_beat's."""
     x = np.asarray(signal, dtype=np.float64)
-    r = np.asarray(peaks, dtype=np.int64)
+    r = peak_indices(peaks)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != r.shape:
         raise ValueError(f"{r.size} peaks but {labels.size} labels")

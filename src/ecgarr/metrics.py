@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsp import peak_indices
+
 __all__ = [
     "ConfusionCounts",
     "MatchResult",
@@ -140,8 +142,7 @@ def match_beats(predicted, annotated, *, sampling_frequency: float) -> MatchResu
     broken by annotation then prediction position), each side used at
     most once.  A distance of exactly the window still matches.
     """
-    pred = np.asarray(list(predicted), dtype=np.int64)
-    ann = np.asarray(list(annotated), dtype=np.int64)
+    pred, ann = peak_indices(predicted), peak_indices(annotated)
     if np.any(np.diff(pred) < 0) or np.any(np.diff(ann) < 0):
         raise ValueError("both index lists must be sorted ascending")
     if sampling_frequency <= 0:

@@ -23,13 +23,16 @@ __all__ = [
     "FormatUnsupportedError",
     "HeaderError",
     "RecordHeader",
+    "SYMBOL_BY_CODE",
     "SignalSpec",
+    "annotation_arrays",
     "decode_format212",
     "ingest_record",
     "label_beat",
     "parse_annotations",
     "parse_header",
     "read_header",
+    "read_record",
     "record_files",
 ]
 
@@ -55,7 +58,7 @@ class AnnotationError(ValueError):
 
 # Numeric annotation code -> mnemonic character.  Codes 59..63 are
 # bookkeeping words handled inline by the parser and never appear here.
-_SYMBOL_BY_CODE = {
+SYMBOL_BY_CODE = {
     1: "N", 2: "L", 3: "R", 4: "a", 5: "V", 6: "F", 7: "J", 8: "A",
     9: "S", 10: "E", 11: "j", 12: "/", 13: "Q", 14: "~", 16: "|",
     18: "s", 19: "T", 20: "*", 21: "D", 22: '"', 23: "=", 24: "p",
@@ -67,7 +70,7 @@ _SYMBOL_BY_CODE = {
 # Codes that mark an actual heartbeat (as opposed to rhythm changes,
 # signal-quality notes and other bookkeeping).
 _BEAT_CODES = frozenset(range(1, 14)) | {25, 34, 35, 38, 41}
-BEAT_SYMBOLS = frozenset(_SYMBOL_BY_CODE[c] for c in _BEAT_CODES)
+BEAT_SYMBOLS = frozenset(SYMBOL_BY_CODE[c] for c in _BEAT_CODES)
 
 _SKIP, _NUM, _SUB, _CHAN, _AUX = 59, 60, 61, 62, 63
 
@@ -251,35 +254,42 @@ def parse_header(text) -> RecordHeader:
 # format-212 samples
 
 
-def decode_format212(packed: bytes, n_samples: int) -> np.ndarray:
-    """Unpack ``n_samples`` 12-bit samples from 3-byte groups.
-
-    Layout per group: sample1 = byte0 | (low nibble of byte1) << 8,
-    sample2 = byte2 | (high nibble of byte1) << 8, both sign-extended
-    from 12 bits.  Returns the samples in file order as one int16
-    series; a file backing k signals interleaves them, so its sample
-    j * k + i is signal i's j-th.
-    """
+def _format212_bytes(n_bytes: int, n_samples: int) -> int:
+    """The bytes n_samples packed samples take; Format212Error if n_bytes are fewer."""
     if n_samples < 0:
         raise Format212Error(f"sample count cannot be negative, got {n_samples}")
     need = (3 * n_samples + 1) // 2
-    if len(packed) < need:
-        raise Format212Error(
-            f"buffer truncated at byte {len(packed)}: "
-            f"{n_samples} samples need {need} bytes"
-        )
-    buf = np.frombuffer(packed, dtype=np.uint8, count=need)
+    if n_bytes < need:
+        raise Format212Error(f"buffer truncated at byte {n_bytes}: "
+                             f"{n_samples} samples need {need} bytes")
+    return need
 
+
+def decode_format212(packed: bytes, n_samples: int, n_signals: int = 1,
+                     signal: int = 0) -> np.ndarray:
+    """Unpack signal ``signal``'s ``n_samples`` 12-bit samples from the
+    3-byte groups of a buffer interleaving ``n_signals`` signals (its
+    sample j * n_signals + i is signal i's j-th), as one int16 series.
+
+    Layout per group: sample1 = byte0 | (low nibble of byte1) << 8,
+    sample2 = byte2 | (high nibble of byte1) << 8, both sign-extended
+    from 12 bits.  The buffer must hold all n_signals * n_samples.
+    """
+    if not 0 <= signal < n_signals:
+        raise ValueError(f"signal {signal} out of range ({n_signals} signals)")
+    buf = np.frombuffer(packed, dtype=np.uint8,
+                        count=_format212_bytes(len(packed), n_signals * n_samples))
     out = np.empty(n_samples, dtype=np.int16)
-    pairs = n_samples // 2
-    trip = buf[: 3 * pairs].reshape(pairs, 3)
-    pair = out[: 2 * pairs].reshape(pairs, 2)
-    pair[:, 0] = trip[:, 1] & 0x0F
-    pair[:, 1] = trip[:, 1] >> 4
-    pair <<= 8
-    pair |= trip[:, 0::2]
-    if n_samples % 2:
-        out[-1] = int(buf[3 * pairs]) | (int(buf[3 * pairs + 1]) & 0x0F) << 8
+    # buffer sample s is column s % 2 of group s // 2: two phases for odd n_signals
+    phases = 1 + n_signals % 2
+    stride = 3 * (phases * n_signals // 2)
+    for phase in range(phases):
+        s = signal + phase * n_signals
+        dst = out[phase::phases]
+        nibbles = buf[3 * (s // 2) + 1::stride][: dst.size]
+        dst[:] = nibbles >> 4 if s % 2 else nibbles & 0x0F
+        dst <<= 8
+        dst |= buf[3 * (s // 2) + 2 * (s % 2)::stride][: dst.size]
     out <<= 4  # bit 11, the 12-bit sign, becomes int16's sign bit
     out >>= 4
     return out
@@ -289,16 +299,9 @@ def decode_format212(packed: bytes, n_samples: int) -> np.ndarray:
 # annotations
 
 
-def _read_word(data, i):
-    if i + 2 > len(data):
-        raise AnnotationError(
-            f"annotation stream truncated at byte {i}: no terminator word"
-        )
-    return data[i] | (data[i + 1] << 8)
-
-
-def parse_annotations(data: bytes, n_samples: int | None = None) -> list[Annotation]:
-    """Decode a binary annotation stream.
+def annotation_arrays(data: bytes, n_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The sample index and code of each annotation in a binary stream,
+    as two int64 arrays.
 
     Each 16-bit little-endian word carries a 6-bit type code (high
     bits) and a 10-bit sample-offset delta.  Bookkeeping codes adjust
@@ -308,59 +311,67 @@ def parse_annotations(data: bytes, n_samples: int | None = None) -> list[Annotat
     zero word ends the stream.
 
     Indices must never decrease; with ``n_samples`` given they must
-    also stay inside the record.
+    also stay inside the record.  The first fault in stream order raises.
     """
-    out: list[Annotation] = []
-    ts = 0
-    prev = None
-    i = 0
-    while True:
-        word = _read_word(data, i)
+    words = np.frombuffer(data, dtype="<u2", count=len(data) // 2)
+    codes = words >> 10
+    live = np.ones(words.size, dtype=bool)  # not in a payload
+    offsets, resume, error = {}, 0, None  # long offsets by word
+    # only the terminator and the words carrying a payload need a loop
+    for i in np.flatnonzero((words == 0) | (codes == _SKIP) | (codes == _AUX)).tolist():
+        if i < resume:
+            continue
+        word = int(words[i])
         if word == 0:
             break
-        code = word >> 10
-        delta = word & 0x3FF
-        i += 2
-        if code == _SKIP:
-            if i + 4 > len(data):
-                raise AnnotationError(
-                    f"annotation stream truncated at byte {i}: "
-                    "long-offset word needs 4 more bytes"
-                )
-            high = data[i] | (data[i + 1] << 8)
-            low = data[i + 2] | (data[i + 3] << 8)
-            longval = (high << 16) | low
-            if longval >= 1 << 31:
-                longval -= 1 << 32
-            ts += longval
-            i += 4
-            continue
-        if code in (_NUM, _SUB, _CHAN):
-            continue
-        if code == _AUX:
-            skip = delta + (delta & 1)
-            if i + skip > len(data):
-                raise AnnotationError(
-                    f"annotation stream truncated at byte {i}: "
-                    f"aux field of {delta} bytes overruns buffer"
-                )
-            i += skip
-            continue
+        after = 2 * i + 2
+        if word >> 10 == _SKIP:
+            if after + 4 > len(data):
+                error = f"at byte {after}: long-offset word needs 4 more bytes"
+                break
+            high, low = words[i + 1:i + 3].tolist()
+            offsets[i] = (high << 16 | low) - (high >> 15 << 32)
+            resume = i + 3
+        else:
+            delta = word & 0x3FF
+            if after + delta + (delta & 1) > len(data):
+                error = f"at byte {after}: aux field of {delta} bytes overruns buffer"
+                break
+            resume = i + 1 + (delta + 1) // 2
+        live[i + 1:resume] = False
+    else:
+        i, error = words.size, f"at byte {2 * words.size}: no terminator word"
 
-        ts += delta
+    beats = np.flatnonzero(live[:i] & (codes[:i] < _SKIP))
+    steps = np.zeros(i, dtype=np.int64)
+    steps[beats] = words[beats] & 0x3FF
+    steps[list(offsets)] = list(offsets.values())
+    index = np.cumsum(steps)[beats]
+    fell = np.diff(index, prepend=index[:1]) < 0
+    past = index >= n_samples if n_samples is not None else False
+    bad = np.flatnonzero((index < 0) | fell | past)
+    if bad.size:
+        k = bad[0]
+        ts, at = int(index[k]), 2 * int(beats[k])
         if ts < 0:
-            raise AnnotationError(f"annotation index {ts} is negative at byte {i - 2}")
-        if prev is not None and ts < prev:
-            raise AnnotationError(
-                f"annotation index decreased from {prev} to {ts} at byte {i - 2}"
-            )
-        if n_samples is not None and ts >= n_samples:
-            raise AnnotationError(
-                f"annotation index {ts} past record end ({n_samples} samples)"
-            )
-        out.append(Annotation(sample_index=ts, symbol=_SYMBOL_BY_CODE.get(code), code=code))
-        prev = ts
-    return out
+            raise AnnotationError(f"annotation index {ts} is negative at byte {at}")
+        if fell[k]:
+            raise AnnotationError(f"annotation index decreased from {int(index[k - 1])} "
+                                  f"to {ts} at byte {at}")
+        raise AnnotationError(f"annotation index {ts} past record end ({n_samples} samples)")
+    if error:
+        raise AnnotationError(f"annotation stream truncated {error}")
+    return index, codes[beats].astype(np.int64)
+
+
+def _annotations(index, codes) -> list[Annotation]:
+    return [Annotation(sample_index=i, symbol=SYMBOL_BY_CODE.get(c), code=c)
+            for i, c in zip(index.tolist(), codes.tolist())]
+
+
+def parse_annotations(data: bytes, n_samples: int | None = None) -> list[Annotation]:
+    """annotation_arrays' annotations, one Annotation each."""
+    return _annotations(*annotation_arrays(data, n_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -385,34 +396,35 @@ def record_files(header_path, header: RecordHeader | None = None) -> tuple[str, 
             os.path.splitext(header_path)[0] + ".atr")
 
 
-def ingest_record(header_path) -> EcgRecord:
-    """Read header, samples, and (optionally) annotations for a record,
-    from the files record_files names.
-
-    When several signals share one file their samples are interleaved in
-    signal order.  Without an ``.atr`` the annotation list is empty.
-    """
+def read_record(header_path, signals=None):
+    """A record's header; signal index -> int16 series of each of signals
+    (every signal when None); and its annotation_arrays (empty without an
+    ``.atr``).  Each sample file record_files names must hold the samples
+    the header claims, checked in that order, but only a file holding one
+    of signals is decoded."""
     header = read_header(header_path)
     _, *sample_paths, annotation_path = record_files(header_path, header)
-
-    # group signal indices by their backing file, in record_files' order
-    groups: dict[str, list[int]] = {}
-    for idx, spec in enumerate(header.signals):
-        groups.setdefault(spec.file_name, []).append(idx)
-
-    # decoding checks that each file holds the samples the header claims
-    n = header.n_samples
-    decoded = []
-    for path, indices in zip(sample_paths, groups.values()):
+    names = [spec.file_name for spec in header.signals]
+    n, series = header.n_samples, {}
+    for path, name in zip(sample_paths, dict.fromkeys(names)):
+        held = [i for i, held_by in enumerate(names) if held_by == name]
+        wanted = [i for i in held if signals is None or i in signals]
         with open(path, "rb") as fh:
-            decoded.append((indices, decode_format212(fh.read(), len(indices) * n)))
-    samples = np.empty((header.n_signals, n), dtype=np.int32)
-    for indices, series in decoded:
-        samples[indices] = series.reshape(n, len(indices)).T
-
-    annotations: list[Annotation] = []
+            if not wanted:  # checked, not decoded
+                _format212_bytes(os.fstat(fh.fileno()).st_size, len(held) * n)
+                continue
+            packed = fh.read()
+        series.update((i, decode_format212(packed, n, len(held), held.index(i))) for i in wanted)
+    data = b"\0\0"  # without an .atr, a stream that is its terminator alone
     if os.path.exists(annotation_path):
         with open(annotation_path, "rb") as fh:
-            annotations = parse_annotations(fh.read(), n_samples=n)
+            data = fh.read()
+    return (header, series, *annotation_arrays(data, n_samples=n))
 
-    return EcgRecord(header=header, samples=samples, annotations=annotations)
+
+def ingest_record(header_path) -> EcgRecord:
+    """read_record of every signal, as one (n_signals, n_samples) int32
+    array, and of every annotation, as an Annotation list."""
+    header, series, index, codes = read_record(header_path)
+    samples = np.array([series[i] for i in range(header.n_signals)], dtype=np.int32)
+    return EcgRecord(header=header, samples=samples, annotations=_annotations(index, codes))

@@ -343,7 +343,7 @@ def test_channel_out_of_range(records):
     record = ingest_record(records["a"])
     for channel in (-1, 1):
         with pytest.raises(ValueError, match=f"channel {channel} out of range"):
-            record_signal(record, channel)
+            record_signal(record.header, record.samples, channel)
 
 
 def test_empty_test_half_raises(records, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ecgarr.dsp import detect_r_peaks
-from ecgarr.experiment import annotated_beats, label_peaks
+from ecgarr.experiment import label_peaks, read_beats
 from ecgarr.features import (
     BeatFeatureRow,
     EdgeBeatError,
@@ -23,7 +23,6 @@ from ecgarr.features import (
     save_pca_model,
     window_beat,
 )
-from ecgarr.wfdb_io import ingest_record
 from wfdb_fixtures import classifier_record, dropout_record
 
 
@@ -261,10 +260,7 @@ def _assert_table_matches_loop(signal, fs, peaks, labels, pca=None, half_width=9
 
 @pytest.mark.parametrize("make", [classifier_record, dropout_record])
 def test_beat_table_matches_per_beat_loop_on_fixtures(tmp_path, make):
-    record = ingest_record(make(tmp_path, "rec"))
-    signal = record.samples[0].astype(np.float64)
-    fs = record.header.sampling_frequency
-    ann_idx, ann_lab = annotated_beats(record)
+    _, signal, fs, _, ann_idx, ann_lab = read_beats(make(tmp_path, "rec"), 0, "ann")
     _assert_table_matches_loop(signal, fs, ann_idx, ann_lab)
     peaks = detect_r_peaks(signal, fs).r_indices
     _assert_table_matches_loop(signal, fs, peaks, label_peaks(peaks, ann_idx, ann_lab, fs))
@@ -320,6 +316,16 @@ def test_beat_table_duplicate_peaks_fail_like_per_beat_path():
         feature_matrix(pca, table)
     assert str(whole.value) == str(per_beat.value)
     assert "R-R intervals must be positive" in str(whole.value)
+
+
+def test_beat_table_rejects_fractional_peaks():
+    signal = np.zeros(2000)
+    # a plain int64 cast would cut the window at 500 instead
+    with pytest.raises(ValueError, match=r"peak index 500\.6 is not an integer"):
+        beat_table(signal, 360.0, [200.0, 500.6, 800.2, 1100.9], [0, 0, 0, 0])
+    table = beat_table(signal, 360.0, [200.0, 500.0, 800.0, 1100.0], [0, 1, 0, 1])
+    assert table.r_index.dtype == np.int64
+    assert table.r_index.tolist() == [500, 800]
 
 
 def test_beat_table_slices_by_row():

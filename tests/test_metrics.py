@@ -190,3 +190,13 @@ def test_match_input_validation():
         match_beats([5, 3], [1], sampling_frequency=360.0)
     with pytest.raises(ValueError, match="sampling_frequency"):
         match_beats([1], [1], sampling_frequency=0.0)
+
+
+def test_match_rejects_fractional_indices():
+    # a plain int64 cast would truncate 100.7 to 100 and match it
+    with pytest.raises(ValueError, match=r"peak index 100\.7 is not an integer"):
+        match_beats([100.7, 300.2], [100, 300], sampling_frequency=360.0)
+    with pytest.raises(ValueError, match=r"peak index 300\.5 is not an integer"):
+        match_beats([100, 300], [100.0, 300.5], sampling_frequency=360.0)
+    m = match_beats([100.0, 300.0], np.array([100, 300]), sampling_frequency=360.0)
+    assert m.pairs == ((100, 100), (300, 300))

@@ -59,6 +59,7 @@ REMOVED = {
     "ecgarr.experiment": [
         "classifier_activations", "PipelineConfig.split", "PipelineConfig.match_window_ms",
         "label_peaks(window_ms)", "PipelineConfig.output_dir",
+        "annotated_beats(record)", "record_signal(record)",
     ],
     "ecgarr.wfdb_io": ["ingest_record(annotation_path)", "SignalSpec.adc_zero",
                        "SignalSpec.baseline"],
@@ -72,6 +73,8 @@ SIGNATURES = {
     ("ecgarr.dsp", "dwt_reconstruct"): ["coeffs"],
     ("ecgarr.metrics", "match_beats"): ["predicted", "annotated", "sampling_frequency"],
     ("ecgarr.experiment", "label_peaks"): ["peaks", "ann_indices", "ann_labels", "fs"],
+    ("ecgarr.experiment", "annotated_beats"): ["ann_indices", "ann_codes"],
+    ("ecgarr.experiment", "record_signal"): ["header", "samples", "channel"],
     ("ecgarr.wfdb_io", "ingest_record"): ["header_path"],
     ("ecgarr.mlp", "init_model"): ["seed", "layer_sizes", "activation"],
     ("ecgarr.mlp", "train"): ["model", "x", "labels", "max_epochs", "seed"],
