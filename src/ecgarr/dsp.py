@@ -179,8 +179,8 @@ class PeakTrain:
             raise ValueError("peak indices must be a flat series")
         if idx.size > 1 and not np.all(np.diff(idx) > 0):
             raise ValueError("peak indices must be strictly increasing")
-        if not self.sampling_frequency > 0:
-            raise ValueError("sampling frequency must be positive")
+        if not 0 < self.sampling_frequency < np.inf:
+            raise ValueError("sampling frequency must be positive and finite")
         object.__setattr__(self, "r_indices", idx)
 
     def __len__(self):
@@ -385,8 +385,8 @@ def detect_r_peaks(signal, fs: float) -> PeakTrain:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("signal must be a non-empty 1-d series")
-    if not fs > 0:
-        raise ValueError(f"sampling frequency must be positive, got {fs}")
+    if not 0 < fs < np.inf:
+        raise ValueError(f"sampling frequency must be positive and finite, got {fs}")
 
     if not np.isfinite(x).all():
         first = int(np.argmin(np.isfinite(x)))

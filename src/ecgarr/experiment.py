@@ -27,13 +27,13 @@ from .features import WINDOW_HALF_WIDTH, beat_table, feature_matrix, fit_pca
 from .features import build_feature_vector, project, window_beat  # noqa: F401
 from .fixedpoint import QFormat
 from .metrics import (
-    MATCH_WINDOW_MS,
     ConfusionCounts,
     MetricsReport,
     compute_metrics,
     confusion_from_labels,
     format_report,
     match_beats,
+    nearest_within,
 )
 from .mlp import init_model, predict_batch, quantize_model, train
 from .selflearn import TOLERANCE, find_stable_window, run_self_learner
@@ -297,24 +297,10 @@ def _self_learner_verdicts(record_id, peaks, ann_indices, ann_labels, fs, tolera
     # a timeout's deadline is its observed wait after the peak that opened the gap
     gap_starts = [ev.sample_index - int(ev.observed) for ev in events
                   if ev.kind == "missing_beat"]
-    window = MATCH_WINDOW_MS * fs / 1000.0
-    nearest = _nearest_within(peaks[1:], ann_idx, window)
-    before = peaks[np.searchsorted(peaks, ann_idx) - 1]
-    flagged = np.where(nearest >= 0, np.isin(nearest, deviants), np.isin(before, gap_starts))
+    nearest = nearest_within(peaks[1:], ann_idx, sampling_frequency=fs)
+    flagged = np.where(nearest >= 0, np.isin(peaks, deviants)[nearest + 1],
+                       np.isin(peaks[np.searchsorted(peaks, ann_idx) - 1], gap_starts))
     return ann_idx, ann_lab, flagged.astype(np.int64)
-
-
-def _nearest_within(peaks, points, window):
-    """Nearest of the sorted peaks to each point, or -1 if none is within
-    window; a tie goes to the earlier peak."""
-    if not peaks.size:
-        return np.full(points.size, -1, dtype=np.int64)
-    after = np.minimum(np.searchsorted(peaks, points), peaks.size - 1)
-    before = np.maximum(after - 1, 0)
-    dist_before = np.abs(points - peaks[before])
-    dist_after = np.abs(peaks[after] - points)
-    nearest = np.where(dist_before <= dist_after, peaks[before], peaks[after])
-    return np.where(np.minimum(dist_before, dist_after) <= window, nearest, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,8 @@ def load_features(path) -> list[BeatFeatureRow]:
                 features=features,
                 label=rec[14],
             ))
+    if not out:
+        raise ValueError(f"{path}: no beats")
     return out
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "confusion_from_labels",
     "format_report",
     "match_beats",
+    "nearest_within",
 ]
 
 
@@ -135,44 +136,52 @@ class MatchResult:
     unmatched_annotations: tuple     # FN-side sample indices
 
 
+def nearest_within(targets, points, *, sampling_frequency: float) -> np.ndarray:
+    """Position in the sorted int array targets of each point's nearest
+    target within +/- MATCH_WINDOW_MS, or -1 where none is; a tie goes to
+    the earlier position, among equal targets the first.  The one pairing
+    rule: many points may share a target, and match_beats is its rounds."""
+    if not 0 < sampling_frequency < np.inf:
+        raise ValueError("sampling_frequency must be positive and finite, "
+                         f"got {sampling_frequency}")
+    window = MATCH_WINDOW_MS * sampling_frequency / 1000.0
+    if not targets.size:
+        return np.full(points.size, -1, dtype=np.int64)
+    after = np.minimum(np.searchsorted(targets, points), targets.size - 1)
+    # the first of the targets equal to the one before
+    before = np.searchsorted(targets, targets[np.maximum(after - 1, 0)])
+    dist_before = np.abs(points - targets[before])
+    dist_after = np.abs(targets[after] - points)
+    nearest = np.where(dist_before <= dist_after, before, after)
+    return np.where(np.minimum(dist_before, dist_after) <= window, nearest, -1)
+
+
 def match_beats(predicted, annotated, *, sampling_frequency: float) -> MatchResult:
     """Greedy nearest pairing of two sorted sample-index lists.
 
     Candidate pairs within +/- MATCH_WINDOW_MS are taken closest-first (ties
     broken by annotation then prediction position), each side used at
-    most once.  A distance of exactly the window still matches.
+    most once.  A distance of exactly the window still matches.  Each round
+    of nearest_within pairs every free annotation and prediction that are
+    each other's nearest, the first candidate greedy reaches at both, until
+    a round pairs none.  A recorded rhythm settles in one round; a chain of
+    beats alternating closer than the window with shrinking gaps (annotated
+    beats under 100 ms apart) settles one pair a round.
     """
     pred, ann = peak_indices(predicted), peak_indices(annotated)
     if np.any(np.diff(pred) < 0) or np.any(np.diff(ann) < 0):
         raise ValueError("both index lists must be sorted ascending")
-    if sampling_frequency <= 0:
-        raise ValueError("sampling_frequency must be positive")
-    window = MATCH_WINDOW_MS * sampling_frequency / 1000.0
-
-    candidates = []
-    lo = np.searchsorted(pred, ann - np.int64(np.ceil(window)), side="left")
-    hi = np.searchsorted(pred, ann + np.int64(np.ceil(window)), side="right")
-    for i, a in enumerate(ann):
-        for j in range(lo[i], hi[i]):
-            dist = abs(int(pred[j]) - int(a))
-            if dist <= window:
-                candidates.append((dist, i, j))
-    candidates.sort()
-
-    ann_used = set()
-    pred_used = set()
-    pairs = []
-    for _, i, j in candidates:
-        if i in ann_used or j in pred_used:
-            continue
-        ann_used.add(i)
-        pred_used.add(j)
-        pairs.append((int(pred[j]), int(ann[i])))
-    pairs.sort(key=lambda pair: pair[1])
-    return MatchResult(
-        pairs=tuple(pairs),
-        unmatched_predictions=tuple(int(p) for j, p in enumerate(pred)
-                                    if j not in pred_used),
-        unmatched_annotations=tuple(int(a) for i, a in enumerate(ann)
-                                    if i not in ann_used),
-    )
+    free_p, free_a = np.arange(pred.size), np.arange(ann.size)
+    pred_of = np.full(ann.size, -1)  # each annotation's prediction position
+    while True:
+        to_p = nearest_within(pred[free_p], ann[free_a], sampling_frequency=sampling_frequency)
+        to_a = nearest_within(ann[free_a], pred[free_p], sampling_frequency=sampling_frequency)
+        k = np.flatnonzero(to_p >= 0)
+        k = k[to_a[to_p[k]] == k]
+        if not k.size:
+            break
+        pred_of[free_a[k]] = free_p[to_p[k]]
+        free_p, free_a = np.delete(free_p, to_p[k]), np.delete(free_a, k)
+    matched = pred_of >= 0
+    return MatchResult(tuple(zip(pred[pred_of[matched]].tolist(), ann[matched].tolist())),
+                       tuple(pred[free_p].tolist()), tuple(ann[free_a].tolist()))

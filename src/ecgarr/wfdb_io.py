@@ -117,8 +117,9 @@ class RecordHeader:
     def __post_init__(self):
         if self.n_signals < 1:
             raise HeaderError(f"record needs at least one signal, got {self.n_signals}")
-        if not self.sampling_frequency > 0:
-            raise HeaderError(f"sampling frequency must be positive, got {self.sampling_frequency}")
+        if not 0 < self.sampling_frequency < np.inf:
+            raise HeaderError("sampling frequency must be positive and finite, "
+                              f"got {self.sampling_frequency}")
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,8 @@ def parse_header(text) -> RecordHeader:
     n_samples = _header_number(int, fields[3], lineno, "record length")
     if n_signals < 1:
         raise HeaderError(f"line {lineno}: record needs at least one signal")
-    if fs <= 0:
-        raise HeaderError(f"line {lineno}: sampling frequency must be positive, got {fs}")
+    if not 0 < fs < np.inf:
+        raise HeaderError(f"line {lineno}: sampling frequency must be positive and finite, got {fs}")
     if n_samples < 0:
         raise HeaderError(f"line {lineno}: record length cannot be negative")
 

@@ -19,7 +19,7 @@ import pytest
 from ecgarr import cli, experiment
 from ecgarr.cli import main
 from ecgarr.experiment import SWEEP_FRACTION_BITS, PipelineConfig
-from ecgarr.features import WINDOW_HALF_WIDTH, load_features
+from ecgarr.features import WINDOW_HALF_WIDTH, load_features, save_features
 from ecgarr.fixedpoint import QFormat
 from ecgarr.mlp import init_model, load_model, predict_batch, quantize_model, save_model
 from ecgarr.selflearn import load_anomaly_log
@@ -612,6 +612,36 @@ def test_manifest_hashes_the_sample_file_the_header_names(tmp_path):
     assert main(["detect", "--record", str(header), "--out-dir", str(out)]) == 0
     read = [str(header), str(tmp_path / "samples_r1.dat"), str(tmp_path / "r1.atr")]
     assert read_manifest(out)["inputs"] == {p: sha256(p) for p in read}
+
+
+@pytest.mark.parametrize("argv", [["detect"], ["evaluate", "--classifier", "self-learner"]])
+def test_an_infinite_sampling_frequency_is_one_error_line(tmp_path, capsys, argv):
+    # detect once died in an OverflowError traceback; evaluate ran and exited 0
+    header = Path(classifier_record(tmp_path, "r1", seed=0))
+    record_line, rest = header.read_text().split("\n", 1)
+    fields = record_line.split()
+    fields[2] = "inf"
+    header.write_text(" ".join(fields) + "\n" + rest)
+    out = tmp_path / "o"
+    assert main([*argv, "--record", str(header), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 1: sampling frequency must be positive and finite, got inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "infer"])
+def test_an_empty_feature_table_is_one_error_line(tmp_path, capsys, command):
+    # a header and no rows once failed in np.stack: "need at least one array to stack"
+    table = tmp_path / "features.txt"
+    save_features(table, [])
+    model = tmp_path / "model.txt"
+    save_model(model, init_model(seed=0))
+    out = tmp_path / "o"
+    argv = [command, "--features", str(table), "--out-dir", str(out)]
+    argv += ["--model", str(model)] if command == "infer" else ["--seed", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {table}: no beats\n"
+    assert not out.exists()
 
 
 def test_even_window_rejected(records, tmp_path, capsys):

@@ -538,6 +538,15 @@ def test_peak_train_invariants():
     assert len(PeakTrain(np.asarray([], dtype=np.int64), 360.0)) == 0
 
 
+@pytest.mark.parametrize("fs", [np.nan, np.inf])
+def test_a_rate_that_is_not_finite_is_rejected(fs):
+    # an infinite rate once reached int(round(...)) in the detector: OverflowError
+    with pytest.raises(ValueError, match="sampling frequency must be positive and finite"):
+        detect_r_peaks(np.zeros(100), fs=fs)
+    with pytest.raises(ValueError, match="sampling frequency must be positive and finite"):
+        PeakTrain(np.asarray([1, 2]), fs)
+
+
 @pytest.mark.parametrize("bad, shown", [(1.5, "1.5"), (math.nan, "nan"), (math.inf, "inf"),
                                         (-math.inf, "-inf")])
 def test_peak_train_rejects_a_peak_that_is_not_an_integer(bad, shown):

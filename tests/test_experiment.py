@@ -18,7 +18,6 @@ import pytest
 from ecgarr import experiment
 from ecgarr.experiment import (
     PipelineConfig,
-    _nearest_within,
     _self_learner_verdicts,
     record_signal,
     render_experiment,
@@ -231,23 +230,6 @@ def test_self_learner_verdicts_equal_the_per_beat_oracle():
     assert min(outcomes[k] for k in ("no stable rhythm", "nothing to monitor",
                                      "missing_beat", "interval_deviation")) >= 50, outcomes
     assert outcomes["flag 1"] >= 1000 and outcomes["flag 0"] >= 1000, outcomes
-
-
-@pytest.mark.parametrize("n_peaks", [0, 1, 2, 400])
-def test_nearest_peak_matches_argmin_scan(n_peaks):
-    rng = np.random.default_rng(n_peaks)
-    # even peaks, some repeated: two peaks have an integer midpoint, so
-    # points tie between neighbours
-    peaks = np.sort(rng.choice(np.arange(0, 4000, 2), size=n_peaks))
-    points = np.arange(-60, 4060, dtype=np.int64)
-    window = 18.0
-    got = _nearest_within(peaks, points, window)
-    for point, peak in zip(points, got):
-        dist = np.abs(peaks - point)
-        if peaks.size and dist.min() <= window:
-            assert peak == peaks[np.argmin(dist)]
-        else:
-            assert peak == -1
 
 
 # ---------------------------------------------------------------------------

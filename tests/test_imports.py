@@ -1,5 +1,5 @@
-"""Every imported name is used by its module, and every exported one
-exists.
+"""Every imported name is used by its module, every exported one exists,
+and only ``ecgarr.metrics`` names the beat-match window.
 
 An import that only re-exports a name, or that keeps a name where
 another tool looks it up, says so with ``# noqa: F401`` on the name's
@@ -61,3 +61,10 @@ def test_every_name_in_all_resolves(name):
     # a module without __all__ exports nothing by name
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_only_metrics_names_the_match_window():
+    # one pairing rule: every matcher goes through ecgarr.metrics
+    naming = [str(p.relative_to(ROOT)) for p in sorted((ROOT / "src").rglob("*.py"))
+              if "MATCH_WINDOW_MS" in p.read_text()]
+    assert naming == ["src/ecgarr/metrics.py"]

@@ -1,5 +1,7 @@
-"""Metric ratios against a rational oracle, plus beat matching."""
+"""Metric ratios against a rational oracle, plus beat matching against
+the greedy candidate loop in ``match_oracle.py``."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,9 @@ from ecgarr.metrics import (
     confusion_from_labels,
     format_report,
     match_beats,
+    nearest_within,
 )
+from match_oracle import match_beats as greedy_match
 
 
 def test_counts_validation_and_total():
@@ -192,6 +196,15 @@ def test_match_input_validation():
         match_beats([1], [1], sampling_frequency=0.0)
 
 
+@pytest.mark.parametrize("fs", [float("nan"), float("inf"), -float("inf")])
+def test_match_rejects_a_rate_that_is_not_finite(fs):
+    # a NaN rate once cast its window to int64 with a warning and matched nothing
+    with pytest.raises(ValueError, match="sampling_frequency must be positive and finite"):
+        match_beats([100], [100], sampling_frequency=fs)
+    with pytest.raises(ValueError, match="sampling_frequency"):
+        nearest_within(np.array([100]), np.array([100]), sampling_frequency=fs)
+
+
 def test_match_rejects_fractional_indices():
     # a plain int64 cast would truncate 100.7 to 100 and match it
     with pytest.raises(ValueError, match=r"peak index 100\.7 is not an integer"):
@@ -200,3 +213,69 @@ def test_match_rejects_fractional_indices():
         match_beats([100, 300], [100.0, 300.5], sampling_frequency=360.0)
     m = match_beats([100.0, 300.0], np.array([100, 300]), sampling_frequency=360.0)
     assert m.pairs == ((100, 100), (300, 300))
+
+
+@pytest.mark.parametrize("n_peaks", [0, 1, 2, 400])
+def test_nearest_peak_matches_argmin_scan(n_peaks):
+    rng = np.random.default_rng(n_peaks)
+    # even peaks, a quarter of them repeated: two peaks have an integer
+    # midpoint, so points tie between neighbours and between equal peaks
+    peaks = rng.choice(np.arange(0, 4000, 2), size=n_peaks)
+    peaks = np.sort(np.concatenate([peaks, peaks[: n_peaks // 4]]))
+    points = np.arange(-60, 4060, dtype=np.int64)
+    got = nearest_within(peaks, points, sampling_frequency=360.0)  # an 18-sample window
+    assert got.dtype == np.int64
+    for point, pos in zip(points, got):
+        dist = np.abs(peaks - point)
+        if peaks.size and dist.min() <= 18.0:
+            assert pos == np.argmin(dist)  # the earliest of the nearest
+        else:
+            assert pos == -1
+
+
+def test_nearest_tie_goes_to_the_first_of_equal_targets():
+    targets = np.array([100, 100, 200, 200, 200])
+    points = np.array([100, 150, 151, 200, 250, 251, 49, 50])
+    got = nearest_within(targets, points, sampling_frequency=1000.0)  # a 50-sample window
+    assert got.tolist() == [0, 0, 2, 2, 2, -1, -1, 0]
+
+
+def _chain(n, gaps, first):
+    """n beats alternating between the sides, first (0 annotation, 1
+    prediction) first, gaps[k] samples between beat k and k + 1."""
+    beats = np.concatenate([[1000], 1000 + np.cumsum(gaps[: n - 1])])
+    side = (np.arange(n) + first) % 2
+    return beats[side == 1], beats[side == 0]
+
+
+def test_match_beats_equals_the_greedy_oracle():
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for case in range(10_800):
+        span = (50, 200, 2000)[case % 3]
+        fs = (100.0, 360.0, 1000.0)[case // 3 % 3]
+        pred = np.sort(rng.integers(0, span, size=rng.integers(0, 31)))
+        ann = np.sort(rng.integers(0, span, size=rng.integers(0, 31)))
+        got = match_beats(pred, ann, sampling_frequency=fs)
+        want = greedy_match(pred, ann, fs)
+        assert (got.pairs, got.unmatched_predictions, got.unmatched_annotations) == want, \
+            (pred.tolist(), ann.tolist(), fs)
+        seen.update({"empty side": not pred.size or not ann.size,
+                     "repeated prediction": np.unique(pred).size < pred.size,
+                     "repeated annotation": np.unique(ann).size < ann.size,
+                     "unpaired": bool(want[1] and want[2])})
+    assert min(seen.values()) >= 300, seen
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("gaps, fs", [
+    (np.arange(499, 99, -1), 10_000.0),  # steadily shrinking: one pair a round
+    (np.full(399, 10), 360.0),           # equal: every tie points back
+    (np.repeat(np.arange(18, 8, -1), 40), 360.0),  # stepped: ties within each step
+])
+def test_match_beats_equals_the_greedy_oracle_on_an_alternating_chain(gaps, fs, first):
+    pred, ann = _chain(400, gaps, first)
+    got = match_beats(pred, ann, sampling_frequency=fs)
+    want = greedy_match(pred, ann, fs)
+    assert (got.pairs, got.unmatched_predictions, got.unmatched_annotations) == want
+    assert len(got.pairs) == 200

@@ -11,6 +11,7 @@ from ecgarr.wfdb_io import (
     Format212Error,
     FormatUnsupportedError,
     HeaderError,
+    RecordHeader,
     decode_format212,
     ingest_record,
     label_beat,
@@ -90,6 +91,16 @@ def test_parse_header_errors_carry_line_numbers():
 def test_parse_header_too_few_signal_lines():
     with pytest.raises(HeaderError):
         parse_header("x 2 360 100\nx.dat 212 200 11 0 0 0 0\n")
+
+
+@pytest.mark.parametrize("rate", ["inf", "1e400", "nan", "-inf"])
+def test_parse_header_rejects_a_rate_that_is_not_finite(rate):
+    # 1e400 overflows to inf; NaN was caught only by RecordHeader, with no line
+    with pytest.raises(HeaderError, match="^line 1: sampling frequency must be positive "
+                                          "and finite, got "):
+        parse_header(f"x 1 {rate} 100\nx.dat 212\n")
+    with pytest.raises(HeaderError, match="^sampling frequency must be positive and finite"):
+        RecordHeader("x", 1, float(rate), 100)
 
 
 def test_parse_header_rejects_bad_numbers():
