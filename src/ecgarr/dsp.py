@@ -51,22 +51,14 @@ class DwtCoefficients:
     level_lengths: tuple  # input length that produced each level
 
 
-def _analysis_step(x, h, g, approx, detail):
-    # symmetric extension by one filter length on each side, then
-    # correlate and keep even phases; a branch not asked for is None
-    m = h.size
-    ext = np.pad(x, m, mode="symmetric")
-    a = np.convolve(ext, h[::-1], mode="valid")[::2] if approx else None
-    d = np.convolve(ext, g[::-1], mode="valid")[::2] if detail else None
-    return a, d
+# Outputs per block of synthesis or rolling maximum: temporaries stay small,
+# and _band_energy streams its last two levels, never holding level 1 whole.
+_BLOCK = 1 << 16
 
 
-_BLOCK = 1 << 15  # outputs per block of synthesis or rolling maximum: temporaries stay small
-
-
-def _synthesis_blocks(a, d, h, g, n):
-    """Yield (r, q, v), r = 0 then 1: v holds output samples 2q + r,
-    2q + r + 2, ... of one synthesis step of length n.  Polyphase: output
+def _synthesis_blocks(a, d, h, g, lo, hi):
+    """Yield (r, q, v), r = 0 then 1: v holds the samples 2q + r,
+    2q + r + 2, ... in [lo, hi) of one synthesis step.  Polyphase: output
     sample 2q + r is sample m + 2q + r of the branch filter run over the
     zero-stuffed coefficients, which reads only the taps of parity r; so
     each branch is two half-length filters over its coefficients, run
@@ -78,14 +70,22 @@ def _synthesis_blocks(a, d, h, g, n):
     """
     live = [(coeffs, filt) for coeffs, filt in ((a, h), (d, g)) if coeffs is not None]
     for r in (0, 1):
-        count = (n + 1 - r) // 2
-        for q in range(0, count, _BLOCK):
+        count = (hi + 1 - r) // 2
+        for q in range((lo + 1 - r) // 2, count, _BLOCK):
             stop = min(q + _BLOCK, count)
             block = None
             for coeffs, filt in live:
                 part = np.convolve(coeffs[q + 1 : stop + h.size // 2], filt[r::2], "valid")
                 block = part if block is None else np.add(block, part, out=block)
             yield r, q, block
+
+
+def _synthesis_slice(a, d, h, g, lo, hi):
+    """Samples [lo, hi) of one synthesis step, both parities interleaved."""
+    out = np.empty(hi - lo)
+    for r, q, block in _synthesis_blocks(a, d, h, g, lo, hi):
+        out[2 * q + r - lo :: 2][: block.size] = block
+    return out
 
 
 def _check_signal(x):
@@ -98,16 +98,28 @@ def _check_signal(x):
         )
 
 
-def _analyze(x, h, g, levels, kept, keep_approx):
-    """Analysis bank down to `levels`, computing an approximation only
-    where a deeper level or keep_approx reads it and only the details
-    in kept; each branch it skips is None."""
+def _even_outputs(ext, filt):
+    """Each row of ext correlated with filt, its even outputs that read it
+    alone: the same dot products as the row run alone, from one run of the
+    rows laid end to end ("full" output shifted by m - 1: a row's width each)."""
+    m = filt.size
+    full = np.convolve(ext.ravel(), filt[::-1], mode="full")
+    return full[m - 1 : m - 1 + ext.size].reshape(ext.shape)[:, : ext.shape[1] - m + 1 : 2]
+
+
+def _analyze(rows, h, g, levels, kept, keep_approx):
+    """Analysis bank down to `levels` over each row of a 2-d array, one
+    pass a level: the rows extended symmetrically by one filter length,
+    then one correlation per branch.  An approximation only where a deeper
+    level or keep_approx reads it, details only in kept; each skipped
+    branch is None."""
     details, lengths = [], []
-    a = x
+    a = rows
     for level in range(1, levels + 1):
-        lengths.append(a.size)
-        a, d = _analysis_step(a, h, g, approx=level < levels or keep_approx,
-                              detail=level in kept)
+        lengths.append(a.shape[1])
+        ext = np.pad(a, ((0, 0), (h.size, h.size)), mode="symmetric")
+        a, d = (_even_outputs(ext, filt) if wanted else None
+                for filt, wanted in ((h, level < levels or keep_approx), (g, level in kept)))
         details.append(d)
     return a, details, lengths
 
@@ -119,10 +131,7 @@ def _synthesize(a, details, lengths, h, g):
     while details:
         d, n = details.pop(), lengths[len(details)]
         if a is not None or d is not None:
-            out = np.empty(n)
-            for r, q, block in _synthesis_blocks(a, d, h, g, n):
-                out[2 * q + r :: 2][: block.size] = block
-            a = out
+            a = _synthesis_slice(a, d, h, g, 0, n)
     return a
 
 
@@ -131,8 +140,8 @@ def dwt_decompose(signal) -> DwtCoefficients:
     series finest level first.  Requires len(signal) >= 2**LEVELS."""
     x = np.asarray(signal, dtype=np.float64)
     _check_signal(x)
-    a, details, lengths = _analyze(x, _H, _G, LEVELS, range(1, LEVELS + 1), True)
-    return DwtCoefficients(tuple(details), a, tuple(lengths))
+    a, details, lengths = _analyze(x[None], _H, _G, LEVELS, range(1, LEVELS + 1), True)
+    return DwtCoefficients(tuple(d[0] for d in details), a[0], tuple(lengths))
 
 
 def dwt_reconstruct(coeffs: DwtCoefficients):
@@ -241,14 +250,17 @@ def _band_energy(x):
     are a stride-2 view of one of D_l's phases (_gather), copied straight
     into the shift's detail.  The few coefficients whose taps reach the
     symmetric padding come from the decimated bank run on the rotated
-    record's first and last 2**depth * (m + 1) samples (the tail starting
-    on a multiple of 2**depth, where its coefficients line up with the
-    record's); a record shorter than twice that takes both segments
-    whole.  The band is then the usual polyphase synthesis, its last
-    level squared a block at a time and added into two parity planes of
-    the energy, even and odd samples, each block contiguous in one plane
-    (or two, where it wraps round an odd-length record's end).  The
-    planes are interleaved once, after the shared details are freed.
+    record's first and last n - tail samples, at least 2**depth * (m + 1)
+    (the tail starting on a multiple of 2**depth, where its coefficients
+    line up with the record's); a record shorter than twice that takes
+    both segments whole.  All the shifts' heads and tails are the rows of
+    one batched analysis.  The band is then the usual polyphase synthesis
+    down to level 2; the last two levels are streamed: each block of band
+    outputs is synthesised from the slice of level 1 it reads, itself
+    synthesised from level 2 (_synthesis_slice), squared and added into
+    two parity planes of the energy, even and odd samples, contiguous in
+    one plane (or two, where it wraps round an odd-length record's end).
+    The planes are interleaved once, after the shared details are freed.
     """
     _check_signal(x)
     h, g, kept, shifts = _H, _G, DETAIL_LEVELS, 2**LEVELS
@@ -269,29 +281,36 @@ def _band_energy(x):
         if level in shared:
             views[level] = lo, max(lo, hi + 1), 2**level * lo - (2**level - 1) * m
 
-    planes = np.zeros(n - n // 2), np.zeros(n // 2)  # energy[0::2], energy[1::2]
+    # every shift's head, then every shift's tail, as the rows of one analysis
+    starts = np.concatenate((np.arange(shifts), tail + np.arange(shifts)))
+    _, edges, _ = _analyze(np.take(x, starts[:, None] + np.arange(n - tail), mode="wrap"),
+                           h, g, depth, kept, keep_approx=False)
+
+    half = (n + 1) // 2
+    planes = np.zeros(half), np.zeros(n // 2)  # energy[0::2], energy[1::2]
     for s in range(shifts):
-        _, head, _ = _analyze(np.take(x, np.arange(s, s + span), mode="wrap"),
-                              h, g, depth, kept, keep_approx=False)
-        _, end, _ = _analyze(np.take(x, np.arange(s + tail, s + n), mode="wrap"),
-                             h, g, depth, kept, keep_approx=False)
         details = [None] * depth
         for level, (lo, stop, first) in views.items():
             details[level - 1] = d = np.empty(lengths[level])
-            d[:lo] = head[level - 1][:lo]
+            d[:lo] = edges[level - 1][s, :lo]
             _gather(shared[level], n, first + s, 2**level, d[lo:stop])
-            d[stop:] = end[level - 1][stop - (tail >> level) :]
+            d[stop:] = edges[level - 1][shifts + s, stop - (tail >> level) :]
         del d  # only the list holds the details, so each is freed once used
-        finest = details.pop(0)
-        a = _synthesize(None, details, lengths[1:depth], h, g)
-        for r, q, block in _synthesis_blocks(a, finest, h, g, n):
-            block *= block
-            e = 2 * q + r + s  # where band sample 2q + r belongs: energy[e mod n]
-            while block.size:  # the rest wraps round to the record's start
-                into = planes[e % 2][e // 2 :][: block.size]
-                into += block[: into.size]
-                block, e = block[into.size :], e + 2 * into.size - n
-        del a, finest, block
+        finest, second = details.pop(0), details.pop(0)
+        a = _synthesize(None, details, lengths[2:depth], h, g)
+        for q in range(0, half, _BLOCK):
+            stop = min(q + _BLOCK, half)
+            end = stop + m // 2  # band samples [2q, 2 stop) read level 1 up to end
+            a1 = _synthesis_slice(a, second, h, g, q, end)
+            d1 = None if finest is None else finest[q:end]
+            for r, _, block in _synthesis_blocks(a1, d1, h, g, 0, min(2 * stop, n) - 2 * q):
+                block *= block
+                e = 2 * q + r + s  # where band sample 2q + r belongs: energy[e mod n]
+                while block.size:  # the rest wraps round to the record's start
+                    into = planes[e % 2][e // 2 :][: block.size]
+                    into += block[: into.size]
+                    block, e = block[into.size :], e + 2 * into.size - n
+        del a, a1, block
     del shared
     energy = np.empty(n)
     energy[0::2], energy[1::2] = planes

@@ -166,11 +166,14 @@ def annotated_beats(ann_indices, ann_codes):
 
 
 def label_peaks(peaks, ann_indices, ann_labels, fs: float) -> np.ndarray:
-    """The label of the annotation each peak matched, -1 where none did."""
-    matched = match_beats(peaks, ann_indices, sampling_frequency=fs)
-    label_by_ann = dict(zip(ann_indices.tolist(), ann_labels.tolist()))
-    label_by_peak = {p: label_by_ann[a] for p, a in matched.pairs}
-    return np.array([label_by_peak.get(int(p), -1) for p in peaks], dtype=np.int64)
+    """The label of the annotation each peak matched, -1 where none did;
+    by position, so two annotated beats on one sample keep their labels."""
+    pred_of = np.array(match_beats(peaks, ann_indices, sampling_frequency=fs).prediction_of,
+                       dtype=np.int64)
+    labels = np.full(len(peaks), -1, dtype=np.int64)
+    matched = pred_of >= 0
+    labels[pred_of[matched]] = np.asarray(ann_labels)[matched]
+    return labels
 
 
 def record_signal(header, samples, channel: int) -> np.ndarray:

@@ -134,6 +134,7 @@ class MatchResult:
     pairs: tuple                     # (prediction index, annotation index) pairs
     unmatched_predictions: tuple     # FP-side sample indices
     unmatched_annotations: tuple     # FN-side sample indices
+    prediction_of: tuple             # per annotation, its prediction's position or -1
 
 
 def nearest_within(targets, points, *, sampling_frequency: float) -> np.ndarray:
@@ -184,4 +185,5 @@ def match_beats(predicted, annotated, *, sampling_frequency: float) -> MatchResu
         free_p, free_a = np.delete(free_p, to_p[k]), np.delete(free_a, k)
     matched = pred_of >= 0
     return MatchResult(tuple(zip(pred[pred_of[matched]].tolist(), ann[matched].tolist())),
-                       tuple(pred[free_p].tolist()), tuple(ann[free_a].tolist()))
+                       tuple(pred[free_p].tolist()), tuple(ann[free_a].tolist()),
+                       tuple(pred_of.tolist()))

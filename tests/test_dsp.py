@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -50,8 +51,10 @@ def _bank(wavelet):
 
 
 def _decompose(x, wavelet, levels):
-    return dsp._analyze(np.asarray(x, dtype=np.float64), *_bank(wavelet), levels,
-                        range(1, levels + 1), True)
+    # the batched analysis run on one row
+    a, details, lengths = dsp._analyze(np.asarray(x, dtype=np.float64)[None], *_bank(wavelet),
+                                       levels, range(1, levels + 1), True)
+    return a[0], [d[0] for d in details], lengths
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +286,7 @@ def test_benchmark_record_memory_stays_within_its_budget(tmp_path, monkeypatch):
     # A run loads its records on one thread per CPU, so its memory grows
     # by one record's transient arrays per worker.  Traced peaks on a
     # 30-minute record: ingest within 3x the bytes of its samples, the
-    # detector within 4x those of its float64 signal.
+    # detector within 3.75x those of its float64 signal (3.73x measured).
     records = _benchmark_records(monkeypatch)
     header, _ = records.write_record(tmp_path, "rec0", 1, 0)
     tracemalloc.start()
@@ -300,7 +303,27 @@ def test_benchmark_record_memory_stays_within_its_budget(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert ingest_peak <= 3 * samples_bytes, ingest_peak / samples_bytes
-    assert detect_peak - before <= 4 * x.nbytes, (detect_peak - before) / x.nbytes
+    assert detect_peak - before <= 3.75 * x.nbytes, (detect_peak - before) / x.nbytes
+
+
+def test_detector_makes_few_numpy_calls_on_a_benchmark_record(monkeypatch):
+    # Two records detect on two threads, and a numpy call that releases
+    # the interpreter lock may hand it to the other: the edge analyses of
+    # all 16 shifts run as one pass a level, and a synthesis call yields
+    # up to _BLOCK outputs.
+    x = _benchmark_records(monkeypatch).synthesize(1, 0)[0][0].astype(np.float64)
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "convolve", counted("convolve", np.convolve))
+    monkeypatch.setattr(np, "pad", counted("pad", np.pad))
+    detect_r_peaks(x, 360.0)
+    assert calls["convolve"] <= 520 and calls["pad"] <= 10, calls
 
 
 @pytest.mark.parametrize("n", [16, 17, 30, 33, 101])
@@ -353,6 +376,37 @@ def test_band_energy_matches_oracle_at_assorted_lengths(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 100.0
     assert dsp._band_energy(x).tobytes() == _oracle_energy(x).tobytes()
+
+
+@pytest.mark.parametrize("blocks, extra", [(2, -1), (2, 0), (2, 1), (4, 3)])
+def test_band_energy_matches_oracle_around_the_synthesis_blocks(blocks, extra):
+    # the band's last level runs (n + 1) // 2 outputs a parity in blocks
+    # of _BLOCK, each from its own streamed slice of level 1
+    n = blocks * dsp._BLOCK + extra
+    x = np.random.default_rng(n).standard_normal(n) * 100.0
+    assert dsp._band_energy(x).tobytes() == _oracle_energy(x).tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_streamed_slice_of_a_lowpass_level_equals_the_whole_level(block, monkeypatch):
+    # samples [lo, hi) of a lowpass-only synthesis step, as _band_energy
+    # streams its level-1 approximation, byte for byte those of the whole
+    # level: random ranges starting and ending on both parities, the ends
+    # among them; with _BLOCK at 5 a slice spans many blocks
+    if block:
+        monkeypatch.setattr(dsp, "_BLOCK", block)
+    rng = np.random.default_rng(29)
+    h, g, m = dsp._H, dsp._G, dsp._H.size
+    for n in (16, 17, 101, 1000, 2 * dsp._BLOCK + 1):
+        a = rng.standard_normal((n + m) // 2 + 1) * 100.0
+        whole = dsp._synthesize(a, [None], [n], h, g)
+        assert whole.tobytes() == dwt_oracle.synthesis_step(a, np.zeros_like(a), h, g, n).tobytes()
+        ranges = [(0, n), (0, 1), (n - 1, n), (1, n), (0, n - 1), (1, n - 1)]
+        ranges += [tuple(sorted(rng.choice(n + 1, 2, replace=False))) for _ in range(40)]
+        assert {(lo % 2, hi % 2) for lo, hi in ranges} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for lo, hi in ranges:
+            got = dsp._synthesis_slice(a, None, h, g, lo, hi)
+            assert got.tobytes() == whole[lo:hi].tobytes(), (n, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,20 @@ def test_self_learner_on_detected_beats_labels_no_peaks(records, monkeypatch):
     assert calls == []
 
 
+def test_peaks_take_the_label_of_the_annotation_they_were_paired_with():
+    # two annotated beats on one sample, labelled apart: each peak takes
+    # the label of the annotation match_beats paired it with, found by
+    # position, not by sample index
+    peaks, ann, labels = np.array([98, 102, 500]), np.array([100, 100, 500]), np.array([0, 1, 0])
+    assert experiment.label_peaks(peaks, ann, labels, 360.0).tolist() == [0, 1, 0]
+    matched = experiment.match_beats(peaks, ann, sampling_frequency=360.0)
+    assert matched.pairs == ((98, 100), (102, 100), (500, 500))
+    assert matched.prediction_of == (0, 1, 2)
+    # a peak no annotation pairs with is -1, an annotation no peak pairs with is ignored
+    assert experiment.label_peaks(np.array([100, 300]), ann, labels, 360.0).tolist() == [0, -1]
+    assert experiment.label_peaks(np.array([], dtype=np.int64), ann, labels, 360.0).size == 0
+
+
 def test_nothing_to_monitor_raises(tmp_path):
     # five annotated beats: the learning window takes them all
     beats = [200 + 345 * k for k in range(5)]

@@ -260,6 +260,11 @@ def test_match_beats_equals_the_greedy_oracle():
         want = greedy_match(pred, ann, fs)
         assert (got.pairs, got.unmatched_predictions, got.unmatched_annotations) == want, \
             (pred.tolist(), ann.tolist(), fs)
+        # each annotation's paired prediction by position, one to one
+        of = np.asarray(got.prediction_of, dtype=np.int64).reshape(-1)
+        paired = of >= 0
+        assert of.size == ann.size and np.unique(of[paired]).size == paired.sum()
+        assert tuple(zip(pred[of[paired]].tolist(), ann[paired].tolist())) == got.pairs
         seen.update({"empty side": not pred.size or not ann.size,
                      "repeated prediction": np.unique(pred).size < pred.size,
                      "repeated annotation": np.unique(ann).size < ann.size,
