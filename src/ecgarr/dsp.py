@@ -196,37 +196,23 @@ class PeakTrain:
         return int(self.r_indices.size)
 
 
-def _gather(phases, n, start, step, out):
-    """Fill out[k] with A[(start + step k) mod n], where the n-long series
-    A is held as its D = len(phases) phases, A[i] = phases[i % D][i // D],
-    and D divides step: a stride-(step // D) view of one phase up to the
-    record's end, then the same from where the run wraps round."""
-    dilation, k = len(phases), 0
-    while k < out.size:
-        start %= n
-        run = min(out.size - k, -(-(n - start) // step))
-        out[k : k + run] = phases[start % dilation][start // dilation :: step // dilation][:run]
-        k, start = k + run, start + step * run
-    return out
-
-
 def _atrous(x, h, g, depth, kept):
-    """Circular undecimated (a trous) details {level: phases} for the kept
-    levels: with A_0 = x, A_l[p] = sum_j A_(l-1)[(p + 2**(l-1) j) mod n] h[j]
-    and D_l the same with g.  Level l, at dilation D = 2**(l-1), is held as
-    its D phases, phase p the series A_l[p], A_l[p + D], ...: the
-    np.convolve output of the correlation _analysis_step makes, run over
-    a stride-2 view of one phase of the level above and the few samples
-    that wrap round the end, so each coefficient is the same dot product
-    of the same taps in the same order.  An approximation is dropped once
-    the next level is built."""
-    n, m = x.size, h.size
+    """Linear undecimated (a trous) details {level: phases} for the kept
+    levels: A_0 = x, A_l[p] = sum_j A_(l-1)[p + 2**(l-1) j] h[j], zero past
+    the end, D_l the same with g; of level l's n coefficients, those from
+    n - (m - 1)(2**l - 1) on read the zeros.  Level l, at dilation
+    D = 2**(l-1), is its D phases, phase p the series A_l[p], A_l[p + D],
+    ...: the np.convolve output of _analyze's correlation over a stride-2
+    view (stride 1 at level 1) of one phase of the level above, then m - 1
+    zeros: the same dot products of the same taps in the same order.  An
+    approximation is dropped once the next level is built."""
     a, details = [x], {}
     for level in range(1, depth + 1):
         dilation = 2 ** (level - 1)
         above, a, d = a, [], []
         for phase in range(dilation):
-            seq = _gather(above, n, phase, dilation, np.empty(-(-(n - phase) // dilation) + m - 1))
+            view = above[phase % len(above)][phase // len(above) :: dilation // len(above)]
+            seq = np.concatenate((view, np.zeros(h.size - 1)))
             if level < depth:
                 a.append(np.convolve(seq, h[::-1], mode="valid"))
             if level in kept:
@@ -245,36 +231,35 @@ def _band_energy(x):
     the ends, harmless next to the ~2 s threshold window.
 
     Away from the rotated record's ends, detail k of level l of shift s
-    is the circular a trous detail D_l[2**l k - (2**l - 1) m + s], m taps,
-    so one shared analysis serves every shift: its interior coefficients
-    are a stride-2 view of one of D_l's phases (_gather), copied straight
-    into the shift's detail.  The few coefficients whose taps reach the
-    symmetric padding come from the decimated bank run on the rotated
-    record's first and last n - tail samples, at least 2**depth * (m + 1)
-    (the tail starting on a multiple of 2**depth, where its coefficients
-    line up with the record's); a record shorter than twice that takes
-    both segments whole.  All the shifts' heads and tails are the rows of
-    one batched analysis.  The band is then the usual polyphase synthesis
-    down to level 2; the last two levels are streamed: each block of band
-    outputs is synthesised from the slice of level 1 it reads, itself
-    synthesised from level 2 (_synthesis_slice), squared and added into
-    two parity planes of the energy, even and odd samples, contiguous in
-    one plane (or two, where it wraps round an odd-length record's end).
-    The planes are interleaved once, after the shared details are freed.
+    is the a trous detail D_l[2**l k - (2**l - 1) m + s], m taps, so one
+    linear, zero-extended analysis (_atrous) serves every shift: a shift's
+    interior is a stride-2 slice of one of D_l's phases, ending before its
+    rotated record's wrapped samples and so before the zeros.  The rest
+    comes from the decimated bank run on the rotated record's first and
+    last n - tail samples, at least 2**depth * (m + 2) (the tail starting
+    on a multiple of 2**depth, where its coefficients line up with the
+    record's); a record shorter than twice that takes both segments
+    whole.  All the shifts' heads and tails are the rows of one batched
+    analysis; only these rows and the band's accumulation into the energy
+    see the wrap.  The band is the usual polyphase synthesis down to level
+    2; the last two levels are streamed: each block of band outputs is
+    synthesised from the slice of level 1 it reads, itself synthesised
+    from level 2 (_synthesis_slice), squared and added into two parity
+    planes of the energy, even and odd samples, contiguous in one plane
+    (or two, where it wraps round an odd-length record's end), which are
+    interleaved once the shared details are freed.
     """
     _check_signal(x)
     h, g, kept, shifts = _H, _G, DETAIL_LEVELS, 2**LEVELS
     n, m, depth = x.size, h.size, max(kept)
-    span = 2**depth * (m + 1)
-    span = span if 2 * span < n else n
-    tail = (n - span) >> depth << depth
+    span = 2**depth * (m + 2)
+    tail = (n - span) >> depth << depth if 2 * span < n else 0
 
     # Per level: the coefficient count and the interior [lo, stop), whose
-    # taps read no padding, directly or through the levels above; per
-    # kept level also where shift 0's first interior coefficient sits in
-    # the shared details.
+    # taps read no padding and no wrapped sample, even through the levels
+    # above; per kept level also shift 0's first interior D_l position.
     shared = _atrous(x, h, g, depth, kept)
-    lengths, views, lo, hi = [n], {}, 0, n - 1
+    lengths, views, lo, hi = [n], {}, 0, n - shifts
     for level in range(1, depth + 1):
         lengths.append((lengths[-1] + m) // 2 + 1)
         lo, hi = (lo + m + 1) // 2, (hi + 1) // 2
@@ -291,11 +276,11 @@ def _band_energy(x):
     for s in range(shifts):
         details = [None] * depth
         for level, (lo, stop, first) in views.items():
-            details[level - 1] = d = np.empty(lengths[level])
-            d[:lo] = edges[level - 1][s, :lo]
-            _gather(shared[level], n, first + s, 2**level, d[lo:stop])
-            d[stop:] = edges[level - 1][shifts + s, stop - (tail >> level) :]
-        del d  # only the list holds the details, so each is freed once used
+            phases, at = shared[level], first + s
+            details[level - 1] = np.concatenate((  # held by the list alone: freed once used
+                edges[level - 1][s, :lo],
+                phases[at % len(phases)][at // len(phases) :: 2][: stop - lo],
+                edges[level - 1][shifts + s, stop - (tail >> level) :]))
         finest, second = details.pop(0), details.pop(0)
         a = _synthesize(None, details, lengths[2:depth], h, g)
         for q in range(0, half, _BLOCK):

@@ -15,13 +15,14 @@ Fixed-point inference is exact integer sums in float64 on every kernel.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .dsp import PeakTrain, detect_r_peaks
+from .dsp import detect_r_peaks
 from .features import WINDOW_HALF_WIDTH, beat_table, feature_matrix, fit_pca
 # the benchmark's tracer wraps these per-beat names in this module
 from .features import build_feature_vector, project, window_beat  # noqa: F401
@@ -185,6 +186,28 @@ def record_signal(header, samples, channel: int) -> np.ndarray:
     return samples[channel].astype(np.float64)
 
 
+def _read_peaks(path, record_id, n_samples):
+    """A detect artifact's int64 peaks, one a line, "#" starting a comment."""
+    peaks = []
+    with open(path) as fh:
+        for number, line in enumerate(fh, start=1):
+            text = line.split("#")[0].strip()
+            if not text:
+                continue
+            if not re.fullmatch(r"[+-]?[0-9]+", text):
+                raise ValueError(f"{path}: line {number}: {text!r} is not one integer peak")
+            peak = int(text)
+            if not 0 <= peak < n_samples:
+                raise ValueError(f"{path}: peak {peak} is outside record {record_id}'s "
+                                 f"{n_samples} samples")
+            if peaks and peak <= peaks[-1]:
+                raise ValueError(f"{path}: line {number}: peak {peak} is not after {peaks[-1]}")
+            peaks.append(peak)
+    if not peaks:
+        raise ValueError(f"{path}: no peaks")
+    return np.array(peaks, dtype=np.int64)
+
+
 def read_beats(header, channel: int, detector: str, peaks_file=None):
     """A record's id, signal, fs, beat indices and annotated indices and
     labels.  The beats are peaks_file's (a detect artifact) if given, else
@@ -196,16 +219,7 @@ def read_beats(header, channel: int, detector: str, peaks_file=None):
     record_id, fs = head.record_name, head.sampling_frequency
     ann_idx, ann_lab = annotated_beats(ann_indices, ann_codes)
     if peaks_file:
-        with open(peaks_file) as fh:
-            lines = fh.read().splitlines()
-        if not any(line.split("#")[0].strip() for line in lines):  # loadtxt would warn
-            raise ValueError(f"{peaks_file}: no peaks")
-        peaks = np.loadtxt(lines, dtype=np.int64, ndmin=1)
-        outside = peaks[(peaks < 0) | (peaks >= signal.size)]
-        if outside.size:
-            raise ValueError(f"{peaks_file}: peak {outside[0]} is outside record "
-                             f"{record_id}'s {signal.size} samples")
-        peaks = PeakTrain(peaks, fs).r_indices
+        peaks = _read_peaks(peaks_file, record_id, signal.size)
     elif detector == "ann":
         peaks = ann_idx
     else:

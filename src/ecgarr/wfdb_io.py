@@ -72,7 +72,7 @@ SYMBOL_BY_CODE = {
 _BEAT_CODES = frozenset(range(1, 14)) | {25, 34, 35, 38, 41}
 BEAT_SYMBOLS = frozenset(SYMBOL_BY_CODE[c] for c in _BEAT_CODES)
 
-_SKIP, _NUM, _SUB, _CHAN, _AUX = 59, 60, 61, 62, 63
+_SKIP, _AUX = 59, 63
 
 
 class BeatLabel(Enum):

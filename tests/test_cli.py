@@ -721,6 +721,38 @@ def test_an_empty_peaks_file_is_one_error_line(records, tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+def _peaks_file_error(records, tmp_path, capsys, command, text):
+    """The error a command prints for a peaks file holding text."""
+    peaks = tmp_path / "peaks.txt"
+    peaks.write_text(text)
+    out = tmp_path / "o"
+    assert main([command, "--record", records["a"], "--peaks", str(peaks),
+                 "--out-dir", str(out)]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err.replace(str(peaks), "PEAKS")
+
+
+@pytest.mark.parametrize("command", ["selflearn", "features"])
+def test_a_peak_that_is_no_integer_names_its_line(records, tmp_path, capsys, command):
+    # lines counted from 1, comment and blank lines among them
+    err = _peaks_file_error(records, tmp_path, capsys, command,
+                            "# from detect\n150\n\n450.5\n750\n")
+    assert err == "error: PEAKS: line 4: '450.5' is not one integer peak\n"
+
+
+@pytest.mark.parametrize("command", ["selflearn", "features"])
+def test_a_peak_not_after_the_one_before_names_its_line(records, tmp_path, capsys, command):
+    err = _peaks_file_error(records, tmp_path, capsys, command, "150\n750\n450\n1050\n")
+    assert err == "error: PEAKS: line 3: peak 450 is not after 750\n"
+
+
+@pytest.mark.parametrize("command", ["selflearn", "features"])
+def test_a_line_of_two_peaks_names_its_line(records, tmp_path, capsys, command):
+    # not read as two peaks
+    err = _peaks_file_error(records, tmp_path, capsys, command, "150 450\n")
+    assert err == "error: PEAKS: line 1: '150 450' is not one integer peak\n"
+
+
 def test_channel_out_of_range_fails(records, tmp_path, capsys):
     rc = main(["detect", "--record", records["a"], "--channel", "1",
                "--out-dir", str(tmp_path / "o")])

@@ -326,31 +326,14 @@ def test_detector_makes_few_numpy_calls_on_a_benchmark_record(monkeypatch):
     assert calls["convolve"] <= 520 and calls["pad"] <= 10, calls
 
 
-@pytest.mark.parametrize("n", [16, 17, 30, 33, 101])
-def test_gather_matches_the_circular_strided_read(n):
-    # a series held as D phases, A[i] = phases[i % D][i // D], read from
-    # every start with a step D divides, runs wrapping past the end once
-    # or more, each into a slice of a larger buffer
-    a = np.arange(n, dtype=np.float64) * 1.5 - 7.0
-    for dilation in (1, 2, 4, 8):
-        phases = [a[p::dilation].copy() for p in range(dilation)]
-        for step in (dilation, 2 * dilation):
-            for start in range(-step, n + step):
-                for count in {0, 1, 5, n // step, n // step + 1, 3 * n // step + 7}:
-                    buffer = np.full(count + 2, np.nan)
-                    got = dsp._gather(phases, n, start, step, buffer[1:-1])
-                    want = a[(start + step * np.arange(count)) % n]
-                    assert got.base is buffer
-                    assert got.tobytes() == want.tobytes(), (dilation, step, start, count)
-                    assert np.isnan(buffer[[0, -1]]).all()
-
-
 @pytest.mark.parametrize("wavelet", sorted(dwt_oracle.DAUBECHIES))
 @pytest.mark.parametrize("levels", [3, 4, 5])
 def test_band_energy_matches_oracle_around_the_end_patches(wavelet, levels):
     # The shared analysis patches the rotated record's first and last
-    # 2**depth * (m + 1) samples; below twice that both patches are the
-    # whole record.  Every length on both sides of that overlap for the
+    # 2**depth * (m + 2) samples, as its interior stops short of the
+    # rotation's wrapped samples; below twice that both patches are the
+    # whole record.  Every length on both sides of that overlap, and of
+    # the 2**depth * (m + 1) one of a circular shared analysis, for the
     # m taps of each wavelet and each depth up to levels, odd and even,
     # most of them no multiple of 16, run through the db4 detector band;
     # a record shorter than 16 samples is too short for it.
@@ -359,8 +342,10 @@ def test_band_energy_matches_oracle_around_the_end_patches(wavelet, levels):
     for depth in (4, 4, 2, 4):
         if depth > levels:
             continue
-        overlap = 2 * 2**depth * (m + 1)
-        lengths = [2**levels, 2**levels + 1, 1001, *range(overlap - 3, overlap + 4)]
+        lengths = [2**levels, 2**levels + 1, 1001]
+        for widen in (1, 2):
+            overlap = 2 * 2**depth * (m + widen)
+            lengths += range(overlap - 3, overlap + 4)
         for n in (n for n in lengths if n >= 2**levels):
             x = rng.standard_normal(n) * 100.0
             x[n // 3] += 2000.0
@@ -369,6 +354,42 @@ def test_band_energy_matches_oracle_around_the_end_patches(wavelet, levels):
                     dsp._band_energy(x)
                 continue
             assert dsp._band_energy(x).tobytes() == _oracle_energy(x).tobytes(), (depth, n)
+
+
+def _nan_past_the_linear_end(atrous):
+    """_atrous with every detail coefficient whose taps reach past the
+    record's end, those from n - (m - 1)(2**l - 1) on at level l, NaN."""
+    def run(x, h, g, depth, kept):
+        details = atrous(x, h, g, depth, kept)
+        for level, phases in details.items():
+            end = x.size - (h.size - 1) * (2**level - 1)
+            for p, phase in enumerate(phases):  # phase p holds p, p + D, ...
+                phase[max(0, -(-(end - p) // len(phases))) :] = np.nan
+        return details
+    return run
+
+
+def test_band_energy_never_reads_the_zero_extension(monkeypatch):
+    # a shift's interior stops before the rotation's wrapped samples, so
+    # no coefficient it copies reads the zeros past the record's end
+    monkeypatch.setattr(dsp, "_atrous", _nan_past_the_linear_end(dsp._atrous))
+    rng = np.random.default_rng(43)
+    for n in [*range(16, 401), 4 * dsp._BLOCK - 3, 4 * dsp._BLOCK + 3]:
+        x = rng.standard_normal(n) * 100.0
+        assert dsp._band_energy(x).tobytes() == _oracle_energy(x).tobytes(), n
+
+
+@pytest.mark.parametrize("levels, detail_levels", [(2, (1, 2)), (3, (2, 3)), (5, (4, 5))])
+def test_band_energy_matches_oracle_at_other_depths(levels, detail_levels, monkeypatch):
+    # the depths and detail pairs that keep the band near its 360 Hz
+    # place at 125, 250 and 1000 Hz: 4, 8 and 32 shifts
+    monkeypatch.setattr(dsp, "LEVELS", levels)
+    monkeypatch.setattr(dsp, "DETAIL_LEVELS", detail_levels)
+    rng = np.random.default_rng(levels)
+    for n in [*range(2**levels, 401), 1001, 4097, 20011]:
+        x = rng.standard_normal(n) * 100.0
+        want = dwt_oracle.band_energy(x, DB4, levels, detail_levels)
+        assert dsp._band_energy(x).tobytes() == want.tobytes(), n
 
 
 @pytest.mark.parametrize("n", [600, 700, 1000, 1001, 1003, 4001, 4096, 5000, 5003, 20011])
