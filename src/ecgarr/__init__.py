@@ -24,12 +24,10 @@ from .mlp import (
 from .selflearn import AnomalyEvent, run_self_learner
 from .metrics import ConfusionCounts, MetricsReport, compute_metrics, match_beats
 from .experiment import PipelineConfig, run_experiment, sweep_fraction_bits
-from .wfdb_io import EcgRecord, ingest_record
 
 __all__ = [
     "AnomalyEvent",
     "ConfusionCounts",
-    "EcgRecord",
     "MetricsReport",
     "MlpModel",
     "PCAModel",
@@ -39,7 +37,6 @@ __all__ = [
     "compute_metrics",
     "detect_r_peaks",
     "fit_pca",
-    "ingest_record",
     "init_model",
     "load_model",
     "match_beats",

@@ -59,7 +59,7 @@ from .fixedpoint import QFormat, check_accumulator
 from .mlp import (ACTIVATIONS, init_model, load_model, predict_batch, quantize_model,
                   save_model, train)
 from .selflearn import run_self_learner, save_anomaly_log
-from .wfdb_io import ingest_record, read_header, record_files
+from .wfdb_io import SYMBOL_BY_CODE, read_header, read_record, record_files
 
 __all__ = ["main"]
 
@@ -290,13 +290,14 @@ def _lines(values) -> str:
 
 
 def cmd_ingest(opts):
-    record = ingest_record(opts["record"])
-    signal = record_signal(record.header, record.samples, opts["channel"])
-    name = record.header.record_name
-    annotations = [f"{a.sample_index},{a.symbol}" for a in record.annotations]
-    return ({f"{name}-signal.txt": _lines(record.samples[opts["channel"]].tolist()),
+    header, series, index, codes = read_record(opts["record"], {opts["channel"]})
+    samples = record_signal(header, series, opts["channel"]).astype(np.int64)
+    name = header.record_name
+    # an unknown code's symbol prints as None
+    annotations = [f"{i},{SYMBOL_BY_CODE.get(c)}" for i, c in zip(index.tolist(), codes.tolist())]
+    return ({f"{name}-signal.txt": _lines(samples.tolist()),
              f"{name}-annotations.txt": _lines(["sample_index,symbol", *annotations])},
-            f"{name}: {signal.size} samples, {len(record.annotations)} annotations\n")
+            f"{name}: {samples.size} samples, {index.size} annotations\n")
 
 
 def cmd_detect(opts):
@@ -326,7 +327,7 @@ def cmd_features(opts):
 
 
 def cmd_train(opts):
-    rows = load_features(opts["features"])
+    rows = load_features(opts["features"], labels=("0", "1"))
     x = np.stack([r.features for r in rows])
     y = np.array([int(r.label) for r in rows])
     arch = init_model(opts["seed"], (12, opts["hidden"], 2), opts["activation"])
@@ -359,7 +360,7 @@ def cmd_selflearn(opts):
     detector = "ann" if opts["peaks_from_annotations"] else "uni-dwt"
     name, _, _, peaks, _, _ = read_beats(opts["record"], opts["channel"], detector,
                                          opts["peaks"])
-    events, state = run_self_learner(peaks, tolerance_fraction=opts["tolerance"])
+    events, state, _ = run_self_learner(peaks, tolerance_fraction=opts["tolerance"])
     return ({"anomalies.csv": lambda path: save_anomaly_log(path, name, events)},
             f"{name}: {len(events)} anomalies, stable interval {state.st_rr:g} samples\n")
 

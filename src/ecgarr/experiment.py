@@ -37,9 +37,10 @@ from .metrics import (
     nearest_within,
 )
 from .mlp import init_model, predict_batch, quantize_model, train
-from .selflearn import TOLERANCE, find_stable_window, run_self_learner
+from .selflearn import TOLERANCE, run_self_learner
 from .wfdb_io import SYMBOL_BY_CODE, BeatLabel, label_beat, read_record, record_files
-# the benchmark's tracer wraps this whole-record reader in this module
+# the benchmark's tracer wraps this window search and record reader in this module
+from .selflearn import find_stable_window  # noqa: F401
 from .wfdb_io import ingest_record  # noqa: F401
 
 __all__ = [
@@ -78,6 +79,9 @@ class PipelineConfig:
     hidden_units: int = 6
 
     def __post_init__(self):
+        if isinstance(self.record_paths, (str, bytes, os.PathLike)):
+            raise ValueError("record_paths takes a sequence of header paths, "
+                             f"not the one path {self.record_paths!r}")
         object.__setattr__(self, "record_paths",
                            tuple(os.fspath(p) for p in self.record_paths))
         if not self.record_paths:
@@ -302,10 +306,9 @@ def _self_learner_verdicts(record_id, peaks, ann_indices, ann_labels, fs, tolera
     unmatched one is flagged when the peak before it opened a gap the
     monitor timed out on, and unflagged otherwise.
     """
-    events, _ = run_self_learner(peaks, tolerance_fraction=tolerance)
-    start, _ = find_stable_window(np.diff(peaks), tolerance)
+    events, _, anchor = run_self_learner(peaks, tolerance_fraction=tolerance)
     # the peak that closed the learning window, then every monitored peak
-    peaks = peaks[start + 4:]
+    peaks = peaks[anchor:]
     judged = ann_indices > peaks[0]
     ann_idx, ann_lab = ann_indices[judged], ann_labels[judged]
     if not ann_idx.size:

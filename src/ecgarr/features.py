@@ -254,22 +254,38 @@ def save_features(path, rows) -> None:
             )
 
 
-def load_features(path) -> list[BeatFeatureRow]:
+def load_features(path, labels=None) -> list[BeatFeatureRow]:
+    """The rows of a save_features table.  A malformed value, or a label
+    not in labels when they are given, raises ValueError naming path and
+    the 1-based line."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) != 15:
             raise ValueError(f"{path}: not a feature table")
+
+        def value(kind, text, what):
+            try:
+                return kind(text)
+            except ValueError:
+                raise ValueError(f"{path}: line {reader.line_num}: {what} {text!r} is not "
+                                 f"{'an integer' if kind is int else 'a number'}") from None
+
         for rec in reader:
             if len(rec) != 15:
-                raise ValueError(f"{path}: row with {len(rec)} fields, expected 15")
-            features = np.asarray([float(v) for v in rec[2:14]])
+                raise ValueError(f"{path}: line {reader.line_num}: row with {len(rec)} fields, "
+                                 "expected 15")
+            r_index = value(int, rec[1], "r_index")
+            features = np.asarray([value(float, v, "feature") for v in rec[2:14]])
             if not np.isfinite(features).all():
                 raise ValueError(f"{path}: line {reader.line_num}: non-finite feature value")
+            if labels is not None and rec[14] not in labels:
+                raise ValueError(f"{path}: line {reader.line_num}: label {rec[14]!r} "
+                                 f"is not {' or '.join(labels)}")
             out.append(BeatFeatureRow(
                 record_id=rec[0],
-                r_index=int(rec[1]),
+                r_index=r_index,
                 features=features,
                 label=rec[14],
             ))

@@ -138,13 +138,17 @@ class MatchResult:
 
 
 def nearest_within(targets, points, *, sampling_frequency: float) -> np.ndarray:
-    """Position in the sorted int array targets of each point's nearest
-    target within +/- MATCH_WINDOW_MS, or -1 where none is; a tie goes to
-    the earlier position, among equal targets the first.  The one pairing
-    rule: many points may share a target, and match_beats is its rounds."""
+    """Position in the sorted sample indices targets of each point's
+    nearest target within +/- MATCH_WINDOW_MS, or -1 where none is; a tie
+    goes to the earlier position, among equal targets the first.  Both
+    are read through dsp.peak_indices.  The one pairing rule: many points
+    may share a target, and match_beats is its rounds."""
     if not 0 < sampling_frequency < np.inf:
         raise ValueError("sampling_frequency must be positive and finite, "
                          f"got {sampling_frequency}")
+    targets, points = peak_indices(targets), peak_indices(points)
+    if np.any(np.diff(targets) < 0):
+        raise ValueError("targets must be sorted ascending")
     window = MATCH_WINDOW_MS * sampling_frequency / 1000.0
     if not targets.size:
         return np.full(points.size, -1, dtype=np.int64)

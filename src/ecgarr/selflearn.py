@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,21 +145,21 @@ def monitor(peaks, state: SelfLearnerState):
         else:
             st = update(st, t_rr)
         last = p
-    return events, replace(state, st_rr=st, last_peak_index=last)
+    return events, SelfLearnerState(st, tol, last)
 
 
 def run_self_learner(peaks, *, tolerance_fraction: float = TOLERANCE):
-    """Learn from the peak train's first stable stretch, then monitor
-    the rest.  Returns (events, final state).  Beats before and inside
-    the learning window are never judged."""
+    """Learn from the first stable stretch of peaks, then monitor the
+    rest.  Returns (events, final state, anchor), the position of the
+    peak that closed the learning window; no peak up to it is judged."""
     indices = peak_indices(peaks)
     if indices.size < 5:
         raise NoStableRhythmError(f"need at least 5 peaks to learn a rhythm, "
                                   f"got {indices.size}")
-    intervals = np.diff(indices)
-    start, st = find_stable_window(intervals, tolerance_fraction)
+    start, st = find_stable_window(np.diff(indices), tolerance_fraction)
     state = monitoring_state(st, indices[start + 4], tolerance_fraction)
-    return monitor(indices[start + 5:], state)
+    events, state = monitor(indices[start + 5:], state)
+    return events, state, start + 4
 
 
 # ---------------------------------------------------------------------------

@@ -193,11 +193,11 @@ def test_criterion_5_self_learner_scenario():
     c = Criterion(5, "rhythm monitor timeout scenario", 1.0)
     full = np.array([400 + 345 * k for k in range(40)], dtype=np.int64)
 
-    events, _ = run_self_learner(full, tolerance_fraction=0.15)
+    events, _, _ = run_self_learner(full, tolerance_fraction=0.15)
     c.check(len(events) == 0, f"{len(events)} events on the unbroken train")
 
     broken = np.delete(full, 20)
-    events, _ = run_self_learner(broken, tolerance_fraction=0.15)
+    events, _, _ = run_self_learner(broken, tolerance_fraction=0.15)
     c.check(len(events) == 1 and events[0].kind == "missing_beat",
             f"expected exactly one missing-beat event, got "
             f"{[e.kind for e in events]}")

@@ -328,6 +328,30 @@ def test_train_is_deterministic(records, tmp_path):
     assert (read_manifest(outs[0]) == read_manifest(outs[1]))
 
 
+@pytest.mark.parametrize("column, text, message", [
+    (1, "2.5", "r_index '2.5' is not an integer"),
+    (7, "abc", "feature 'abc' is not a number"),
+    (14, "2", "label '2' is not 0 or 1"),
+    (14, "normal", "label 'normal' is not 0 or 1"),
+])
+def test_train_names_the_line_of_a_bad_table_value(records, tmp_path, capsys,
+                                                   column, text, message):
+    # once only the conversion's text, such as "invalid literal for int()"
+    feat_dir = tmp_path / "f"
+    main(["features", "--record", records["a"], "--peaks-from-annotations",
+          "--out-dir", str(feat_dir)])
+    path = feat_dir / "features.txt"
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = text
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--features", str(path), "--seed", "7",
+                 "--out-dir", str(tmp_path / "t")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # rhythm monitor command
 

@@ -11,12 +11,14 @@ against the per-beat loop in ``verdict_oracle.py``.
 import multiprocessing
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecgarr import experiment
+from ecgarr import experiment, selflearn
 from ecgarr.experiment import (
+    DETECTOR_MODES,
     PipelineConfig,
     _self_learner_verdicts,
     record_signal,
@@ -25,7 +27,7 @@ from ecgarr.experiment import (
     run_experiment,
     sweep_fraction_bits,
 )
-from ecgarr.selflearn import NoStableRhythmError, run_self_learner
+from ecgarr.selflearn import NoStableRhythmError, find_stable_window, run_self_learner
 from ecgarr.wfdb_io import ingest_record
 from verdict_oracle import verdict_rows
 from wfdb_fixtures import (
@@ -238,12 +240,43 @@ def test_self_learner_verdicts_equal_the_per_beat_oracle():
         got = _self_learner_verdicts("r", peaks, ann, labels, 360.0, tol)
         assert [a.dtype for a in got] == [np.int64] * 3
         assert list(zip(*(a.tolist() for a in got))) == expected, seed
-        events, _ = run_self_learner(peaks, tolerance_fraction=tol)
+        events, _, _ = run_self_learner(peaks, tolerance_fraction=tol)
         outcomes.update(ev.kind for ev in events)
         outcomes.update(f"flag {flag}" for _, _, flag in expected)
     assert min(outcomes[k] for k in ("no stable rhythm", "nothing to monitor",
                                      "missing_beat", "interval_deviation")) >= 50, outcomes
     assert outcomes["flag 1"] >= 1000 and outcomes["flag 0"] >= 1000, outcomes
+
+
+def test_run_self_learner_anchor_closes_the_learning_window():
+    anchors = 0
+    for seed in range(1500):
+        peaks, _, _, tol = _random_train(np.random.default_rng(seed))
+        try:
+            start, _ = find_stable_window(np.diff(peaks), tol)
+        except NoStableRhythmError:
+            continue
+        _, _, anchor = run_self_learner(peaks, tolerance_fraction=tol)
+        assert anchor == start + 4, seed
+        anchors += 1
+    assert anchors >= 1000
+
+
+def test_self_learner_learns_each_record_once(records, monkeypatch):
+    # the verdicts reuse run_self_learner's window; they once searched it again
+    calls, search = [], selflearn.find_stable_window
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    for module in (selflearn, experiment):
+        monkeypatch.setattr(module, "find_stable_window", counted)
+    for detector in DETECTOR_MODES:
+        calls.clear()
+        run_experiment(PipelineConfig(record_paths=(records["drop"], records["a"]),
+                                      classifier="self-learner", detector=detector))
+        assert len(calls) == 2, detector
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +392,11 @@ def test_empty_test_half_raises(records, tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError, match="at least one record"):
         PipelineConfig(record_paths=())
+    # one path is not a sequence of paths: a str once became its characters
+    for one in ("recA.hea", b"recA.hea", Path("recA.hea")):
+        with pytest.raises(ValueError, match="sequence of header paths, not the one path"):
+            PipelineConfig(record_paths=one)
+    assert PipelineConfig(record_paths=[Path("recA.hea")]).record_paths == ("recA.hea",)
     with pytest.raises(ValueError, match="detector"):
         PipelineConfig(record_paths=("x.hea",), detector="fft")
     with pytest.raises(ValueError, match="classifier"):

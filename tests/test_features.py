@@ -453,3 +453,33 @@ def test_feature_file_rejects_non_finite_values(tmp_path):
     save_features(path, rows)
     with pytest.raises(ValueError, match=r"features\.txt: line 3: non-finite"):
         load_features(path)
+
+
+@pytest.mark.parametrize("column, text, message", [
+    (1, "2.5", "r_index '2.5' is not an integer"),
+    (5, "abc", "feature 'abc' is not a number"),
+    (14, "0,extra", "row with 16 fields, expected 15"),
+])
+def test_feature_file_names_the_line_of_a_malformed_value(tmp_path, column, text, message):
+    rows = [BeatFeatureRow(record_id="rec", r_index=100 + i, features=np.zeros(12),
+                           label="0") for i in range(3)]
+    path = tmp_path / "features.txt"
+    save_features(path, rows)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = text
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 3: {message}')}$"):
+        load_features(path)
+
+
+def test_feature_file_checks_labels_only_when_given(tmp_path):
+    rows = [BeatFeatureRow(record_id="rec", r_index=100 + i, features=np.zeros(12),
+                           label=label) for i, label in enumerate(["0", "1", "2"])]
+    path = tmp_path / "features.txt"
+    save_features(path, rows)
+    assert [r.label for r in load_features(path)] == ["0", "1", "2"]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 4: label ')}'2' "
+                                         "is not 0 or 1$"):
+        load_features(path, labels=("0", "1"))

@@ -1,6 +1,7 @@
 """Every imported name is used by its module, every exported one exists,
-every private top-level name of the package has a caller, and only
-``ecgarr.metrics`` names the beat-match window.
+every private top-level name of the package has a caller, only
+``ecgarr.metrics`` names the beat-match window, and only ``ecgarr.wfdb_io``
+builds the record objects.
 
 An import that only re-exports a name, or that keeps a name where
 another tool looks it up, says so with ``# noqa: F401`` on the name's
@@ -110,3 +111,24 @@ def test_only_metrics_names_the_match_window():
     naming = [str(p.relative_to(ROOT)) for p in sorted((ROOT / "src").rglob("*.py"))
               if "MATCH_WINDOW_MS" in p.read_text()]
     assert naming == ["src/ecgarr/metrics.py"]
+
+
+OBJECT_READER = {"ingest_record", "EcgRecord", "Annotation"}
+
+
+def object_reader_calls(paths):
+    """[(file name, line, name)] of each call of an OBJECT_READER name, by
+    name or as an attribute, in the modules at paths."""
+    return [(path.name, node.lineno, name)
+            for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+            if name in OBJECT_READER]
+
+
+def test_only_wfdb_io_builds_record_objects():
+    # every command reads a record as read_record's arrays; the scan does
+    # see the constructor calls where they are
+    assert object_reader_calls(p for p in PACKAGE if p.stem != "wfdb_io") == []
+    assert {name for _, _, name in object_reader_calls([ROOT / "src/ecgarr/wfdb_io.py"])} \
+        == {"EcgRecord", "Annotation"}

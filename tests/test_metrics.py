@@ -240,6 +240,26 @@ def test_nearest_tie_goes_to_the_first_of_equal_targets():
     assert got.tolist() == [0, 0, 2, 2, 2, -1, -1, 0]
 
 
+def test_nearest_reads_both_inputs_as_peak_indices():
+    # plain lists once failed on .size, and a fractional target was accepted
+    got = nearest_within([100, 200], [101, 260], sampling_frequency=360.0)
+    assert got.dtype == np.int64 and got.tolist() == [0, -1]
+    assert nearest_within([100.0, 200.0], np.array([199.0]),
+                          sampling_frequency=360.0).tolist() == [1]
+    with pytest.raises(ValueError, match=r"^peak index 200\.5 is not an integer$"):
+        nearest_within([100, 200.5], [205], sampling_frequency=360.0)
+    with pytest.raises(ValueError, match=r"^peak index 205\.5 is not an integer$"):
+        nearest_within([100, 200], [205.5], sampling_frequency=360.0)
+
+
+@pytest.mark.parametrize("targets", [[300, 100, 200], np.array([100, 300, 200, 400])])
+def test_nearest_rejects_unsorted_targets(targets):
+    # unsorted, a list once raised IndexError, and an array silently
+    # missed target 200, 5 samples from the point
+    with pytest.raises(ValueError, match="targets must be sorted ascending"):
+        nearest_within(targets, [205], sampling_frequency=360.0)
+
+
 def _chain(n, gaps, first):
     """n beats alternating between the sides, first (0 annotation, 1
     prediction) first, gaps[k] samples between beat k and k + 1."""

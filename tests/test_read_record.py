@@ -1,5 +1,5 @@
 """The lean record read: annotation arrays, one decoded signal, and
-read_beats against the whole-record composition it replaced."""
+read_beats and ingest against the whole-record composition they replaced."""
 
 import re
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import annotation_oracle
+from ecgarr import wfdb_io
 from ecgarr.cli import main
 from ecgarr.experiment import read_beats
 from ecgarr.wfdb_io import (
@@ -259,3 +260,53 @@ def test_read_beats_equals_the_whole_record_composition(tmp_path, make):
                              (ann_lab, want[4])):
             assert mine.dtype == theirs.dtype
             assert mine.tobytes() == theirs.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# ingest against the whole-record composition
+
+
+def _unknown_code_record(dir_path, name):
+    """Two channels in two files, and annotation codes 15 and 58, which
+    name no symbol, between beats."""
+    header = write_record_files(dir_path, name, 360, list(range(-100, 100)))
+    (dir_path / f"{name}_b.dat").write_bytes(encode_format212(range(100, -100, -1)))
+    (dir_path / f"{name}.hea").write_text(write_header(name, 360, 200,
+                                                       [f"{name}.dat", f"{name}_b.dat"]))
+    (dir_path / f"{name}.atr").write_bytes(_word(1, 20) + _word(15, 30) + _word(5, 40)
+                                           + _word(58, 10) + b"\0\0")
+    return header
+
+
+@pytest.mark.parametrize("make", [_every_symbol_record, _unknown_code_record,
+                                  _no_annotation_record])
+def test_ingest_writes_the_whole_record_text(tmp_path, make, monkeypatch, capsys):
+    # ingest once wrote these bytes from ingest_record's EcgRecord; now it
+    # decodes only the channel it writes
+    header = make(tmp_path, "rec")
+    record = ingest_record(header)
+    decoded, decode = [], wfdb_io.decode_format212
+    monkeypatch.setattr(wfdb_io, "decode_format212",
+                        lambda *args: decoded.append(args) or decode(*args))
+    for channel in range(record.header.n_signals + 1):
+        decoded.clear()
+        capsys.readouterr()
+        out = tmp_path / f"out{channel}"
+        rc = main(["ingest", "--record", str(header), "--channel", str(channel),
+                   "--out-dir", str(out)])
+        if channel == record.header.n_signals:
+            assert rc == 1 and capsys.readouterr().err == (
+                f"error: record rec: channel {channel} out of range "
+                f"({record.header.n_signals} signals)\n")
+            continue
+        assert rc == 0 and len(decoded) == 1
+        assert (out / "rec-signal.txt").read_text() == "".join(
+            f"{v}\n" for v in record.samples[channel].tolist())
+        assert (out / "rec-annotations.txt").read_text() == "".join(
+            f"{line}\n" for line in ["sample_index,symbol", *(
+                f"{a.sample_index},{a.symbol}" for a in record.annotations)])
+        assert capsys.readouterr().out == (
+            f"rec: {record.samples.shape[1]} samples, {len(record.annotations)} annotations\n")
+    if make is _unknown_code_record:
+        assert (tmp_path / "out0" / "rec-annotations.txt").read_text() == \
+            "sample_index,symbol\n20,N\n50,None\n90,V\n100,None\n"

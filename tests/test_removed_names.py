@@ -22,6 +22,7 @@ REMOVED = {
         "softmax", "ntanh",
         # kept in their submodules
         "dwt_decompose", "dwt_reconstruct", "build_feature_vector", "project", "window_beat",
+        "EcgRecord", "ingest_record",
     ],
     "ecgarr.fixedpoint": [
         "FixedPoint", "to_fixed", "from_fixed", "fx_add", "fx_mul", "fx_shr", "fx_dot",

@@ -245,7 +245,7 @@ def test_monitor_accepts_peak_train():
 def test_run_deleted_peak_emits_single_missing_beat():
     full = list(range(0, 345 * 12, 345))
     del full[5]  # drop the beat at sample 1725
-    events, final = run_self_learner(full)
+    events, final, _ = run_self_learner(full)
     assert len(events) == 1
     ev = events[0]
     assert ev.kind == "missing_beat"
@@ -256,7 +256,7 @@ def test_run_deleted_peak_emits_single_missing_beat():
 
 
 def test_run_unbroken_train_is_silent():
-    events, final = run_self_learner(list(range(0, 345 * 12, 345)))
+    events, final, _ = run_self_learner(list(range(0, 345 * 12, 345)))
     assert events == []
     assert final.st_rr == 345.0
 
@@ -264,7 +264,8 @@ def test_run_unbroken_train_is_silent():
 def test_run_slides_past_irregular_prefix():
     # a premature beat early on spoils the first windows, never judged
     peaks = [0, 150, 495, 840, 1185, 1530, 1875]
-    events, final = run_self_learner(peaks)
+    events, final, anchor = run_self_learner(peaks)
+    assert anchor == 5  # the window is intervals 1..4, closed by peak 5
     assert events == []
     assert final.st_rr == 345.0
     assert final.last_peak_index == 1875
@@ -286,7 +287,7 @@ def test_run_rejects_a_peak_that_is_not_an_integer():
 
 def test_run_accepts_peak_train():
     train = PeakTrain(np.arange(0, 345 * 8, 345), 500.0).r_indices
-    events, final = run_self_learner(train)
+    events, final, _ = run_self_learner(train)
     assert events == []
     assert final == SelfLearnerState(345.0, 0.15, 345 * 7)
 

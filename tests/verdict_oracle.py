@@ -26,7 +26,7 @@ def _nearest_within(peaks, point, window):
 
 def verdict_rows(beat_indices, ann_indices, ann_labels, fs, tolerance_fraction):
     """[(annotation index, label, flag)] of each judged annotated beat."""
-    events, _ = run_self_learner(beat_indices, tolerance_fraction=tolerance_fraction)
+    events, _, _ = run_self_learner(beat_indices, tolerance_fraction=tolerance_fraction)
     start, _ = find_stable_window(np.diff(beat_indices), tolerance_fraction)
     monitor_from = int(beat_indices[start + 4])
 
