@@ -38,7 +38,6 @@ from .experiment import (
     PipelineConfig,
     map_records,
     read_beats,
-    record_signal,
     record_table,
     render_experiment,
     render_sweep,
@@ -86,6 +85,7 @@ class _Option:
     valid: Callable | None = None
     rule: str = ""  # what valid accepts, for the help and the error
     metavar: str | None = None
+    once: bool = False  # a second flag is an error, not the value that wins
 
     def __post_init__(self):
         if self.field is not None:
@@ -98,7 +98,7 @@ class _Option:
             kind = {"action": "append", "metavar": self.metavar}
         else:
             kind = {"type": self.type, "choices": self.choices or None,
-                    "metavar": self.metavar}
+                    "metavar": self.metavar, "action": _Once if self.once else "store"}
         text = ", ".join(filter(None, (self.help, self.rule)))
         if self.default is not None and self.type is not bool:
             text += f" (default {self.default})"
@@ -120,12 +120,21 @@ class _Option:
             raise UsageError(f"{name}: must be {self.rule}")
 
 
+class _Once(argparse.Action):
+    """Store a flag's one value; a second one is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} given twice; this command takes one")
+        setattr(namespace, self.dest, values)
+
+
 def _at_least(n: int) -> dict:
     return {"valid": lambda v: v >= n, "rule": f">= {n}"}
 
 
 _OPTIONS = {
-    "record": _Option("--record", "record header path", metavar="HEADER"),
+    "record": _Option("--record", "record header path", metavar="HEADER", once=True),
     "records": _Option("--record", "record header path (repeatable)", list,
                        metavar="HEADER"),
     "channel": _Option("--channel", "signal channel", int, field="channel",
@@ -291,7 +300,7 @@ def _lines(values) -> str:
 
 def cmd_ingest(opts):
     header, series, index, codes = read_record(opts["record"], {opts["channel"]})
-    samples = record_signal(header, series, opts["channel"]).astype(np.int64)
+    samples = series[opts["channel"]]
     name = header.record_name
     # an unknown code's symbol prints as None
     annotations = [f"{i},{SYMBOL_BY_CODE.get(c)}" for i, c in zip(index.tolist(), codes.tolist())]

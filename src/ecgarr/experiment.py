@@ -52,7 +52,6 @@ __all__ = [
     "label_peaks",
     "map_records",
     "read_beats",
-    "record_signal",
     "record_table",
     "render_experiment",
     "render_sweep",
@@ -181,15 +180,6 @@ def label_peaks(peaks, ann_indices, ann_labels, fs: float) -> np.ndarray:
     return labels
 
 
-def record_signal(header, samples, channel: int) -> np.ndarray:
-    """One channel of a record's samples (an array or a dict by channel)
-    as float64, the array every stage reads."""
-    if not 0 <= channel < header.n_signals:
-        raise ValueError(f"record {header.record_name}: channel {channel} "
-                         f"out of range ({header.n_signals} signals)")
-    return samples[channel].astype(np.float64)
-
-
 def _read_peaks(path, record_id, n_samples):
     """A detect artifact's int64 peaks, one a line, "#" starting a comment."""
     peaks = []
@@ -216,9 +206,9 @@ def read_beats(header, channel: int, detector: str, peaks_file=None):
     """A record's id, signal, fs, beat indices and annotated indices and
     labels.  The beats are peaks_file's (a detect artifact) if given, else
     the annotated beats (detector "ann") or the wavelet detector's.  Only
-    the channel's signal is decoded (wfdb_io.read_record)."""
+    the channel's signal is decoded (wfdb_io.read_record), into float64."""
     head, series, ann_indices, ann_codes = read_record(header, {channel})
-    signal = record_signal(head, series, channel)
+    signal = series[channel].astype(np.float64)
     del series  # the channel's int16 samples, not read again
     record_id, fs = head.record_name, head.sampling_frequency
     ann_idx, ann_lab = annotated_beats(ann_indices, ann_codes)

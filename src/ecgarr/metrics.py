@@ -171,11 +171,10 @@ def match_beats(predicted, annotated, *, sampling_frequency: float) -> MatchResu
     each other's nearest, the first candidate greedy reaches at both, until
     a round pairs none.  A recorded rhythm settles in one round; a chain of
     beats alternating closer than the window with shrinking gaps (annotated
-    beats under 100 ms apart) settles one pair a round.
+    beats under 100 ms apart) settles one pair a round.  nearest_within
+    checks the order of both lists, its targets in the first round.
     """
     pred, ann = peak_indices(predicted), peak_indices(annotated)
-    if np.any(np.diff(pred) < 0) or np.any(np.diff(ann) < 0):
-        raise ValueError("both index lists must be sorted ascending")
     free_p, free_a = np.arange(pred.size), np.arange(ann.size)
     pred_of = np.full(ann.size, -1)  # each annotation's prediction position
     while True:

@@ -231,12 +231,12 @@ def forward_batch(model: MlpModel, x) -> np.ndarray:
 
 
 def forward(model: MlpModel, feature) -> np.ndarray:
-    """Outputs for a single feature vector (accepts FeatureVector or array).
+    """Outputs for a single feature vector.
 
     Fixed-mode inputs are expected pre-quantized to the model's format;
     quantization is applied anyway (it is idempotent on such values).
     """
-    x = np.asarray(getattr(feature, "values", feature), dtype=np.float64)
+    x = np.asarray(feature, dtype=np.float64)
     n_in = model.w_hidden.shape[1]
     if x.shape != (n_in,):
         raise ValueError(f"feature shape {x.shape}, expected ({n_in},)")
@@ -491,9 +491,10 @@ def save_model(path, model: MlpModel) -> None:
 
 def load_model(path) -> MlpModel:
     """A model from a save_model file.  A malformed or truncated file, or
-    an activation pair no mode writes, raises ValueError naming path."""
+    an activation pair no mode writes, raises ValueError naming path, and
+    a malformed or non-finite number its 1-based line too."""
     with open(path) as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
+        lines = [(number, ln.split()) for number, ln in enumerate(fh, start=1) if ln.strip()]
     try:
         return _parse_model(lines)
     except ValueError as exc:
@@ -501,37 +502,49 @@ def load_model(path) -> MlpModel:
 
 
 def _parse_model(lines) -> MlpModel:
+    """A model from the (file line number, fields) of each non-blank line."""
     def header(i, key, *counts):
-        """The values on header line i, which starts with key."""
+        """The line number and values of header line i, which starts with key."""
         if i >= len(lines):
             raise ValueError(f"the file ends before its {key} line")
-        if lines[i][0] != key or len(lines[i]) - 1 not in counts:
-            raise ValueError(f"bad {key} line {' '.join(lines[i])!r}")
-        return lines[i][1:]
+        number, fields = lines[i]
+        if fields[0] != key or len(fields) - 1 not in counts:
+            raise ValueError(f"bad {key} line {' '.join(fields)!r}")
+        return number, fields[1:]
 
-    if not lines or lines[0] != ["mlp-model", "v1"]:
+    def value(kind, number, text, what):
+        """kind(text) if finite, else a ValueError naming line number and text."""
+        try:
+            v = kind(text)
+        except ValueError:
+            v = np.nan
+        if abs(v) < np.inf:
+            return v
+        raise ValueError(f"line {number}: {what} {text!r} is not "
+                         f"{'an integer' if kind is int else 'a finite number'}")
+
+    if not lines or lines[0][1] != ["mlp-model", "v1"]:
         raise ValueError("not a model file")
-    n_in, n_hidden, n_out = (int(v) for v in header(1, "layers", 3))
-    pair = header(2, "hidden_activation", 1) + header(3, "output_activation", 1)
+    number, sizes = header(1, "layers", 3)
+    n_in, n_hidden, n_out = (value(int, number, v, "layer size") for v in sizes)
+    pair = header(2, "hidden_activation", 1)[1] + header(3, "output_activation", 1)[1]
     modes = [mode for mode, (_, names) in ACTIVATIONS.items() if list(names) == pair]
     if not modes:
         raise ValueError(f"no activation mode runs hidden {pair[0]} with output {pair[1]}")
-    mode = header(4, "mode", 1, 3)
+    number, mode = header(4, "mode", 1, 3)
     if mode == ["real"]:
-        fmt = None
+        fmt, kind, scale = None, float, 1.0
     elif mode[0] == "fixed" and len(mode) == 3:
-        fmt = QFormat(int(mode[1]), int(mode[2]))
+        fmt = QFormat(*(value(int, number, v, "bit count") for v in mode[1:]))
+        kind, scale = int, fmt.scale  # a fixed row holds the raw integers
     else:
         raise ValueError(f"unknown mode {' '.join(mode)!r}")
 
     rows = {"wh": [], "bh": [], "wo": [], "bo": []}
-    for tag, *values in lines[5:]:
+    for number, (tag, *values) in lines[5:]:
         if tag not in rows:
             raise ValueError(f"unexpected row tag {tag!r}")
-        if fmt is None:
-            rows[tag].append([float(v) for v in values])
-        else:
-            rows[tag].append([int(v) / fmt.scale for v in values])
+        rows[tag].append([value(kind, number, v, f"{tag} value") / scale for v in values])
     if len(rows["bh"]) != 1 or len(rows["bo"]) != 1:
         raise ValueError(f"{len(rows['bh'])} bh and {len(rows['bo'])} bo rows, "
                          "not one of each")

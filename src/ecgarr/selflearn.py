@@ -25,7 +25,6 @@ __all__ = [
     "check_beat",
     "epsilon_for",
     "find_stable_window",
-    "load_anomaly_log",
     "monitor",
     "monitoring_state",
     "run_self_learner",
@@ -165,30 +164,11 @@ def run_self_learner(peaks, *, tolerance_fraction: float = TOLERANCE):
 # ---------------------------------------------------------------------------
 # anomaly log files
 
-_LOG_HEADER = ["record", "sample_index", "kind", "t_rr", "st_rr"]
-
 
 def save_anomaly_log(path, record_id: str, events) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_LOG_HEADER)
+        writer.writerow(["record", "sample_index", "kind", "t_rr", "st_rr"])
         for ev in events:
             writer.writerow([record_id, ev.sample_index, ev.kind,
                              format(ev.observed, ".17g"), format(ev.st_rr, ".17g")])
-
-
-def load_anomaly_log(path):
-    """Rows back as (record_id, AnomalyEvent) pairs."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _LOG_HEADER:
-            raise ValueError(f"{path}: unexpected anomaly log header {header}")
-        out = []
-        for row in reader:
-            if len(row) != 5:
-                raise ValueError(f"{path}: malformed row {row}")
-            record_id, idx, kind, observed, st = row
-            out.append((record_id,
-                        AnomalyEvent(int(idx), kind, float(observed), float(st))))
-    return out

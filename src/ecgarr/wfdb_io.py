@@ -9,6 +9,7 @@ into plain dataclasses plus numpy arrays; nothing is written back.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -379,9 +380,19 @@ def parse_annotations(data: bytes, n_samples: int | None = None) -> list[Annotat
 # whole-record ingest
 
 
+@contextmanager
+def _naming(path):
+    """Re-raise a record file's HeaderError, Format212Error or
+    AnnotationError, same type, with path first."""
+    try:
+        yield
+    except (HeaderError, Format212Error, AnnotationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def read_header(header_path) -> RecordHeader:
-    """The header file at header_path, parsed."""
-    with open(header_path, "rb") as fh:
+    """The header file at header_path, parsed; a fault names the file."""
+    with open(header_path, "rb") as fh, _naming(header_path):
         return parse_header(fh.read())
 
 
@@ -402,7 +413,8 @@ def read_record(header_path, signals=None):
     (every signal when None); and its annotation_arrays (empty without an
     ``.atr``).  Each sample file record_files names must hold the samples
     the header claims, checked in that order, but only a file holding one
-    of signals is decoded."""
+    of signals is decoded.  A fault names its file; then a signal the
+    header lacks raises."""
     header = read_header(header_path)
     _, *sample_paths, annotation_path = record_files(header_path, header)
     names = [spec.file_name for spec in header.signals]
@@ -410,17 +422,24 @@ def read_record(header_path, signals=None):
     for path, name in zip(sample_paths, dict.fromkeys(names)):
         held = [i for i, held_by in enumerate(names) if held_by == name]
         wanted = [i for i in held if signals is None or i in signals]
-        with open(path, "rb") as fh:
+        with open(path, "rb") as fh, _naming(path):
             if not wanted:  # checked, not decoded
                 _format212_bytes(os.fstat(fh.fileno()).st_size, len(held) * n)
                 continue
             packed = fh.read()
-        series.update((i, decode_format212(packed, n, len(held), held.index(i))) for i in wanted)
+            series.update((i, decode_format212(packed, n, len(held), held.index(i)))
+                          for i in wanted)
     data = b"\0\0"  # without an .atr, a stream that is its terminator alone
     if os.path.exists(annotation_path):
         with open(annotation_path, "rb") as fh:
             data = fh.read()
-    return (header, series, *annotation_arrays(data, n_samples=n))
+    with _naming(annotation_path):
+        index, codes = annotation_arrays(data, n_samples=n)
+    for i in sorted(signals or ()):
+        if not 0 <= i < header.n_signals:
+            raise ValueError(f"record {header.record_name}: channel {i} "
+                             f"out of range ({header.n_signals} signals)")
+    return header, series, index, codes
 
 
 def ingest_record(header_path) -> EcgRecord:

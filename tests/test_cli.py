@@ -5,6 +5,7 @@ main() is driven in-process with argv lists; every command's artifacts
 land in per-test directories.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -22,7 +23,6 @@ from ecgarr.experiment import SWEEP_FRACTION_BITS, PipelineConfig
 from ecgarr.features import WINDOW_HALF_WIDTH, load_features, save_features
 from ecgarr.fixedpoint import QFormat
 from ecgarr.mlp import init_model, load_model, predict_batch, quantize_model, save_model
-from ecgarr.selflearn import load_anomaly_log
 from wfdb_fixtures import DROPPED_BEATS, classifier_record, dropout_record
 
 
@@ -356,16 +356,27 @@ def test_train_names_the_line_of_a_bad_table_value(records, tmp_path, capsys,
 # rhythm monitor command
 
 
+LOG_HEADER = ["record", "sample_index", "kind", "t_rr", "st_rr"]
+
+
+def anomaly_rows(out):
+    """The rows below the header of a selflearn run's anomalies.csv, as text fields."""
+    with open(os.path.join(out, "anomalies.csv"), newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == LOG_HEADER
+    return rows
+
+
 def test_selflearn_dropout_record(records, tmp_path, capsys):
     out = str(tmp_path / "sl")
     assert main(["selflearn", "--record", records["drop"],
                  "--tolerance", "0.15", "--out-dir", out]) == 0
-    rows = load_anomaly_log(os.path.join(out, "anomalies.csv"))
-    assert [ev.kind for _, ev in rows] == ["missing_beat", "missing_beat"]
+    rows = anomaly_rows(out)
+    assert [kind for _, _, kind, _, _ in rows] == ["missing_beat", "missing_beat"]
     # flagged at the last sound beat + ceil(345 * 1.15) samples
     expected = {400 + 345 * (k - 1) + 397 for k in DROPPED_BEATS}
-    assert {ev.sample_index for _, ev in rows} == expected
-    assert all(rid == "recC" for rid, _ in rows)
+    assert {int(index) for _, index, _, _, _ in rows} == expected
+    assert all(rid == "recC" for rid, _, _, _, _ in rows)
     assert "2 anomalies" in capsys.readouterr().out
 
 
@@ -375,7 +386,7 @@ def test_selflearn_annotation_peaks_sees_steady_rhythm(records, tmp_path):
     out = str(tmp_path / "sl-ann")
     assert main(["selflearn", "--record", records["drop"],
                  "--peaks-from-annotations", "--out-dir", out]) == 0
-    assert load_anomaly_log(os.path.join(out, "anomalies.csv")) == []
+    assert anomaly_rows(out) == []
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +438,8 @@ def test_evaluate_with_a_bad_second_record_is_an_error_line(records, tmp_path, p
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: buffer truncated at byte \d+: \d+ samples need \d+ bytes\n", err)
+    assert re.fullmatch(rf"error: {re.escape(str(dat))}: buffer truncated at byte \d+: "
+                        r"\d+ samples need \d+ bytes\n", err)
 
 
 def test_evaluate_self_learner_needs_no_seed(records, tmp_path, capsys):
@@ -553,6 +565,25 @@ def test_unknown_command_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["ingest", "detect", "selflearn"])
+def test_a_one_record_command_rejects_a_second_record(records, tmp_path, capsys, command):
+    # a second --record once ran the command on it alone, and exited 0
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--record", records["a"], "--record", records["b"],
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"ecgarr {command}: error: --record given twice; this command takes one\n")
+    assert not out.exists()
+    # one flag still wins over the config's one record
+    cfg = tmp_path / "one.ini"
+    cfg.write_text(f"[{command}]\nrecord = {records['a']}\n")
+    assert main(["--config", str(cfg), command, "--record", records["drop"],
+                 "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("recC: ")
+
+
 def test_missing_record_file(tmp_path, capsys):
     rc = main(["detect", "--record", str(tmp_path / "ghost.hea"),
                "--out-dir", str(tmp_path / "o")])
@@ -649,7 +680,7 @@ def test_an_infinite_sampling_frequency_is_one_error_line(tmp_path, capsys, argv
     out = tmp_path / "o"
     assert main([*argv, "--record", str(header), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == \
-        "error: line 1: sampling frequency must be positive and finite, got inf\n"
+        f"error: {header}: line 1: sampling frequency must be positive and finite, got inf\n"
     assert not out.exists()
 
 

@@ -21,14 +21,13 @@ from ecgarr.experiment import (
     DETECTOR_MODES,
     PipelineConfig,
     _self_learner_verdicts,
-    record_signal,
     render_experiment,
     render_sweep,
     run_experiment,
     sweep_fraction_bits,
 )
 from ecgarr.selflearn import NoStableRhythmError, find_stable_window, run_self_learner
-from ecgarr.wfdb_io import ingest_record
+from ecgarr.wfdb_io import read_record
 from verdict_oracle import verdict_rows
 from wfdb_fixtures import (
     DROPPED_BEATS,
@@ -369,10 +368,10 @@ def test_channel_out_of_range(records):
                          classifier="pla")
     with pytest.raises(ValueError, match="channel 1 out of range"):
         run_experiment(cfg)
-    record = ingest_record(records["a"])
     for channel in (-1, 1):
-        with pytest.raises(ValueError, match=f"channel {channel} out of range"):
-            record_signal(record.header, record.samples, channel)
+        with pytest.raises(ValueError, match=f"^record recA: channel {channel} out of range "
+                                             r"\(1 signals\)$"):
+            read_record(records["a"], {0, channel})
 
 
 def test_empty_test_half_raises(records, tmp_path):

@@ -58,10 +58,24 @@ def test_the_scan_finds_an_unused_import(tmp_path):
     assert unused_imports(module) == [(1, "os"), (3, "dumps")]
 
 
-def uncalled_private_names(paths):
-    """[(file name, name)] of the private top-level names (one leading
-    underscore) the modules at paths define and never read, as a name or
-    an attribute, outside the statement that defines them."""
+def _defined_names(statement):
+    """The names a top-level statement defines: a def's or class's, an
+    assignment's targets, or a from-import's names."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        return [n.id for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    if isinstance(statement, ast.ImportFrom):
+        return [alias.asname or alias.name for alias in statement.names]
+    return []
+
+
+def unread_names(paths, chosen):
+    """[(file name, name)] of the top-level names chosen(tree) picks in
+    each module at paths that no module reads, as a name or an attribute,
+    outside the statement that defines them.  An import or an __all__
+    entry is no read."""
     trees = [(path, ast.parse(path.read_text())) for path in paths]
     reads = [(id(n), n.id if isinstance(n, ast.Name) else n.attr)
              for _, tree in trees for n in ast.walk(tree)
@@ -69,19 +83,37 @@ def uncalled_private_names(paths):
              or isinstance(n, ast.Attribute)]
     found = []
     for path, tree in trees:
+        kept = set(chosen(tree))
         for statement in tree.body:
-            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-                names = [statement.name]
-            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
-                names = [n.id for n in ast.walk(statement)
-                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
-            else:
-                continue
             inside = {id(n) for n in ast.walk(statement)}
-            found += [(path.name, name) for name in names
-                      if name.startswith("_") and not name.startswith("__")
+            found += [(path.name, name) for name in _defined_names(statement)
+                      if name in kept
                       and not any(read == name and node not in inside for node, read in reads)]
     return found
+
+
+def uncalled_private_names(paths):
+    """unread_names of the private names (one leading underscore)."""
+    return unread_names(paths, lambda tree: [
+        n for s in tree.body for n in _defined_names(s)
+        if n.startswith("_") and not n.startswith("__")])
+
+
+def _public(tree):
+    """A module's __all__, or without one each def and class it defines
+    whose name has no leading underscore."""
+    for statement in tree.body:
+        if "__all__" in _defined_names(statement):
+            return [c.value for c in ast.walk(statement.value) if isinstance(c, ast.Constant)]
+    return [s.name for s in tree.body if isinstance(s, (ast.FunctionDef, ast.ClassDef))
+            and not s.name.startswith("_")]
+
+
+def unread_public_names(paths):
+    """{module.name} of the public names that no module at paths reads;
+    what __init__ re-exports counts in the module that defines it."""
+    return {f"{Path(file).stem}.{name}" for file, name in unread_names(paths, _public)
+            if file != "__init__.py"}
 
 
 def test_every_private_name_has_a_caller():
@@ -97,6 +129,55 @@ def test_the_scan_finds_an_uncalled_private_name(tmp_path):
                      "\n\n\nclass _Kept:\n    pass\n")
     second.write_text("import first\n\nprint(first._used, first._Kept)\n")
     assert uncalled_private_names([first, second]) == [("first.py", "_left")]
+
+
+# The public names no package code reads, each with the ROADMAP item that
+# removes or uses it.  These stay for the benchmark: its stream set-up and
+# loop call them, or a tracer target wraps them.
+BENCHMARK_ONLY = {
+    # item 1 moves stream set-up onto the beat table; item 2 removes them
+    "features.build_feature_vector", "features.window_beat",
+    # item 1 drops their tracer targets; item 2 removes them
+    "dsp.dwt_decompose", "dsp.dwt_reconstruct", "mlp.mse",
+    "fixedpoint.rne_shift_array", "fixedpoint.saturate_array",
+    "activation.ntanh_fixed_raw_array",
+    # item 1 traces the trainer's _platanh_and_slope in their place
+    "activation.platanh_derivative", "mlp.platanh_derivative",
+    # item 2 keeps them for acceptance criteria 4 and 3
+    "mlp.gradients", "activation.platanh_fixed_raw_array",
+    # the one-beat inference that the stream workload times
+    "mlp.predict",
+    # item 16 removes the object path once item 1 frees it
+    "wfdb_io.ingest_record", "wfdb_io.parse_annotations",
+}
+# and those only tests read: item 4 gives load_pca_model its caller
+TESTS_ONLY = {"features.load_pca_model"}
+
+
+def _benchmark_names():
+    """Every identifier and string the benchmark's sources hold."""
+    return {getattr(n, attr) for path in (ROOT / "perfbench").glob("*.py")
+            for n in ast.walk(ast.parse(path.read_text()))
+            for attr in ("id", "attr", "name", "value") if isinstance(getattr(n, attr, None), str)}
+
+
+def test_every_public_name_package_code_never_reads_is_listed():
+    # a public name its last package caller left behind fails here
+    assert unread_public_names(PACKAGE) == BENCHMARK_ONLY | TESTS_ONLY
+    reached = _benchmark_names()
+    assert {n for n in BENCHMARK_ONLY if n.split(".")[1] not in reached} == set()
+    assert {n for n in TESTS_ONLY if n.split(".")[1] in reached} == set()
+
+
+def test_the_scan_finds_an_unread_public_name(tmp_path):
+    # with __all__, only its entries are public, and the entry is no read;
+    # without one, each public def and class
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text('__all__ = ["left", "used"]\n\n\ndef left():\n    return left()\n\n\n'
+                     'def used():\n    pass\n\n\ndef hidden():\n    pass\n')
+    second.write_text("import first\n\n\ndef solo():\n    return first.used()\n\n\n"
+                      "class Kept:\n    pass\n\n\nKept()\n")
+    assert unread_public_names([first, second]) == {"first.left", "second.solo"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -190,8 +190,11 @@ def test_match_count_conservation():
 
 
 def test_match_input_validation():
-    with pytest.raises(ValueError, match="sorted"):
-        match_beats([5, 3], [1], sampling_frequency=360.0)
+    # nearest_within's order check sees both lists in the first round,
+    # and an unsorted list beside an empty one too
+    for predicted, annotated in (([5, 3], [1]), ([1], [5, 3]), ([5, 3], []), ([], [5, 3])):
+        with pytest.raises(ValueError, match="^targets must be sorted ascending$"):
+            match_beats(predicted, annotated, sampling_frequency=360.0)
     with pytest.raises(ValueError, match="sampling_frequency"):
         match_beats([1], [1], sampling_frequency=0.0)
 

@@ -16,7 +16,6 @@ import fixed_oracle as oracle
 import rprop_oracle
 import train_oracle
 from ecgarr.activation import _lookup_table, platanh, platanh_derivative
-from ecgarr.features import FeatureVector
 from ecgarr.fixedpoint import QFormat, quantize_raw_array
 from ecgarr.mlp import (
     ACTIVATIONS,
@@ -239,14 +238,13 @@ def test_forward_batch_matches_loop_oracle():
             assert got[r, k] == pytest.approx(want, abs=1e-12)
 
 
-def test_forward_matches_batch_and_accepts_feature_vectors():
+def test_forward_matches_batch():
     m = init_model(seed=9)
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.uniform(-3, 3, size=12)
         row = forward_batch(m, x[None, :])[0]
         assert np.array_equal(forward(m, x), row)
-        assert np.array_equal(forward(m, FeatureVector(values=x)), row)
         assert predict(m, x) == predict_batch(m, x[None, :])[0]
 
 
@@ -1125,4 +1123,32 @@ def test_model_file_malformed_lines_name_the_path(tmp_path, case):
     path = tmp_path / "model.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+        load_model(path)
+
+
+# (old text, new text, message): each model file has a blank line after
+# its first, so a line number counts the file's own lines
+BAD_NUMBERS = {
+    "real weight": ("wh 1\n", "wh x0.136\n",
+                    "line 7: wh value 'x0.136' is not a finite number"),
+    # a NaN weight once loaded, and the model called every beat normal
+    "NaN weight": ("bh 0\n", "bh nan\n", "line 8: bh value 'nan' is not a finite number"),
+    "layer size": ("layers 1 1 2", "layers 1 x 2", "line 3: layer size 'x' is not an integer"),
+    "bit count": ("mode fixed 24 12", "mode fixed 24 z",
+                  "line 6: bit count 'z' is not an integer"),
+    "fixed weight": ("wo 4096\n", "wo 1.5\n", "line 9: wo value '1.5' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_model_file_bad_number_names_its_line(tmp_path, case):
+    # such a file once failed with only the conversion's text, as
+    # "could not convert string to float: 'x0.136'"
+    old, new, message = BAD_NUMBERS[case]
+    mode = "real" if case in ("real weight", "NaN weight") else "fixed"
+    text = _model_text("platanh", "ntanh_pla", mode).replace("\n", "\n\n", 1)
+    assert old in text
+    path = tmp_path / "model.txt"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_model(path)

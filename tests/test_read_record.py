@@ -11,12 +11,17 @@ from ecgarr import wfdb_io
 from ecgarr.cli import main
 from ecgarr.experiment import read_beats
 from ecgarr.wfdb_io import (
+    AnnotationError,
     BeatLabel,
+    Format212Error,
+    HeaderError,
     annotation_arrays,
     decode_format212,
     ingest_record,
     label_beat,
     parse_annotations,
+    read_header,
+    read_record,
 )
 from wfdb_fixtures import (
     SYMBOL_CODES,
@@ -185,8 +190,8 @@ def split_record(tmp_path):
     (tmp_path / "s.hea").write_text(write_header("s", 500, n, ["s.dat", "s_b.dat"]))
     packed = (tmp_path / "s.dat").read_bytes()
     (tmp_path / "s_b.dat").write_bytes(packed[:-5])
-    return header, f"error: buffer truncated at byte {len(packed) - 5}: {n} samples " \
-                   f"need {len(packed)} bytes\n"
+    return header, f"error: {tmp_path / 's_b.dat'}: buffer truncated at byte " \
+                   f"{len(packed) - 5}: {n} samples need {len(packed)} bytes\n"
 
 
 def _evaluate(header, channel, tmp_path, capsys):
@@ -208,6 +213,59 @@ def test_truncation_wins_over_an_out_of_range_channel(split_record, tmp_path, ca
     (tmp_path / "s_b.dat").write_bytes((tmp_path / "s.dat").read_bytes())
     assert _evaluate(header, 2, tmp_path, capsys) == (
         1, "error: record s: channel 2 out of range (2 signals)\n")
+
+
+def test_read_record_checks_the_channel_after_every_sample_file(split_record, tmp_path):
+    # a wanted index outside the header's signals once gave no series, silently
+    header, line = split_record
+    with pytest.raises(Format212Error, match=re.escape(line[len("error: "):-1])):
+        read_record(header, {2})
+    (tmp_path / "s_b.dat").write_bytes((tmp_path / "s.dat").read_bytes())
+    for channel in (2, -1):
+        with pytest.raises(ValueError, match=rf"^record s: channel {channel} out of range "
+                                             r"\(2 signals\)$"):
+            read_record(header, {0, channel})
+    assert list(read_record(header, {1})[1]) == [1]
+
+
+# ---------------------------------------------------------------------------
+# a fault in a record file names the file
+
+
+def _bad_gain(dir_path, name):
+    path = dir_path / f"{name}.hea"
+    path.write_text(path.read_text().replace(" 212 200 ", " 212 2x0 "))
+    return HeaderError, path, "line 2: bad gain '2x0'"
+
+
+def _truncated_samples(dir_path, name):
+    n = read_header(dir_path / f"{name}.hea").n_samples
+    path = dir_path / f"{name}.dat"
+    path.write_bytes(path.read_bytes()[:100])
+    return Format212Error, path, f"buffer truncated at byte 100: {n} samples need " \
+                                 f"{(3 * n + 1) // 2} bytes"
+
+
+def _no_terminator(dir_path, name):
+    path = dir_path / f"{name}.atr"
+    path.write_bytes(path.read_bytes()[:-2])
+    return AnnotationError, path, f"annotation stream truncated at byte " \
+                                  f"{path.stat().st_size}: no terminator word"
+
+
+@pytest.mark.parametrize("fault", [_bad_gain, _truncated_samples, _no_terminator],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_a_fault_in_a_record_file_names_the_file(tmp_path, capsys, fault):
+    # a two-record run once printed the fault alone, with no file to find it in
+    good = classifier_record(tmp_path, "recA", seed=0)
+    bad = classifier_record(tmp_path, "recB", seed=1)
+    kind, path, message = fault(tmp_path, "recB")
+    with pytest.raises(kind, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_record(bad)
+    capsys.readouterr()
+    assert main(["evaluate", "--record", good, "--record", bad, "--classifier", "self-learner",
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 # ---------------------------------------------------------------------------

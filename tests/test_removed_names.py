@@ -56,11 +56,11 @@ REMOVED = {
         "FLOAT64_EXACT_BITS",
     ],
     "ecgarr.selflearn": ["SelfLearnerState.phase", "SelfLearnerState.learn_buffer",
-                         "initialize"],
+                         "initialize", "load_anomaly_log"],
     "ecgarr.experiment": [
         "classifier_activations", "PipelineConfig.split", "PipelineConfig.match_window_ms",
         "label_peaks(window_ms)", "PipelineConfig.output_dir",
-        "annotated_beats(record)", "record_signal(record)",
+        "annotated_beats(record)", "record_signal",
     ],
     "ecgarr.wfdb_io": ["ingest_record(annotation_path)", "SignalSpec.adc_zero",
                        "SignalSpec.baseline"],
@@ -75,7 +75,6 @@ SIGNATURES = {
     ("ecgarr.metrics", "match_beats"): ["predicted", "annotated", "sampling_frequency"],
     ("ecgarr.experiment", "label_peaks"): ["peaks", "ann_indices", "ann_labels", "fs"],
     ("ecgarr.experiment", "annotated_beats"): ["ann_indices", "ann_codes"],
-    ("ecgarr.experiment", "record_signal"): ["header", "samples", "channel"],
     ("ecgarr.wfdb_io", "ingest_record"): ["header_path"],
     ("ecgarr.mlp", "init_model"): ["seed", "layer_sizes", "activation"],
     ("ecgarr.mlp", "train"): ["model", "x", "labels", "max_epochs", "seed"],
