@@ -15,7 +15,6 @@ Fixed-point inference is exact integer sums in float64 on every kernel.
 from __future__ import annotations
 
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -38,6 +37,7 @@ from .metrics import (
 )
 from .mlp import init_model, predict_batch, quantize_model, train
 from .selflearn import TOLERANCE, run_self_learner
+from .textio import integer, naming
 from .wfdb_io import SYMBOL_BY_CODE, BeatLabel, label_beat, read_record, record_files
 # the benchmark's tracer wraps this window search and record reader in this module
 from .selflearn import find_stable_window  # noqa: F401
@@ -184,21 +184,21 @@ def _read_peaks(path, record_id, n_samples):
     """A detect artifact's int64 peaks, one a line, "#" starting a comment."""
     peaks = []
     with open(path) as fh:
-        for number, line in enumerate(fh, start=1):
+        lines = fh.readlines()
+    with naming(path):
+        for number, line in enumerate(lines, start=1):
             text = line.split("#")[0].strip()
             if not text:
                 continue
-            if not re.fullmatch(r"[+-]?[0-9]+", text):
-                raise ValueError(f"{path}: line {number}: {text!r} is not one integer peak")
-            peak = int(text)
+            peak = integer(text, "peak", number)
             if not 0 <= peak < n_samples:
-                raise ValueError(f"{path}: peak {peak} is outside record {record_id}'s "
+                raise ValueError(f"peak {peak} is outside record {record_id}'s "
                                  f"{n_samples} samples")
             if peaks and peak <= peaks[-1]:
-                raise ValueError(f"{path}: line {number}: peak {peak} is not after {peaks[-1]}")
+                raise ValueError(f"line {number}: peak {peak} is not after {peaks[-1]}")
             peaks.append(peak)
-    if not peaks:
-        raise ValueError(f"{path}: no peaks")
+        if not peaks:
+            raise ValueError("no peaks")
     return np.array(peaks, dtype=np.int64)
 
 

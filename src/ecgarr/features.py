@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import peak_indices
+from .textio import integer, naming, numbers, real, tagged_lines
 
 __all__ = [
     "BeatFeatureRow",
@@ -260,37 +261,22 @@ def load_features(path, labels=None) -> list[BeatFeatureRow]:
     the 1-based line."""
     out = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != 15:
-            raise ValueError(f"{path}: not a feature table")
-
-        def value(kind, text, what):
-            try:
-                return kind(text)
-            except ValueError:
-                raise ValueError(f"{path}: line {reader.line_num}: {what} {text!r} is not "
-                                 f"{'an integer' if kind is int else 'a number'}") from None
-
+        lines = fh.readlines()
+    with naming(path):
+        reader = csv.reader(lines)
+        if len(next(reader, ())) != 15:
+            raise ValueError("not a feature table")
         for rec in reader:
+            line = reader.line_num
             if len(rec) != 15:
-                raise ValueError(f"{path}: line {reader.line_num}: row with {len(rec)} fields, "
-                                 "expected 15")
-            r_index = value(int, rec[1], "r_index")
-            features = np.asarray([value(float, v, "feature") for v in rec[2:14]])
-            if not np.isfinite(features).all():
-                raise ValueError(f"{path}: line {reader.line_num}: non-finite feature value")
+                raise ValueError(f"line {line}: row with {len(rec)} fields, expected 15")
+            r_index = integer(rec[1], "r_index", line)
+            features = np.asarray([real(v, "feature", line) for v in rec[2:14]])
             if labels is not None and rec[14] not in labels:
-                raise ValueError(f"{path}: line {reader.line_num}: label {rec[14]!r} "
-                                 f"is not {' or '.join(labels)}")
-            out.append(BeatFeatureRow(
-                record_id=rec[0],
-                r_index=r_index,
-                features=features,
-                label=rec[14],
-            ))
-    if not out:
-        raise ValueError(f"{path}: no beats")
+                raise ValueError(f"line {line}: label {rec[14]!r} is not {' or '.join(labels)}")
+            out.append(BeatFeatureRow(rec[0], r_index, features, rec[14]))
+        if not out:
+            raise ValueError("no beats")
     return out
 
 
@@ -309,26 +295,10 @@ def save_pca_model(path, model: PCAModel) -> None:
 def load_pca_model(path) -> PCAModel:
     """A model from a save_pca_model file.  A malformed or truncated file
     raises ValueError naming path."""
-    with open(path) as fh:
-        lines = [ln.split() for ln in fh]
-
-    def values(i, tag, kind, count):
-        """The count values on line i, which starts with tag."""
-        if i >= len(lines):
-            raise ValueError(f"{path}: the file ends before its {tag} line")
-        try:
-            out = [kind(v) for v in lines[i][1:]]
-        except ValueError:
-            out = None
-        if lines[i][:1] != [tag] or out is None or len(out) != count:
-            raise ValueError(f"{path}: bad {tag} line {' '.join(lines[i])!r}")
-        return out
-
-    if lines[:1] != [["pca-model", "v1"]]:
-        raise ValueError(f"{path}: not a PCA model file")
-    (d,) = values(1, "window", int, 1)
-    (k,) = values(2, "components", int, 1)
-    mean = np.asarray(values(3, "mean", float, d))
-    variance = np.asarray(values(4, "variance", float, k))
-    comps = np.asarray([values(5 + i, "comp", float, d) for i in range(k)]).reshape(k, d)
-    return PCAModel(mean=mean, components=comps, explained_variance=variance)
+    with tagged_lines(path, "pca-model v1", "PCA model") as lines:
+        (d,) = numbers(integer, lines, 0, "window", 1)
+        (k,) = numbers(integer, lines, 1, "components", 1)
+        mean = np.asarray(numbers(real, lines, 2, "mean", d))
+        variance = np.asarray(numbers(real, lines, 3, "variance", k))
+        comps = np.asarray([numbers(real, lines, 4 + i, "comp", d) for i in range(k)])
+    return PCAModel(mean=mean, components=comps.reshape(k, d), explained_variance=variance)

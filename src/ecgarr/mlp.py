@@ -31,6 +31,7 @@ from .activation import (
 )
 from .fixedpoint import QFormat, check_accumulator, quantize_raw_array
 from .fixedpoint import rne_shift_array, saturate_array  # noqa: F401
+from .textio import integer, real, tagged, tagged_lines
 
 __all__ = [
     "MlpModel",
@@ -493,64 +494,34 @@ def load_model(path) -> MlpModel:
     """A model from a save_model file.  A malformed or truncated file, or
     an activation pair no mode writes, raises ValueError naming path, and
     a malformed or non-finite number its 1-based line too."""
-    with open(path) as fh:
-        lines = [(number, ln.split()) for number, ln in enumerate(fh, start=1) if ln.strip()]
-    try:
-        return _parse_model(lines)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with tagged_lines(path, "mlp-model v1", "model") as lines:
+        number, sizes = tagged(lines, 0, "layers", 3)
+        n_in, n_hidden, n_out = (integer(v, "layer size", number) for v in sizes)
+        pair = [*tagged(lines, 1, "hidden_activation", 1)[1],
+                *tagged(lines, 2, "output_activation", 1)[1]]
+        modes = [mode for mode, (_, names) in ACTIVATIONS.items() if list(names) == pair]
+        if not modes:
+            raise ValueError(f"no activation mode runs hidden {pair[0]} with output {pair[1]}")
+        number, mode = tagged(lines, 3, "mode", 1, 3)
+        if mode == ["real"]:
+            fmt, parse, scale = None, real, 1.0
+        elif mode[0] == "fixed" and len(mode) == 3:
+            fmt = QFormat(*(integer(v, "bit count", number) for v in mode[1:]))
+            parse, scale = integer, fmt.scale  # a fixed row holds the raw integers
+        else:
+            raise ValueError(f"unknown mode {' '.join(mode)!r}")
 
-
-def _parse_model(lines) -> MlpModel:
-    """A model from the (file line number, fields) of each non-blank line."""
-    def header(i, key, *counts):
-        """The line number and values of header line i, which starts with key."""
-        if i >= len(lines):
-            raise ValueError(f"the file ends before its {key} line")
-        number, fields = lines[i]
-        if fields[0] != key or len(fields) - 1 not in counts:
-            raise ValueError(f"bad {key} line {' '.join(fields)!r}")
-        return number, fields[1:]
-
-    def value(kind, number, text, what):
-        """kind(text) if finite, else a ValueError naming line number and text."""
-        try:
-            v = kind(text)
-        except ValueError:
-            v = np.nan
-        if abs(v) < np.inf:
-            return v
-        raise ValueError(f"line {number}: {what} {text!r} is not "
-                         f"{'an integer' if kind is int else 'a finite number'}")
-
-    if not lines or lines[0][1] != ["mlp-model", "v1"]:
-        raise ValueError("not a model file")
-    number, sizes = header(1, "layers", 3)
-    n_in, n_hidden, n_out = (value(int, number, v, "layer size") for v in sizes)
-    pair = header(2, "hidden_activation", 1)[1] + header(3, "output_activation", 1)[1]
-    modes = [mode for mode, (_, names) in ACTIVATIONS.items() if list(names) == pair]
-    if not modes:
-        raise ValueError(f"no activation mode runs hidden {pair[0]} with output {pair[1]}")
-    number, mode = header(4, "mode", 1, 3)
-    if mode == ["real"]:
-        fmt, kind, scale = None, float, 1.0
-    elif mode[0] == "fixed" and len(mode) == 3:
-        fmt = QFormat(*(value(int, number, v, "bit count") for v in mode[1:]))
-        kind, scale = int, fmt.scale  # a fixed row holds the raw integers
-    else:
-        raise ValueError(f"unknown mode {' '.join(mode)!r}")
-
-    rows = {"wh": [], "bh": [], "wo": [], "bo": []}
-    for number, (tag, *values) in lines[5:]:
-        if tag not in rows:
-            raise ValueError(f"unexpected row tag {tag!r}")
-        rows[tag].append([value(kind, number, v, f"{tag} value") / scale for v in values])
-    if len(rows["bh"]) != 1 or len(rows["bo"]) != 1:
-        raise ValueError(f"{len(rows['bh'])} bh and {len(rows['bo'])} bo rows, "
-                         "not one of each")
-    wh, bh = np.asarray(rows["wh"]), np.asarray(rows["bh"][0])
-    wo, bo = np.asarray(rows["wo"]), np.asarray(rows["bo"][0])
-    if wh.shape != (n_hidden, n_in) or wo.shape != (n_out, n_hidden):
-        raise ValueError("weight shapes disagree with layers line")
-    return MlpModel(w_hidden=wh, b_hidden=bh, w_out=wo, b_out=bo,
-                    activation=modes[0], q_format=fmt)
+        rows = {"wh": [], "bh": [], "wo": [], "bo": []}
+        for number, (tag, *values) in lines[4:]:
+            if tag not in rows:
+                raise ValueError(f"unexpected row tag {tag!r}")
+            rows[tag].append([parse(v, f"{tag} value", number) / scale for v in values])
+        if len(rows["bh"]) != 1 or len(rows["bo"]) != 1:
+            raise ValueError(f"{len(rows['bh'])} bh and {len(rows['bo'])} bo rows, "
+                             "not one of each")
+        wh, bh = np.asarray(rows["wh"]), np.asarray(rows["bh"][0])
+        wo, bo = np.asarray(rows["wo"]), np.asarray(rows["bo"][0])
+        if wh.shape != (n_hidden, n_in) or wo.shape != (n_out, n_hidden):
+            raise ValueError("weight shapes disagree with layers line")
+        return MlpModel(w_hidden=wh, b_hidden=bh, w_out=wo, b_out=bo,
+                        activation=modes[0], q_format=fmt)

@@ -9,11 +9,12 @@ into plain dataclasses plus numpy arrays; nothing is written back.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .textio import integer, naming, real
 
 __all__ = [
     "Annotation",
@@ -154,15 +155,6 @@ def _header_lines(text):
         yield lineno, line
 
 
-def _header_number(kind, text: str, lineno: int, what: str, token: str | None = None):
-    """kind(text), or a HeaderError naming the line, what was read and the
-    header token holding it (text itself unless given)."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise HeaderError(f"line {lineno}: bad {what} {token or text!r}") from None
-
-
 def _parse_gain_field(token: str, lineno: int) -> float:
     """The gain of a token like ``200``, ``200(1024)`` or ``200(1024)/mV``.
 
@@ -174,8 +166,8 @@ def _parse_gain_field(token: str, lineno: int) -> float:
         if not body.endswith(")"):
             raise HeaderError(f"line {lineno}: malformed gain field {token!r}")
         body, base_str = body[:-1].split("(", 1)
-        _header_number(int, base_str, lineno, "baseline in gain field", token)
-    gain = _header_number(float, body, lineno, "gain", token)
+        integer(base_str, "baseline in gain field", lineno, HeaderError)
+    gain = real(body, "gain", lineno, HeaderError)
     if gain == 0.0:
         gain = 200.0  # standard default when the field is written as 0
     return gain
@@ -206,11 +198,10 @@ def parse_header(text) -> RecordHeader:
             f"sampling frequency and length, got {len(fields)} fields"
         )
     record_name = fields[0].split("/", 1)[0]  # drop segment count if present
-    n_signals = _header_number(int, fields[1], lineno, "signal count")
+    n_signals = integer(fields[1], "signal count", lineno, HeaderError)
     # frequency may carry a counter spec after '/'
-    fs = _header_number(float, fields[2].split("/", 1)[0], lineno, "sampling frequency",
-                        fields[2])
-    n_samples = _header_number(int, fields[3], lineno, "record length")
+    fs = real(fields[2].split("/", 1)[0], "sampling frequency", lineno, HeaderError)
+    n_samples = integer(fields[3], "record length", lineno, HeaderError)
     if n_signals < 1:
         raise HeaderError(f"line {lineno}: record needs at least one signal")
     if not 0 < fs < np.inf:
@@ -231,14 +222,14 @@ def parse_header(text) -> RecordHeader:
         if len(fields) < 2:
             raise HeaderError(f"line {lineno}: signal line needs file name and format")
         file_name = fields[0]
-        fmt = _header_number(int, fields[1], lineno, "format code")
+        fmt = integer(fields[1], "format code", lineno, HeaderError)
         if fmt != 212:
             raise FormatUnsupportedError(
                 f"line {lineno}: sample format {fmt} unsupported (only 212)"
             )
         gain = _parse_gain_field(fields[2], lineno) if len(fields) >= 3 else 200.0
         if len(fields) >= 5:
-            _header_number(int, fields[4], lineno, "adc zero")  # checked, not kept
+            integer(fields[4], "adc zero", lineno, HeaderError)  # checked, not kept
         description = " ".join(fields[9:]) if len(fields) > 9 else ""
         specs.append(SignalSpec(file_name=file_name, fmt=fmt, gain=gain,
                                 description=description))
@@ -380,19 +371,13 @@ def parse_annotations(data: bytes, n_samples: int | None = None) -> list[Annotat
 # whole-record ingest
 
 
-@contextmanager
-def _naming(path):
-    """Re-raise a record file's HeaderError, Format212Error or
-    AnnotationError, same type, with path first."""
-    try:
-        yield
-    except (HeaderError, Format212Error, AnnotationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+# a record file's faults, re-raised with the file's path first
+_FILE_ERRORS = (HeaderError, Format212Error, AnnotationError)
 
 
 def read_header(header_path) -> RecordHeader:
     """The header file at header_path, parsed; a fault names the file."""
-    with open(header_path, "rb") as fh, _naming(header_path):
+    with open(header_path, "rb") as fh, naming(header_path, _FILE_ERRORS):
         return parse_header(fh.read())
 
 
@@ -422,7 +407,7 @@ def read_record(header_path, signals=None):
     for path, name in zip(sample_paths, dict.fromkeys(names)):
         held = [i for i, held_by in enumerate(names) if held_by == name]
         wanted = [i for i in held if signals is None or i in signals]
-        with open(path, "rb") as fh, _naming(path):
+        with open(path, "rb") as fh, naming(path, _FILE_ERRORS):
             if not wanted:  # checked, not decoded
                 _format212_bytes(os.fstat(fh.fileno()).st_size, len(held) * n)
                 continue
@@ -433,7 +418,7 @@ def read_record(header_path, signals=None):
     if os.path.exists(annotation_path):
         with open(annotation_path, "rb") as fh:
             data = fh.read()
-    with _naming(annotation_path):
+    with naming(annotation_path, _FILE_ERRORS):
         index, codes = annotation_arrays(data, n_samples=n)
     for i in sorted(signals or ()):
         if not 0 <= i < header.n_signals:

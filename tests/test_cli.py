@@ -330,7 +330,7 @@ def test_train_is_deterministic(records, tmp_path):
 
 @pytest.mark.parametrize("column, text, message", [
     (1, "2.5", "r_index '2.5' is not an integer"),
-    (7, "abc", "feature 'abc' is not a number"),
+    (7, "abc", "feature 'abc' is not a finite number"),
     (14, "2", "label '2' is not 0 or 1"),
     (14, "normal", "label 'normal' is not 0 or 1"),
 ])
@@ -680,7 +680,7 @@ def test_an_infinite_sampling_frequency_is_one_error_line(tmp_path, capsys, argv
     out = tmp_path / "o"
     assert main([*argv, "--record", str(header), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == \
-        f"error: {header}: line 1: sampling frequency must be positive and finite, got inf\n"
+        f"error: {header}: line 1: sampling frequency 'inf' is not a finite number\n"
     assert not out.exists()
 
 
@@ -792,7 +792,7 @@ def test_a_peak_that_is_no_integer_names_its_line(records, tmp_path, capsys, com
     # lines counted from 1, comment and blank lines among them
     err = _peaks_file_error(records, tmp_path, capsys, command,
                             "# from detect\n150\n\n450.5\n750\n")
-    assert err == "error: PEAKS: line 4: '450.5' is not one integer peak\n"
+    assert err == "error: PEAKS: line 4: peak '450.5' is not an integer\n"
 
 
 @pytest.mark.parametrize("command", ["selflearn", "features"])
@@ -805,7 +805,7 @@ def test_a_peak_not_after_the_one_before_names_its_line(records, tmp_path, capsy
 def test_a_line_of_two_peaks_names_its_line(records, tmp_path, capsys, command):
     # not read as two peaks
     err = _peaks_file_error(records, tmp_path, capsys, command, "150 450\n")
-    assert err == "error: PEAKS: line 1: '150 450' is not one integer peak\n"
+    assert err == "error: PEAKS: line 1: peak '150 450' is not an integer\n"
 
 
 def test_channel_out_of_range_fails(records, tmp_path, capsys):

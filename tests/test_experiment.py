@@ -325,7 +325,7 @@ def test_first_failing_record_in_argument_order_raises(tmp_path, pool_workers, l
     early = classifier_record(tmp_path, "early", seed=1)
     (tmp_path / "early.hea").write_text("early two 360 100\n")
     paths, message = (((late, early), "no terminator word") if late_first
-                      else ((early, late), "bad signal count 'two'"))
+                      else ((early, late), "line 1: signal count 'two' is not an integer"))
     for detector in ("ann", "uni-dwt"):
         with pytest.raises(ValueError, match=message):
             run_experiment(PipelineConfig(record_paths=paths, detector=detector))

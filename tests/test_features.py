@@ -391,28 +391,35 @@ def test_pca_model_file_truncated_after_each_line(tmp_path):
             load_pca_model(cut)
 
 
-# the line replaced, by its tag, and what replaces it
+# the line replaced, by its tag; what replaces it; and the message, where
+# {next} is the line after the one replaced
 PCA_MALFORMED = {
-    "window not an integer": ("window", "window 7.5"),
-    "two component counts": ("components", "components 3 4"),
-    "short mean": ("mean", "mean 1 2"),
-    "variance not a number": ("variance", "variance 1 x 2"),
-    "comp under another tag": ("comp", "row 1 2 3 4 5 6 7"),
-    "blank mean line": ("mean", ""),
+    "window not an integer": ("window", "window 7.5",
+                              "line 2: window value '7.5' is not an integer"),
+    "two component counts": ("components", "components 3 4",
+                             "line 3: bad components line 'components 3 4'"),
+    "short mean": ("mean", "mean 1 2", "line 4: bad mean line 'mean 1 2'"),
+    "variance not a number": ("variance", "variance 1 x 2",
+                              "line 5: variance value 'x' is not a finite number"),
+    "comp under another tag": ("comp", "row 1 2 3 4 5 6 7",
+                               "line 6: bad comp line 'row 1 2 3 4 5 6 7'"),
+    # a blank line is skipped, so the mean's place holds the variance line
+    "blank mean line": ("mean", "", "line 5: bad mean line {next!r}"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PCA_MALFORMED))
 def test_pca_model_file_malformed_lines_name_the_path(tmp_path, case):
-    tag, line = PCA_MALFORMED[case]
+    tag, line, message = PCA_MALFORMED[case]
     rng = np.random.default_rng(14)
     path = tmp_path / "model.txt"
     save_pca_model(path, fit_pca(list(rng.standard_normal((30, 7))), k=3))
     lines = path.read_text().splitlines()
-    lines[[ln.split()[0] for ln in lines].index(tag)] = line
+    at = [ln.split()[0] for ln in lines].index(tag)
+    lines[at] = line
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
-                                         f"{re.escape(f'bad {tag} line {line!r}')}$"):
+    message = message.format(next=lines[at + 1])
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_pca_model(path)
 
 
@@ -451,13 +458,14 @@ def test_feature_file_rejects_non_finite_values(tmp_path):
     rows[1].features[4] = np.nan
     path = tmp_path / "features.txt"
     save_features(path, rows)
-    with pytest.raises(ValueError, match=r"features\.txt: line 3: non-finite"):
+    with pytest.raises(ValueError, match=r"features\.txt: line 3: feature 'nan' is not a "
+                                         "finite number$"):
         load_features(path)
 
 
 @pytest.mark.parametrize("column, text, message", [
     (1, "2.5", "r_index '2.5' is not an integer"),
-    (5, "abc", "feature 'abc' is not a number"),
+    (5, "abc", "feature 'abc' is not a finite number"),
     (14, "0,extra", "row with 16 fields, expected 15"),
 ])
 def test_feature_file_names_the_line_of_a_malformed_value(tmp_path, column, text, message):

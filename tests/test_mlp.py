@@ -1101,10 +1101,10 @@ def test_model_file_truncated_in_its_header(tmp_path, case):
 
 MALFORMED = {
     "no hidden activation name": ("mlp-model v1\nlayers 1 1 2\nhidden_activation\n",
-                                  "bad hidden_activation line 'hidden_activation'"),
+                                  "line 3: bad hidden_activation line 'hidden_activation'"),
     "short fixed mode": ("mlp-model v1\nlayers 1 1 2\nhidden_activation platanh\n"
                          "output_activation ntanh_pla\nmode fixed 24\n",
-                         "bad mode line 'mode fixed 24'"),
+                         "line 5: bad mode line 'mode fixed 24'"),
     "no output bias": ("mlp-model v1\nlayers 1 1 2\nhidden_activation platanh\n"
                        "output_activation ntanh_pla\nmode real\nwh 1\nbh 0\nwo 1\nwo 0\n",
                        "1 bh and 0 bo rows, not one of each"),

@@ -235,7 +235,7 @@ def test_read_record_checks_the_channel_after_every_sample_file(split_record, tm
 def _bad_gain(dir_path, name):
     path = dir_path / f"{name}.hea"
     path.write_text(path.read_text().replace(" 212 200 ", " 212 2x0 "))
-    return HeaderError, path, "line 2: bad gain '2x0'"
+    return HeaderError, path, "line 2: gain '2x0' is not a finite number"
 
 
 def _truncated_samples(dir_path, name):
