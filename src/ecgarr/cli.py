@@ -139,7 +139,7 @@ _OPTIONS = {
                        metavar="HEADER"),
     "channel": _Option("--channel", "signal channel", int, field="channel",
                        **_at_least(0)),
-    "peaks": _Option("--peaks", "peak list from detect", metavar="FILE"),
+    "peaks": _Option("--peaks", "peak list from detect", metavar="FILE", once=True),
     "peaks_from_annotations": _Option(
         "--peaks-from-annotations", "take beat positions from the annotation file",
         bool, False),
@@ -148,8 +148,8 @@ _OPTIONS = {
                       2 * WINDOW_HALF_WIDTH + 1,
                       valid=lambda v: v % 2 == 1 and v >= PCA_COMPONENTS,
                       rule=f"odd and >= {PCA_COMPONENTS}, the PCA component count"),
-    "features": _Option("--features", "table from features", metavar="FILE"),
-    "model": _Option("--model", "model from train", metavar="FILE"),
+    "features": _Option("--features", "table from features", metavar="FILE", once=True),
+    "model": _Option("--model", "model from train", metavar="FILE", once=True),
     "seed": _Option("--seed", "training seed, required to train a net", int,
                     **_at_least(0)),
     "hidden": _Option("--hidden", "hidden units", int, field="hidden_units",

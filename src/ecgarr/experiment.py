@@ -217,7 +217,8 @@ def read_beats(header, channel: int, detector: str, peaks_file=None):
     elif detector == "ann":
         peaks = ann_idx
     else:
-        peaks = detect_r_peaks(signal, fs).r_indices
+        with naming(f"record {record_id}"):
+            peaks = detect_r_peaks(signal, fs).r_indices
     return record_id, signal, fs, peaks, ann_idx, ann_lab
 
 
@@ -296,7 +297,8 @@ def _self_learner_verdicts(record_id, peaks, ann_indices, ann_labels, fs, tolera
     unmatched one is flagged when the peak before it opened a gap the
     monitor timed out on, and unflagged otherwise.
     """
-    events, _, anchor = run_self_learner(peaks, tolerance_fraction=tolerance)
+    with naming(f"record {record_id}"):
+        events, _, anchor = run_self_learner(peaks, tolerance_fraction=tolerance)
     # the peak that closed the learning window, then every monitored peak
     peaks = peaks[anchor:]
     judged = ann_indices > peaks[0]

@@ -3,8 +3,8 @@ reader of its tagged files (a magic line, then lines led by their tag).
 
 An integer is an optional sign and ASCII digits; a real is an optional
 sign, ASCII digits with at most one point and an optional exponent, and
-finite.  A token that breaks the rule raises ``line N: <what> '<token>'
-is not an integer`` (or ``is not a finite number``).
+must be finite.  A token that breaks the rule raises ``line N: <what>
+'<token>' is not an integer`` (or ``is not a finite number``).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ def integer(token: str, what: str, line: int, error=ValueError) -> int:
 
 def real(token: str, what: str, line: int, error=ValueError) -> float:
     """token as a finite float; error naming line, what and token if it breaks the rule."""
-    value = float(token) if _REAL.fullmatch(token) else math.inf
-    if abs(value) < math.inf:
+    value = float(token) if _REAL.fullmatch(token) else math.nan
+    if math.isfinite(value):
         return value
     raise error(f"line {line}: {what} {token!r} is not a finite number")
 

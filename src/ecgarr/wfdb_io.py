@@ -204,7 +204,7 @@ def parse_header(text) -> RecordHeader:
     n_samples = integer(fields[3], "record length", lineno, HeaderError)
     if n_signals < 1:
         raise HeaderError(f"line {lineno}: record needs at least one signal")
-    if not 0 < fs < np.inf:
+    if fs <= 0:  # the number rule has already made it finite
         raise HeaderError(f"line {lineno}: sampling frequency must be positive and finite, got {fs}")
     if n_samples < 0:
         raise HeaderError(f"line {lineno}: record length cannot be negative")

@@ -19,11 +19,13 @@ import pytest
 
 from ecgarr import cli, experiment
 from ecgarr.cli import main
+from ecgarr.dsp import SignalTooShortError
 from ecgarr.experiment import SWEEP_FRACTION_BITS, PipelineConfig
 from ecgarr.features import WINDOW_HALF_WIDTH, load_features, save_features
 from ecgarr.fixedpoint import QFormat
 from ecgarr.mlp import init_model, load_model, predict_batch, quantize_model, save_model
-from wfdb_fixtures import DROPPED_BEATS, classifier_record, dropout_record
+from ecgarr.selflearn import NoStableRhythmError
+from wfdb_fixtures import DROPPED_BEATS, classifier_record, dropout_record, write_record_files
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +444,32 @@ def test_evaluate_with_a_bad_second_record_is_an_error_line(records, tmp_path, p
                         r"\d+ samples need \d+ bytes\n", err)
 
 
+# a record the detector cannot run on, and one too short to learn a rhythm
+RECORD_FAULTS = {
+    "too few samples": (lambda d: write_record_files(d, "recBad", 360, [0] * 10, [(5, "N")]),
+                        "uni-dwt", SignalTooShortError,
+                        "signal of 10 samples too short for 4 levels (needs at least 16)"),
+    "three beats": (lambda d: classifier_record(d, "recBad", n_beats=3, seed=2), "ann",
+                    NoStableRhythmError, "need at least 5 peaks to learn a rhythm, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_FAULTS))
+def test_a_detector_or_monitor_failure_names_its_record(records, tmp_path, capsys, case):
+    # a two-record run once printed the fault alone, with no record to find it in
+    make, detector, kind, message = RECORD_FAULTS[case]
+    paths = (records["a"], make(tmp_path))
+    with pytest.raises(kind, match=f"^{re.escape(f'record recBad: {message}')}$"):
+        experiment.run_experiment(PipelineConfig(record_paths=paths, detector=detector,
+                                                 classifier="self-learner"))
+    capsys.readouterr()
+    assert main(["evaluate", "--record", paths[0], "--record", paths[1],
+                 "--classifier", "self-learner", "--detector", detector,
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: record recBad: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_self_learner_needs_no_seed(records, tmp_path, capsys):
     out = str(tmp_path / "eval-sl")
     assert main(["evaluate", "--record", records["drop"],
@@ -582,6 +610,23 @@ def test_a_one_record_command_rejects_a_second_record(records, tmp_path, capsys,
     assert main(["--config", str(cfg), command, "--record", records["drop"],
                  "--out-dir", str(out)]) == 0
     assert capsys.readouterr().out.startswith("recC: ")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("selflearn", "--peaks"), ("features", "--peaks"), ("train", "--features"),
+    ("infer", "--features"), ("infer", "--model"),
+])
+def test_a_one_file_flag_rejects_a_second_file(tmp_path, capsys, command, flag):
+    # a second copy once won, and the manifest hashed that file alone;
+    # the flags are checked before any file is read
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(tmp_path / "one.txt"), flag, str(tmp_path / "two.txt"),
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"ecgarr {command}: error: {flag} given twice; this command takes one\n")
+    assert not out.exists()
 
 
 def test_missing_record_file(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Every imported name is used by its module, every exported one exists,
 every private top-level name of the package has a caller, only
-``ecgarr.metrics`` names the beat-match window, and only ``ecgarr.wfdb_io``
-builds the record objects.
+``ecgarr.metrics`` names the beat-match window, only ``ecgarr.wfdb_io``
+builds the record objects, and only ``ecgarr.textio`` converts the
+numbers of a data file.
 
 An import that only re-exports a name, or that keeps a name where
 another tool looks it up, says so with ``# noqa: F401`` on the name's
@@ -192,6 +193,54 @@ def test_only_metrics_names_the_match_window():
     naming = [str(p.relative_to(ROOT)) for p in sorted((ROOT / "src").rglob("*.py"))
               if "MATCH_WINDOW_MS" in p.read_text()]
     assert naming == ["src/ecgarr/metrics.py"]
+
+
+# the data-file readers, by module; each number they read goes through ecgarr.textio
+READERS = {
+    "wfdb_io": ("parse_header", "_parse_gain_field"),
+    "experiment": ("_read_peaks",),
+    "features": ("load_features", "load_pca_model"),
+    "mlp": ("load_model",),
+}
+
+
+def builtin_conversions(path, readers):
+    """[(function, line)] of each use of the builtin int or float in the
+    bodies of the top-level functions readers of the module at path, and
+    of each private top-level function they reach by name."""
+    defs = {s.name: s for s in ast.parse(path.read_text()).body
+            if isinstance(s, ast.FunctionDef)}
+    todo, seen, found = list(readers), set(), []
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in (n for statement in defs[name].body for n in ast.walk(statement)):
+            if isinstance(node, ast.Name) and node.id in ("int", "float"):
+                found.append((name, node.lineno))
+            elif isinstance(node, ast.Name) and node.id.startswith("_") \
+                    and node.id in defs and node.id not in seen:
+                todo.append(node.id)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(READERS))
+def test_only_textio_converts_a_data_file_number(module):
+    # one number rule: a reader that called int or float would accept
+    # "1_0" or "nan" again
+    path = ROOT / "src" / "ecgarr" / f"{module}.py"
+    assert builtin_conversions(path, READERS[module]) == []
+
+
+def test_the_scan_finds_a_builtin_conversion(tmp_path):
+    # _helper is reached from reader; other is not a reader; annotations
+    # are no conversion
+    module = tmp_path / "module.py"
+    module.write_text("def reader(t: str) -> int:\n    return _helper(t)\n\n\n"
+                      "def _helper(t):\n    return [int(t), max(map(float, t))]\n\n\n"
+                      "def other(t):\n    return int(t)\n")
+    assert builtin_conversions(module, ["reader"]) == [("_helper", 6), ("_helper", 6)]
+    with pytest.raises(KeyError):
+        builtin_conversions(module, ["gone"])
 
 
 OBJECT_READER = {"ingest_record", "EcgRecord", "Annotation"}
