@@ -1,9 +1,9 @@
 """The one number rule of every text file the package reads, and the
 reader of its tagged files (a magic line, then lines led by their tag).
 
-An integer is an optional sign and ASCII digits; a real is an optional
-sign, ASCII digits with at most one point and an optional exponent, and
-must be finite.  A token that breaks the rule raises ``line N: <what>
+An integer is an optional sign and at most 18 ASCII digits, so that it
+fits an int64; a real is an optional sign, ASCII digits with at most one
+point and an optional exponent, and must be finite.  A token that breaks the rule raises ``line N: <what>
 '<token>' is not an integer`` (or ``is not a finite number``).
 """
 
@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 __all__ = ["integer", "naming", "numbers", "real", "tagged", "tagged_lines"]
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INTEGER = re.compile(r"[+-]?[0-9]{1,18}")
 _REAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
@@ -36,7 +36,9 @@ def real(token: str, what: str, line: int, error=ValueError) -> float:
 
 @contextmanager
 def naming(prefix, kinds=ValueError):
-    """Re-raise an error of kinds raised inside, same type, with prefix first."""
+    """Re-raise an error of kinds raised inside, same type, with prefix first.
+    Each kind must be built from one message, so a file is read (and its
+    UnicodeDecodeError raised) outside."""
     try:
         yield
     except kinds as exc:

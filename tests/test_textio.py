@@ -16,7 +16,8 @@ from wfdb_fixtures import classifier_record, write_header
 
 
 def test_the_rule_reads_integers_and_finite_reals():
-    assert [integer(t, "x", 1) for t in ("0", "+12", "-007")] == [0, 12, -7]
+    assert [integer(t, "x", 1) for t in ("0", "+12", "-007", "-" + "9" * 18)] == \
+        [0, 12, -7, -999_999_999_999_999_999]
     assert [real(t, "x", 1) for t in ("2", "-1.5E+3", "1.", ".5", "1e-05")] == \
         [2.0, -1500.0, 1.0, 0.5, 1e-05]
     assert real("-1e308", "x", 1) == -1e308
@@ -80,6 +81,7 @@ def _fixed_model(d):
 # calls it, and whether it is an integer
 FIELDS = {
     "header rate": (_header, " ", 1, 2, "sampling frequency", False),
+    "header length": (_header, " ", 1, 3, "record length", True),
     "header gain": (_header, " ", 2, 2, "gain", False),
     "peaks line": (_peaks, " ", 2, 0, "peak", True),
     "feature value": (_features, ",", 3, 5, "feature", False),
@@ -91,9 +93,9 @@ FIELDS = {
 TOKENS = ["1_0", "٣", "nan", "inf", "1e999", "0x10"]
 
 
-@pytest.mark.parametrize("token", TOKENS)
-@pytest.mark.parametrize("field", FIELDS)
-def test_every_reader_rejects_a_token_outside_the_rule(tmp_path, field, token):
+def _rejects(tmp_path, field, token):
+    """The file of field loads as written, and fails with the rule's
+    message once token replaces the field."""
     make, sep, line, place, what, is_integer = FIELDS[field]
     path, read = make(tmp_path)
     read(path)  # the file as written loads
@@ -111,3 +113,16 @@ def test_every_reader_rejects_a_token_outside_the_rule(tmp_path, field, token):
     with pytest.raises(HeaderError if header else ValueError,
                        match=f"^{re.escape(f'{path}: {message}')}{end}"):
         read(path)
+
+
+@pytest.mark.parametrize("token", TOKENS)
+@pytest.mark.parametrize("field", FIELDS)
+def test_every_reader_rejects_a_token_outside_the_rule(tmp_path, field, token):
+    _rejects(tmp_path, field, token)
+
+
+@pytest.mark.parametrize("digits", [19, 5000])
+@pytest.mark.parametrize("field", [f for f in FIELDS if FIELDS[f][5]])
+def test_every_integer_field_rejects_19_digits_or_more(tmp_path, field, digits):
+    # past int64, and past the 4,300 digits that int() converts at all
+    _rejects(tmp_path, field, "1" * digits)
